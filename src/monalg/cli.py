@@ -22,6 +22,7 @@ from .algebra import (
     AlgebraError,
     AlgebraSpec,
     AlgElement,
+    NonInvertibleError,
     algebra_from_json,
     check_propositions,
     invert_direct,
@@ -319,7 +320,7 @@ def _verify_one_fixture(name: str, cfg: RunConfig) -> dict:
                 curve = curve.reversed()
             try:
                 alt = lambda_numeric(frame, curve, spec)
-            except Exception:
+            except (EmbraceError, NonInvertibleError):
                 continue
             dev = norm_euclid(alt.lambda_ - lam_one.lambda_) / norm_euclid(lam_one.lambda_)
             plane_var = max(plane_var or 0.0, dev)

@@ -60,17 +60,15 @@ class E3Frame:
         return AlgElement(self.spec, self.b)
 
 
-def _real_coords(v: np.ndarray) -> np.ndarray:
-    return np.concatenate([v.real, v.imag])
+def _real_frame_matrix(frame: E3Frame) -> np.ndarray:
+    """(2n, 3) real matrix whose columns are (Re, Im) coordinates of 1, e2, e3."""
+    vecs = (frame.spec.unit_coeffs, frame.a, frame.b)
+    return np.stack([np.concatenate([v.real, v.imag]) for v in vecs], axis=1)
 
 
 def independence_ok(frame: E3Frame) -> bool:
     """True iff {1, e2, e3} are linearly independent over R (rank-3 real matrix)."""
-    mat = np.stack(
-        [_real_coords(frame.spec.unit_coeffs), _real_coords(frame.a), _real_coords(frame.b)],
-        axis=1,
-    )
-    sv = np.linalg.svd(mat, compute_uv=False)
+    sv = np.linalg.svd(_real_frame_matrix(frame), compute_uv=False)
     return bool(sv[-1] > _SV_TOL * sv[0])
 
 

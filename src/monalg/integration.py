@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import AlgebraSpec, AlgElement, _mul_coeffs, norm_euclid
-from .geometry import E3Frame, _zeta_coeffs
+from .algebra import AlgebraSpec, AlgElement, _mul_coeffs, mult_matrix, norm_euclid
+from .geometry import E3Frame, _real_frame_matrix, _zeta_coeffs
 from .resolvent import _zeta_inverse_batch
 
 __all__ = [
@@ -192,13 +192,19 @@ def _assemble(frame: E3Frame, ix: np.ndarray, iy: np.ndarray, iz: np.ndarray) ->
     return AlgElement(spec, coeffs)
 
 
+def _trapezoid_weights(curve: Curve3) -> np.ndarray:
+    """Parameter trapezoid weights of a tangent-carrying curve: dt, halved at both ends."""
+    w = np.full(len(curve.points), curve.dt)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
 def curvilinear_integral(psi: Field, curve: Curve3, frame: E3Frame) -> AlgElement:
     """Integral of Psi d(zeta) with d(zeta) = dx + e2 dy + e3 dz along the curve."""
     vals = _eval_field(psi, curve.points, "curve")
     if curve.tangents is not None:
-        w = np.full(len(curve.points), curve.dt)
-        w[0] *= 0.5
-        w[-1] *= 0.5
+        w = _trapezoid_weights(curve)
         wx = w * curve.tangents[:, 0]
         wy = w * curve.tangents[:, 1]
         wz = w * curve.tangents[:, 2]
@@ -363,24 +369,15 @@ def morera_scan(phi: Field, triangles, frame: E3Frame, per_edge: int = 512) -> f
 # the norm inequality (Lemma 1)
 # ---------------------------------------------------------------------------
 
-def _op_norm(spec: AlgebraSpec, coeffs: np.ndarray) -> float:
-    mat = np.einsum("j,jkl->lk", coeffs, spec.table)
-    return float(np.linalg.norm(mat, 2))
+def _op_norm(a: AlgElement) -> float:
+    return float(np.linalg.norm(mult_matrix(a), 2))
 
 
 def certified_lemma_constant(frame: E3Frame) -> float:
     """A concrete valid constant for the norm inequality, certified node-for-node:
     sqrt(3) * max(1, ||M_e2||, ||M_e3||) / sigma_min(real coords of (1, e2, e3))."""
-    spec = frame.spec
-    m2 = _op_norm(spec, frame.a)
-    m3 = _op_norm(spec, frame.b)
-    mat = np.stack([
-        np.concatenate([spec.unit_coeffs.real, spec.unit_coeffs.imag]),
-        np.concatenate([frame.a.real, frame.a.imag]),
-        np.concatenate([frame.b.real, frame.b.imag]),
-    ], axis=1)
-    smin = np.linalg.svd(mat, compute_uv=False)[-1]
-    return float(np.sqrt(3.0) * max(1.0, m2, m3) / smin)
+    smin = np.linalg.svd(_real_frame_matrix(frame), compute_uv=False)[-1]
+    return float(np.sqrt(3.0) * max(1.0, _op_norm(frame.e2), _op_norm(frame.e3)) / smin)
 
 
 def norm_inequality_check(psi: Field, curve: Curve3, frame: E3Frame) -> tuple[float, float, float]:
@@ -389,11 +386,8 @@ def norm_inequality_check(psi: Field, curve: Curve3, frame: E3Frame) -> tuple[fl
     lhs = norm_euclid(curvilinear_integral(psi, curve, frame))
     vals = _eval_field(psi, curve.points, "curve")
     if curve.tangents is not None:
-        w = np.full(len(curve.points), curve.dt)
-        w[0] *= 0.5
-        w[-1] *= 0.5
         dz = _zeta_tangent_norm(frame, curve.tangents)
-        rhs = c * float(np.sum(w * np.linalg.norm(vals, axis=1) * dz))
+        rhs = c * float(np.sum(_trapezoid_weights(curve) * np.linalg.norm(vals, axis=1) * dz))
     else:
         avg = 0.5 * (vals[:-1] + vals[1:])
         dz = _zeta_tangent_norm(frame, np.diff(curve.points, axis=0))

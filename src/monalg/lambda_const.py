@@ -23,7 +23,7 @@ from .algebra import (
     unit_element,
 )
 from .geometry import E3Frame, _xi_batch
-from .integration import Curve3, curvilinear_integral, zeta_inverse_field
+from .integration import Curve3, _trapezoid_weights, curvilinear_integral, zeta_inverse_field
 from .monogenic import MonogenicSpec, representation_field
 from .resolvent import _t_batch, _zeta_inverse_batch
 
@@ -57,11 +57,16 @@ def winding_number(frame: E3Frame, curve: Curve3, u: int, around: complex = 0.0)
     return int(np.rint(total / (2 * np.pi)))
 
 
-def _sigma_node_values(frame: E3Frame, pts: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """sigma_k of the integrand decomposition, per node, applied to tangent data d."""
+def _sigma_node_values(frame: E3Frame, pts: np.ndarray, d: np.ndarray,
+                       atil: np.ndarray | None = None) -> np.ndarray:
+    """sigma_k of the integrand decomposition, per node, applied to tangent data d.
+
+    atil (N, n) stands in for the recurrence inverse zeta^{-1} at the nodes.
+    """
     spec = frame.spec
     n, m = spec.n, spec.m
-    atil = _zeta_inverse_batch(frame, pts)  # (N, n)
+    if atil is None:
+        atil = _zeta_inverse_batch(frame, pts)
     dxi = d[:, 0, None] + d[:, 1, None] * frame.a[:m] + d[:, 2, None] * frame.b[:m]
     dT = d[:, 1, None] * frame.a[m:] + d[:, 2, None] * frame.b[m:]
     xi = _xi_batch(frame, pts)
@@ -82,11 +87,8 @@ def _sigma_node_values(frame: E3Frame, pts: np.ndarray, d: np.ndarray) -> np.nda
 def _sigma_integrals(frame: E3Frame, curve: Curve3) -> dict[int, complex]:
     """Loop integrals of each sigma_k, quadratured consistently with the curve."""
     if curve.tangents is not None:
-        w = np.full(len(curve.points), curve.dt)
-        w[0] *= 0.5
-        w[-1] *= 0.5
         vals = _sigma_node_values(frame, curve.points, curve.tangents)
-        total = np.einsum("i,ij->j", w, vals)
+        total = np.einsum("i,ij->j", _trapezoid_weights(curve), vals)
     else:
         # same trapezoid average as curvilinear_integral, so the nilpotent
         # lambda coefficients and these integrals agree to rounding
@@ -173,7 +175,7 @@ def _gamma_shorthands(spec: AlgebraSpec):
 def atilde_closed(frame: E3Frame, p, spec: AlgebraSpec | None = None) -> dict[int, complex]:
     """The displayed closed forms for the zeta^{-1} coefficients at indices m+1..m+4.
 
-    Implemented independently of the Qtilde recurrence as a cross-check of it.
+    Implemented independently of the Q recurrence as a cross-check of the inverse it gives.
     The final T-degree-4 term of the m+4 coefficient follows the recurrence
     (the printed sources carry a degree typo there).
     """
@@ -348,39 +350,19 @@ def sigma_closed(frame: E3Frame, p, dp, spec: AlgebraSpec | None = None) -> Sigm
     return SigmaForms(total=total, exact=exact, remainder=remainder)
 
 
-def sigma_direct(frame: E3Frame, p, dp, spec: AlgebraSpec | None = None,
+def sigma_direct(frame: E3Frame, p, dp,
                  atilde: dict[int, complex] | None = None) -> dict[int, complex]:
     """sigma_k assembled directly from the integrand decomposition, for every k.
 
     With atilde given (e.g. from atilde_closed) the nilpotent coefficients come
     from it; otherwise from the recurrence inverse.
     """
-    spec = spec or frame.spec
-    n, m = spec.n, spec.m
-    pt = np.asarray(p, dtype=float)
-    d = np.asarray(dp, dtype=float)
-    coeffs = _zeta_inverse_batch(frame, pt)
-    at = {k: complex(coeffs[k - 1]) for k in range(m + 1, n + 1)}
-    if atilde:
-        at.update(atilde)
-    xi = _xi_batch(frame, pt)
-    dT = d[1] * frame.a[m:] + d[2] * frame.b[m:]
-
-    out: dict[int, complex] = {}
-    for u in range(1, m + 1):
-        dxi = complex(d[0] + d[1] * frame.a[u - 1] + d[2] * frame.b[u - 1])
-        out[u] = dxi / complex(xi[u - 1])
-    for k in range(m + 1, n + 1):
-        uk = spec.u_map[k]
-        dxi = complex(d[0] + d[1] * frame.a[uk - 1] + d[2] * frame.b[uk - 1])
-        acc = complex(dT[k - m - 1]) / complex(xi[uk - 1]) + at[k] * dxi
-        for r in range(m + 1, k):
-            for s in range(m + 1, k):
-                g = spec.gamma_coeff(r, s, k)
-                if g != 0:
-                    acc += at[r] * complex(dT[s - m - 1]) * g
-        out[k] = acc
-    return out
+    pt = np.asarray(p, dtype=float)[None]
+    atil = _zeta_inverse_batch(frame, pt)
+    for k, v in (atilde or {}).items():
+        atil[0, k - 1] = v
+    vals = _sigma_node_values(frame, pt, np.asarray(dp, dtype=float)[None], atil)[0]
+    return {k: complex(v) for k, v in enumerate(vals, start=1)}
 
 
 # ---------------------------------------------------------------------------

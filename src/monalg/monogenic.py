@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraSpec, AlgElement, _mul_coeffs, norm_euclid
+from .algebra import AlgElement, _mul_coeffs, basis_element
 from .geometry import E3Frame, _xi_batch, _zeta_coeffs
-from .resolvent import SingularityError, _recurrences
+from .resolvent import SingularityError, _expand, _orders, _recurrences
 
 __all__ = [
     "ContourError",
@@ -174,57 +174,32 @@ def _moments(func, center, radius, xi_u, kmax: int, nodes: int, chunk: int = 256
 def _rep_batch(mspec: MonogenicSpec, frame: E3Frame, pts: np.ndarray,
                nodes: int = 1024) -> np.ndarray:
     spec = frame.spec
-    n, m = spec.n, spec.m
+    m = spec.m
     if len(mspec.F) != m:
         raise ValueError(f"need one F_u per idempotent ({m}), got {len(mspec.F)}")
-    xi, _, _, Q, _ = _recurrences(frame, pts)
+    xi, _, _, Q = _recurrences(frame, pts)
     centers, radii = _auto_contours(xi, m, mspec.contours)
     for u in range(1, m + 1):
         _check_enclosure(xi, u, centers[u - 1], radii[u - 1])
+    kmax = _orders(spec)
 
-    kmax_for_u = {u: 1 for u in range(1, m + 1)}
-    for s in range(m + 1, n + 1):
-        u = spec.u_map[s]
-        kmax_for_u[u] = max(kmax_for_u[u], s - m + 1)
-
-    out = np.zeros(pts.shape[:-1] + (n,), dtype=complex)
-
-    # idempotent terms: I_u * (moment expansion) only touches I_u and its nilpotents
-    for u in range(1, m + 1):
-        W = _moments(mspec.F[u - 1], centers[u - 1], radii[u - 1],
-                     xi[..., u - 1], kmax_for_u[u], nodes)
-        out[..., u - 1] += W[0]
-        for s in range(m + 1, n + 1):
-            if spec.u_map[s] != u:
-                continue
-            for k in range(2, s - m + 2):
-                out[..., s - 1] += Q[(k, s)] * W[k - 1]
+    # idempotent terms: F_u integrated over Gamma_u only touches I_u and its nilpotents
+    out = _expand(spec, Q, [
+        _moments(mspec.F[u], centers[u], radii[u], xi[..., u], kmax[u], nodes) for u in range(m)
+    ])
 
     # nilpotent terms: full resolvent integral over Gamma_{u_s}, then times I_s
     for s, g in sorted(mspec.G.items()):
-        us = spec.u_map[s]
-        c, r = centers[us - 1], radii[us - 1]
-        kmax = max(kmax_for_u.values())
-        vec = np.zeros(pts.shape[:-1] + (n,), dtype=complex)
-        Wij = {}
-        for u in range(1, m + 1):
-            Wij[u] = _moments(g, c, r, xi[..., u - 1], kmax, nodes)
-            vec[..., u - 1] = Wij[u][0]
-        for sp in range(m + 1, n + 1):
-            usp = spec.u_map[sp]
-            for k in range(2, sp - m + 2):
-                vec[..., sp - 1] += Q[(k, sp)] * Wij[usp][k - 1]
-        basis = np.zeros(n, dtype=complex)
-        basis[s - 1] = 1.0
-        out += _mul_coeffs(spec, basis, vec)
+        c, r = centers[spec.u_map[s] - 1], radii[spec.u_map[s] - 1]
+        vec = _expand(spec, Q, [_moments(g, c, r, xi[..., u], kmax[u], nodes) for u in range(m)])
+        out += _mul_coeffs(spec, basis_element(spec, s).coeffs, vec)
     return out
 
 
 def eval_representation(mspec: MonogenicSpec, frame: E3Frame, p,
-                        spec: AlgebraSpec | None = None, nodes: int = 1024) -> AlgElement:
+                        nodes: int = 1024) -> AlgElement:
     """Evaluate the represented monogenic function at one point."""
-    spec = spec or frame.spec
-    return AlgElement(spec, _rep_batch(mspec, frame, np.asarray(p, dtype=float), nodes))
+    return AlgElement(frame.spec, _rep_batch(mspec, frame, np.asarray(p, dtype=float), nodes))
 
 
 def representation_field(mspec: MonogenicSpec, frame: E3Frame, nodes: int = 1024):

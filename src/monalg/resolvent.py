@@ -2,8 +2,14 @@
 
 Everything reduces to scalar data at a point: xi_u = x + y a_u + z b_u,
 T_s = y a_s + z b_s, the couplings B_{r,s} = sum_k T_k * (coeff of I_s in
-I_r I_k), and their recurrences Q (resolvent) and Qtilde (inverse).  These
-are cross-checked against the dense linear-solve oracle in the tests.
+I_r I_k), and one recurrence Q.  The resolvent is
+    (t e1 - zeta)^{-1} = sum_u (t - xi_u)^{-1} I_u
+                       + sum_s sum_k Q_{k,s} (t - xi_{u_s})^{-k} I_s,
+and zeta^{-1} is minus its value at t = 0, which is the same expansion with
+the factors (-1)^{k+1} xi_u^{-k}; the inverse recurrence is therefore
+Qtilde_{k,s} = (-1)^{k+1} Q_{k,s}.  The monogenic representation reuses the
+expansion with contour moments as factors (see _expand).  All of this is
+cross-checked against the dense linear-solve oracle in the tests.
 """
 
 from __future__ import annotations
@@ -43,10 +49,10 @@ def _t_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
 
 
 def _recurrences(frame: E3Frame, pts: np.ndarray):
-    """xi, T, B, Q, Qtilde at a batch of points.
+    """xi, T, B, Q at a batch of points.
 
-    B[(r, s)], Q[(k, s)], Qtilde[(k, s)] hold arrays of the batch shape,
-    with Q, Qtilde defined for k in 2..s-m+1 only.
+    B[(r, s)] and Q[(k, s)] hold arrays of the batch shape, with Q defined for
+    k in 2..s-m+1 only.
     """
     spec = frame.spec
     n, m = spec.n, spec.m
@@ -67,24 +73,50 @@ def _recurrences(frame: E3Frame, pts: np.ndarray):
             B[(r, s)] = acc + np.zeros_like(xi[..., 0])
 
     Q: dict[tuple[int, int], np.ndarray] = {}
-    Qt: dict[tuple[int, int], np.ndarray] = {}
     for s in range(m + 1, n + 1):
         Q[(2, s)] = t_of(s)
-        Qt[(2, s)] = -t_of(s)
         for k in range(3, s - m + 2):
             acc = 0.0
-            acct = 0.0
             for r in range(k + m - 2, s):
                 acc = acc + Q[(k - 1, r)] * B[(r, s)]
-                acct = acct + Qt[(k - 1, r)] * B[(r, s)]
             Q[(k, s)] = acc + np.zeros_like(xi[..., 0])
-            Qt[(k, s)] = -acct + np.zeros_like(xi[..., 0])
-    return xi, T, B, Q, Qt
+    return xi, T, B, Q
+
+
+def _orders(spec: AlgebraSpec) -> list[int]:
+    """Per u, how many factors the expansion reads from W[u-1]: the largest
+    s - m + 1 over nilpotents I_s with u_s = u, and 1 when there is none."""
+    kmax = [1] * spec.m
+    for s, u in spec.u_map.items():
+        kmax[u - 1] = max(kmax[u - 1], s - spec.m + 1)
+    return kmax
+
+
+def _expand(spec: AlgebraSpec, Q, W) -> np.ndarray:
+    """Coefficients of sum_u W[u-1][0] I_u + sum_s sum_k Q_{k,s} W[u_s-1][k-1] I_s.
+
+    W[u-1] lists the scalar factors (batch arrays) paired with xi_u for
+    k = 1.._orders(spec)[u-1]: powers (t - xi_u)^{-k} give the resolvent,
+    (-1)^{k+1} xi_u^{-k} give zeta^{-1}, contour moments give the monogenic
+    representation.
+    """
+    n, m = spec.n, spec.m
+    out = np.zeros(np.shape(W[0][0]) + (n,), dtype=complex)
+    for u in range(1, m + 1):
+        out[..., u - 1] = W[u - 1][0]
+    for s in range(m + 1, n + 1):
+        w = W[spec.u_map[s] - 1]
+        acc = 0.0
+        for k in range(2, s - m + 2):
+            acc = acc + Q[(k, s)] * w[k - 1]
+        out[..., s - 1] = acc
+    return out
 
 
 @dataclass(frozen=True)
 class ResolventCoeffs:
-    """Scalar resolvent data at one point: xi_u, T_s, B_{r,s}, Q_{k,s}, Qtilde_{k,s}."""
+    """Scalar resolvent data at one point: xi_u, T_s, B_{r,s}, Q_{k,s} and
+    Qtilde_{k,s} = (-1)^{k+1} Q_{k,s}."""
 
     xi: np.ndarray
     T: dict[int, complex]
@@ -93,71 +125,54 @@ class ResolventCoeffs:
     Qtilde: dict[tuple[int, int], complex]
 
 
-def compute_coeffs(frame: E3Frame, p, spec: AlgebraSpec | None = None) -> ResolventCoeffs:
+def compute_coeffs(frame: E3Frame, p) -> ResolventCoeffs:
     """All recurrence data at a single point p."""
-    spec = spec or frame.spec
-    pts = np.asarray(p, dtype=float)
-    xi, T, B, Q, Qt = _recurrences(frame, pts)
+    spec = frame.spec
+    xi, T, B, Q = _recurrences(frame, np.asarray(p, dtype=float))
     m = spec.m
     return ResolventCoeffs(
         xi=xi,
         T={m + 1 + i: complex(T[i]) for i in range(spec.n - m)},
         B={k: complex(v) for k, v in B.items()},
         Q={k: complex(v) for k, v in Q.items()},
-        Qtilde={k: complex(v) for k, v in Qt.items()},
+        Qtilde={k: complex(v) if k[0] % 2 else -complex(v) for k, v in Q.items()},
     )
 
 
 def _resolvent_batch(frame: E3Frame, pts: np.ndarray, t: complex) -> np.ndarray:
     spec = frame.spec
-    n, m = spec.n, spec.m
-    xi, _, _, Q, _ = _recurrences(frame, pts)
-    bad = np.abs(t - xi) < _POLE_TOL * (1 + abs(t))
+    xi, _, _, Q = _recurrences(frame, pts)
+    d = t - xi
+    bad = np.abs(d) < _POLE_TOL * (1 + abs(t))
     if np.any(bad):
         u = int(np.argwhere(bad)[0][-1]) + 1
         raise SingularityError(f"t = {t} hits the pole xi_{u}", u=u)
-    out = np.zeros(pts.shape[:-1] + (n,), dtype=complex)
-    for u in range(1, m + 1):
-        out[..., u - 1] = 1.0 / (t - xi[..., u - 1])
-    for s in range(m + 1, n + 1):
-        us = spec.u_map[s]
-        d = t - xi[..., us - 1]
-        acc = 0.0
-        for k in range(2, s - m + 2):
-            acc = acc + Q[(k, s)] * d ** (-k)
-        out[..., s - 1] = acc
-    return out
+    W = [[1.0 / d[..., u]] + [d[..., u] ** -k for k in range(2, kmax + 1)]
+         for u, kmax in enumerate(_orders(spec))]
+    return _expand(spec, Q, W)
 
 
-def resolvent_at(t: complex, frame: E3Frame, p, spec: AlgebraSpec | None = None) -> AlgElement:
+def resolvent_at(t: complex, frame: E3Frame, p) -> AlgElement:
     """(t e1 - zeta)^{-1} via the expansion in powers of (t - xi_{u_s})."""
-    spec = spec or frame.spec
-    return AlgElement(spec, _resolvent_batch(frame, np.asarray(p, dtype=float), complex(t)))
+    return AlgElement(frame.spec, _resolvent_batch(frame, np.asarray(p, dtype=float), complex(t)))
 
 
 def _zeta_inverse_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
     spec = frame.spec
-    n, m = spec.n, spec.m
     pts = np.asarray(pts, dtype=float)
-    xi, _, _, _, Qt = _recurrences(frame, pts)
+    xi, _, _, Q = _recurrences(frame, pts)
     scale = 1 + np.linalg.norm(np.atleast_2d(pts), axis=-1).max()
     bad = np.abs(xi) < _POLE_TOL * scale
     if np.any(bad):
         u = int(np.argwhere(bad)[0][-1]) + 1
         raise NonInvertibleError(f"point lies on line L_{u} (xi_{u} = 0)", u=u)
-    out = np.zeros(pts.shape[:-1] + (n,), dtype=complex)
-    for u in range(1, m + 1):
-        out[..., u - 1] = 1.0 / xi[..., u - 1]
-    for s in range(m + 1, n + 1):
-        xs = xi[..., spec.u_map[s] - 1]
-        acc = 0.0
-        for k in range(2, s - m + 2):
-            acc = acc + Qt[(k, s)] * xs ** (-k)
-        out[..., s - 1] = acc
-    return out
+    # minus the resolvent at t = 0: the factors are (-1)^{k+1} xi_u^{-k}
+    W = [[1.0 / xi[..., u]]
+         + [xi[..., u] ** -k if k % 2 else -(xi[..., u] ** -k) for k in range(2, kmax + 1)]
+         for u, kmax in enumerate(_orders(spec))]
+    return _expand(spec, Q, W)
 
 
-def zeta_inverse_closed(frame: E3Frame, p, spec: AlgebraSpec | None = None) -> AlgElement:
-    """zeta^{-1} from the Qtilde recurrence (the production inverse on E3)."""
-    spec = spec or frame.spec
-    return AlgElement(spec, _zeta_inverse_batch(frame, np.asarray(p, dtype=float)))
+def zeta_inverse_closed(frame: E3Frame, p) -> AlgElement:
+    """zeta^{-1} from the resolvent expansion (the production inverse on E3)."""
+    return AlgElement(frame.spec, _zeta_inverse_batch(frame, np.asarray(p, dtype=float)))

@@ -5,8 +5,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import monalg
+from monalg import cli
 
 # The child runs from a temporary directory, where a relative PYTHONPATH such
 # as "src" names nothing; put the directory holding this package first.
@@ -124,3 +126,18 @@ def test_verify_all_command(tmp_path):
     for rec in report["fixtures"].values():
         assert rec["validation"] == []
         assert rec["prediction_sound"] is True
+
+
+def test_verify_all_plane_loop_propagates_unexpected_errors(monkeypatch):
+    # only EmbraceError and NonInvertibleError mean "this plane does not
+    # embrace once"; any other error is a fault and must reach the caller
+    real = cli.lambda_numeric
+
+    def failing_off_xy(frame, curve, *args, **kwargs):
+        if np.any(curve.points[:, 2] != 0.0):
+            raise RuntimeError("lambda failed off the xy plane")
+        return real(frame, curve, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "lambda_numeric", failing_off_xy)
+    with pytest.raises(RuntimeError, match="off the xy plane"):
+        cli._verify_one_fixture("A5", cli.RunConfig("verify-all", nodes=256))

@@ -86,6 +86,28 @@ def test_nilpotent_term_constant(bundles):
         assert norm_euclid(got - basis_element(spec, s)) <= 1e-12
 
 
+def test_nilpotent_term_polynomial(bundles):
+    # F = 0, G_s = c0 + c1 t + c2 t^2 gives I_s G_s(zeta); unlike G_s = 1 this
+    # reads the higher G_s moments around every xi_u
+    coeffs = (0.7 - 0.2j, -1.1 + 0.4j, 0.35 + 0.5j)
+    rng = np.random.default_rng(47)
+    for name in ("A5", "A2_radical"):
+        bundle = bundles[name]
+        spec = bundle.algebra
+        frame = bundle.default_frame
+        for s in range(spec.m + 1, spec.n + 1):
+            ms = MonogenicSpec(
+                F=tuple(HoloFunction("polynomial", (0,)) for _ in range(spec.m)),
+                G={s: HoloFunction("polynomial", coeffs)},
+            )
+            for p in eval_points(frame, rng, 3):
+                z = make_zeta(frame, p)
+                g = coeffs[0] * unit_element(spec) + coeffs[1] * z + coeffs[2] * multiply(z, z)
+                want = multiply(basis_element(spec, s), g)
+                got = eval_representation(ms, frame, p)
+                assert norm_euclid(got - want) <= 1e-11 * (1 + norm_euclid(want)), (name, s)
+
+
 def test_linearity(bundles):
     frame = bundles["A5"].default_frame
     spec = frame.spec
