@@ -63,7 +63,7 @@ for name, ms in (("t", identity), ("t^2", square), ("exp series", exp_like)):
 p0 = (0.31, 0.17, 0.45)
 curve = circle_curve(center=p0, radius=0.9, nodes=4096)
 for name, ms in (("t", identity), ("t^2", square), ("exp series", exp_like)):
-    r = cauchy_formula_residual(ms, frame, p0, curve, spec, nodes=512)
+    r = cauchy_formula_residual(ms, frame, p0, curve, nodes=512)
     print(f"Cauchy formula residual, F = {name:10s}: {r:.2e}")
 
 # ---------------------------------------------------------------------------

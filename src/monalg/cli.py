@@ -32,7 +32,7 @@ from .algebra import (
     validate_algebra,
 )
 from .fixtures import CATALOG, load_fixture
-from .geometry import E3Frame, frame_from_json, make_zeta, xi_values
+from .geometry import E3Frame, frame_from_json, make_zeta, random_safe_points
 from .integration import (
     circle_curve,
     constant_field,
@@ -44,6 +44,7 @@ from .integration import (
 )
 from .lambda_const import (
     EmbraceError,
+    LambdaResult,
     cauchy_formula_residual,
     cauchy_theorem_residual,
     exactness_conditions,
@@ -111,16 +112,6 @@ def _standard_mspecs(spec: AlgebraSpec) -> dict[str, MonogenicSpec]:
     }
 
 
-def _seeded_points(frame: E3Frame, rng: np.random.Generator, count: int,
-                   margin: float = 0.3) -> np.ndarray:
-    pts = []
-    while len(pts) < count:
-        p = rng.uniform(-2.0, 2.0, size=3)
-        if np.min(np.abs(xi_values(frame, p))) > margin:
-            pts.append(p)
-    return np.array(pts)
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations; each returns (report dict, ok flag)
 # ---------------------------------------------------------------------------
@@ -165,9 +156,7 @@ def _cmd_invert(cfg: RunConfig):
     }, ok
 
 
-def _lambda_record(frame: E3Frame, cfg: RunConfig) -> dict:
-    curve = circle_curve(radius=cfg.radius, nodes=cfg.nodes, plane=cfg.plane)
-    res = lambda_numeric(frame, curve, frame.spec, tol=cfg.tol)
+def _lambda_record(res: LambdaResult, plane: str) -> dict:
     return {
         "lambda": _elem_json(res.lambda_),
         "sigma_integrals": {str(k): _c2pair(v) for k, v in res.sigma_integrals.items()},
@@ -176,7 +165,7 @@ def _lambda_record(frame: E3Frame, cfg: RunConfig) -> dict:
         "is_2pi_i": res.is_2pi_i,
         "tol": res.tol,
         "winding": {str(u): w for u, w in res.winding.items()},
-        "plane": cfg.plane,
+        "plane": plane,
     }
 
 
@@ -184,7 +173,8 @@ def _cmd_lambda(cfg: RunConfig):
     spec, frame = _load_inputs(cfg)
     if frame is None:
         raise ValueError("lambda needs a frame")
-    rec = _lambda_record(frame, cfg)
+    curve = circle_curve(radius=cfg.radius, nodes=cfg.nodes, plane=cfg.plane)
+    rec = _lambda_record(lambda_numeric(frame, curve, tol=cfg.tol), cfg.plane)
     rec["command"] = "lambda"
     rec["algebra"] = spec.name
     rec["ok"] = True  # lambda has no asserted tolerance on its own
@@ -195,7 +185,7 @@ def _cmd_classify(cfg: RunConfig):
     spec, frame = _load_inputs(cfg)
     if frame is None:
         raise ValueError("classify needs a frame")
-    rep = exactness_conditions(frame, spec)
+    rep = exactness_conditions(frame)
     return {
         "command": "classify",
         "algebra": spec.name,
@@ -217,7 +207,7 @@ def _cauchy_residuals(spec: AlgebraSpec, frame: E3Frame, nodes: int) -> dict[str
     curve = circle_curve(center=(0.05, -0.04, 0.03), radius=0.8, nodes=nodes)
     out = {}
     for name, ms in _standard_mspecs(spec).items():
-        out[name] = cauchy_theorem_residual(ms, frame, curve, spec, nodes=512)
+        out[name] = cauchy_theorem_residual(ms, frame, curve, nodes=512)
     return out
 
 
@@ -241,7 +231,7 @@ def _formula_residuals(spec: AlgebraSpec, frame: E3Frame, nodes: int) -> dict[st
     curve = circle_curve(center=p0, radius=0.9, nodes=nodes)
     out = {}
     for name, ms in _standard_mspecs(spec).items():
-        out[name] = cauchy_formula_residual(ms, frame, p0, curve, spec, nodes=512)
+        out[name] = cauchy_formula_residual(ms, frame, p0, curve, nodes=512)
     return out
 
 
@@ -273,7 +263,7 @@ def _verify_one_fixture(name: str, cfg: RunConfig) -> dict:
     ok &= validation.ok
 
     # closed-form vs linear-solve oracle on seeded random points
-    pts = _seeded_points(frame, rng, 100)
+    pts = random_safe_points(frame, rng, 100)
     worst_inv = worst_res = worst_at = 0.0
     for p in pts:
         direct = invert_direct(make_zeta(frame, p))
@@ -298,14 +288,14 @@ def _verify_one_fixture(name: str, cfg: RunConfig) -> dict:
     }
     ok &= worst_inv <= 1e-9 and worst_res <= 1e-9 and worst_at <= 1e-10
 
-    lam_cfg = RunConfig("lambda", nodes=cfg.nodes, radius=cfg.radius, seed=cfg.seed)
-    rec["lambda"] = _lambda_record(frame, lam_cfg)
-    lam_half = lambda_numeric(frame, circle_curve(radius=0.5, nodes=cfg.nodes), spec)
-    lam_two = lambda_numeric(frame, circle_curve(radius=2.0, nodes=cfg.nodes), spec)
-    lam_one = lambda_numeric(frame, circle_curve(radius=1.0, nodes=cfg.nodes), spec)
+    # one lambda per xy circle radius; the reported radius is usually 1.0
+    lams = {r: lambda_numeric(frame, circle_curve(radius=r, nodes=cfg.nodes))
+            for r in {0.5, 1.0, 2.0, cfg.radius}}
+    rec["lambda"] = _lambda_record(lams[cfg.radius], "xy")
+    lam_one = lams[1.0]
     radius_dev = max(
-        norm_euclid(lam_half.lambda_ - lam_one.lambda_),
-        norm_euclid(lam_two.lambda_ - lam_one.lambda_),
+        norm_euclid(lams[0.5].lambda_ - lam_one.lambda_),
+        norm_euclid(lams[2.0].lambda_ - lam_one.lambda_),
     ) / norm_euclid(lam_one.lambda_)
     rec["lambda"]["radius_agreement_rel"] = radius_dev
     ok &= radius_dev <= 1e-8
@@ -319,14 +309,14 @@ def _verify_one_fixture(name: str, cfg: RunConfig) -> dict:
             if orient:
                 curve = curve.reversed()
             try:
-                alt = lambda_numeric(frame, curve, spec)
+                alt = lambda_numeric(frame, curve)
             except (EmbraceError, NonInvertibleError):
                 continue
             dev = norm_euclid(alt.lambda_ - lam_one.lambda_) / norm_euclid(lam_one.lambda_)
             plane_var = max(plane_var or 0.0, dev)
     rec["lambda"]["plane_variation_rel"] = plane_var
 
-    exact = exactness_conditions(frame, spec)
+    exact = exactness_conditions(frame)
     rec["exactness"] = {
         "theorem5": exact.theorem5,
         "theorem6": exact.theorem6,

@@ -24,6 +24,7 @@ __all__ = [
     "check_surjectivity",
     "noninvertibility_lines",
     "point_invertible",
+    "random_safe_points",
     "frame_from_json",
     "frame_to_json",
 ]
@@ -155,6 +156,17 @@ def point_invertible(frame: E3Frame, p) -> tuple[bool, float]:
     """Whether zeta(p) is invertible, plus min_u |xi_u| as a safety margin."""
     dist = float(np.min(np.abs(xi_values(frame, p))))
     return dist > 0.0, dist
+
+
+def random_safe_points(frame: E3Frame, rng: np.random.Generator, count: int,
+                       margin: float = 0.3) -> np.ndarray:
+    """count uniform draws from [-2, 2]^3 with every |xi_u| above margin."""
+    pts = []
+    while len(pts) < count:
+        p = rng.uniform(-2.0, 2.0, size=3)
+        if np.min(np.abs(xi_values(frame, p))) > margin:
+            pts.append(p)
+    return np.array(pts)
 
 
 def frame_from_json(data: dict, spec: AlgebraSpec) -> E3Frame:

@@ -5,7 +5,8 @@ of coefficient vectors.  Curves are polylines; closed analytic curves
 produced by the generators additionally carry exact tangents, in which case
 the integral uses the parameter trapezoid rule (spectrally accurate for
 smooth closed loops).  Plain polylines fall back to the per-segment
-trapezoid (polygon) rule.
+trapezoid (polygon) rule.  _node_steps writes both as one per-node rule that
+every loop integral, here and in lambda_const, shares.
 """
 
 from __future__ import annotations
@@ -192,32 +193,31 @@ def _assemble(frame: E3Frame, ix: np.ndarray, iy: np.ndarray, iz: np.ndarray) ->
     return AlgElement(spec, coeffs)
 
 
-def _trapezoid_weights(curve: Curve3) -> np.ndarray:
-    """Parameter trapezoid weights of a tangent-carrying curve: dt, halved at both ends."""
-    w = np.full(len(curve.points), curve.dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
+def _node_steps(curve: Curve3) -> np.ndarray:
+    """Weighted tangent at each node, (N, 3): dt * tangent halved at both ends
+    (parameter trapezoid), or on polylines half of each adjacent segment (the
+    per-segment trapezoid written per node).  A loop integral of a 1-form
+    linear in the tangent is the sum of its node values on these steps."""
+    if curve.tangents is not None:
+        steps = curve.dt * curve.tangents
+        steps[[0, -1]] *= 0.5
+        return steps
+    half = 0.5 * np.diff(curve.points, axis=0)
+    steps = np.zeros_like(curve.points)
+    steps[:-1] += half
+    steps[1:] += half
+    return steps
+
+
+def _integrate_values(frame: E3Frame, vals: np.ndarray, steps: np.ndarray) -> AlgElement:
+    """Sum of vals_i d(zeta)(steps_i) over the nodes (see _node_steps)."""
+    ix, iy, iz = (np.einsum("i,ij->j", w, vals) for w in steps.T)
+    return _assemble(frame, ix, iy, iz)
 
 
 def curvilinear_integral(psi: Field, curve: Curve3, frame: E3Frame) -> AlgElement:
     """Integral of Psi d(zeta) with d(zeta) = dx + e2 dy + e3 dz along the curve."""
-    vals = _eval_field(psi, curve.points, "curve")
-    if curve.tangents is not None:
-        w = _trapezoid_weights(curve)
-        wx = w * curve.tangents[:, 0]
-        wy = w * curve.tangents[:, 1]
-        wz = w * curve.tangents[:, 2]
-        ix = np.einsum("i,ij->j", wx, vals)
-        iy = np.einsum("i,ij->j", wy, vals)
-        iz = np.einsum("i,ij->j", wz, vals)
-    else:
-        avg = 0.5 * (vals[:-1] + vals[1:])
-        dp = np.diff(curve.points, axis=0)
-        ix = np.einsum("i,ij->j", dp[:, 0], avg)
-        iy = np.einsum("i,ij->j", dp[:, 1], avg)
-        iz = np.einsum("i,ij->j", dp[:, 2], avg)
-    return _assemble(frame, ix, iy, iz)
+    return _integrate_values(frame, _eval_field(psi, curve.points, "curve"), _node_steps(curve))
 
 
 @dataclass(frozen=True)
@@ -383,15 +383,10 @@ def certified_lemma_constant(frame: E3Frame) -> float:
 def norm_inequality_check(psi: Field, curve: Curve3, frame: E3Frame) -> tuple[float, float, float]:
     """(lhs, rhs, c): norm of the integral vs c * integral of ||Psi|| ||d zeta||."""
     c = certified_lemma_constant(frame)
-    lhs = norm_euclid(curvilinear_integral(psi, curve, frame))
     vals = _eval_field(psi, curve.points, "curve")
-    if curve.tangents is not None:
-        dz = _zeta_tangent_norm(frame, curve.tangents)
-        rhs = c * float(np.sum(_trapezoid_weights(curve) * np.linalg.norm(vals, axis=1) * dz))
-    else:
-        avg = 0.5 * (vals[:-1] + vals[1:])
-        dz = _zeta_tangent_norm(frame, np.diff(curve.points, axis=0))
-        rhs = c * float(np.sum(np.linalg.norm(avg, axis=1) * dz))
+    steps = _node_steps(curve)
+    lhs = norm_euclid(_integrate_values(frame, vals, steps))
+    rhs = c * float(np.sum(np.linalg.norm(vals, axis=1) * _zeta_tangent_norm(frame, steps)))
     return lhs, rhs, c
 
 

@@ -18,12 +18,13 @@ from .algebra import (
     AlgebraSpec,
     AlgElement,
     NonInvertibleError,
+    _mul_coeffs,
     multiply,
     norm_euclid,
     unit_element,
 )
 from .geometry import E3Frame, _xi_batch
-from .integration import Curve3, _trapezoid_weights, curvilinear_integral, zeta_inverse_field
+from .integration import Curve3, _integrate_values, _node_steps, curvilinear_integral
 from .monogenic import MonogenicSpec, representation_field
 from .resolvent import _t_batch, _zeta_inverse_batch
 
@@ -84,22 +85,6 @@ def _sigma_node_values(frame: E3Frame, pts: np.ndarray, d: np.ndarray,
     return out
 
 
-def _sigma_integrals(frame: E3Frame, curve: Curve3) -> dict[int, complex]:
-    """Loop integrals of each sigma_k, quadratured consistently with the curve."""
-    if curve.tangents is not None:
-        vals = _sigma_node_values(frame, curve.points, curve.tangents)
-        total = np.einsum("i,ij->j", _trapezoid_weights(curve), vals)
-    else:
-        # same trapezoid average as curvilinear_integral, so the nilpotent
-        # lambda coefficients and these integrals agree to rounding
-        dp = np.diff(curve.points, axis=0)
-        v0 = _sigma_node_values(frame, curve.points[:-1], dp)
-        v1 = _sigma_node_values(frame, curve.points[1:], dp)
-        total = 0.5 * (v0 + v1).sum(axis=0)
-    m = frame.spec.m
-    return {k: complex(total[k - 1]) for k in range(m + 1, frame.spec.n + 1)}
-
-
 @dataclass(frozen=True)
 class LambdaResult:
     lambda_: AlgElement
@@ -111,10 +96,9 @@ class LambdaResult:
     winding: dict[int, int]
 
 
-def lambda_numeric(frame: E3Frame, circle: Curve3, spec: AlgebraSpec | None = None,
-                   tol: float | None = None) -> LambdaResult:
+def lambda_numeric(frame: E3Frame, circle: Curve3, *, tol: float | None = None) -> LambdaResult:
     """Loop integral of zeta^{-1} d zeta with embrace and invertibility preconditions."""
-    spec = spec or frame.spec
+    spec = frame.spec
     if not circle.closed:
         raise EmbraceError("lambda requires a closed curve")
     xi = _xi_batch(frame, circle.points)
@@ -128,8 +112,12 @@ def lambda_numeric(frame: E3Frame, circle: Curve3, spec: AlgebraSpec | None = No
         winding[u] = wu
         if wu != 1:
             raise EmbraceError(f"curve does not embrace once: winding of xi_{u} is {wu}")
-    lam = curvilinear_integral(zeta_inverse_field(frame), circle, frame)
-    sig = _sigma_integrals(frame, circle)
+    # one zeta^{-1} per node serves lambda and the sigma-form integrals
+    steps = _node_steps(circle)
+    inv = _zeta_inverse_batch(frame, circle.points)
+    lam = _integrate_values(frame, inv, steps)
+    total = _sigma_node_values(frame, circle.points, steps, inv).sum(axis=0)
+    sig = {k: complex(total[k - 1]) for k in range(spec.m + 1, spec.n + 1)}
     centroid = circle.points[:-1].mean(axis=0)
     radius = float(np.mean(np.linalg.norm(circle.points[:-1] - centroid, axis=1)))
     tol = tol if tol is not None else 1e-6 * (1 + norm_euclid(lam))
@@ -172,14 +160,14 @@ def _gamma_shorthands(spec: AlgebraSpec):
     }
 
 
-def atilde_closed(frame: E3Frame, p, spec: AlgebraSpec | None = None) -> dict[int, complex]:
+def atilde_closed(frame: E3Frame, p) -> dict[int, complex]:
     """The displayed closed forms for the zeta^{-1} coefficients at indices m+1..m+4.
 
     Implemented independently of the Q recurrence as a cross-check of the inverse it gives.
     The final T-degree-4 term of the m+4 coefficient follows the recurrence
     (the printed sources carry a degree typo there).
     """
-    spec = spec or frame.spec
+    spec = frame.spec
     n, m = spec.n, spec.m
     if n - m < 1:
         return {}
@@ -307,10 +295,10 @@ def _remainder_terms(c) -> dict[int, list]:
     }
 
 
-def sigma_closed(frame: E3Frame, p, dp, spec: AlgebraSpec | None = None) -> SigmaForms:
+def sigma_closed(frame: E3Frame, p, dp) -> SigmaForms:
     """sigma_{m+1}..sigma_{m+4} on the tangent dp, via the split differential
     representation: d(antiderivative) plus structure-constant-weighted remainders."""
-    spec = spec or frame.spec
+    spec = frame.spec
     n, m = spec.n, spec.m
     pt = np.asarray(p, dtype=float)
     d = np.asarray(dp, dtype=float)
@@ -431,9 +419,9 @@ def theorem8_products(spec: AlgebraSpec) -> list[tuple[str, complex]]:
     return out
 
 
-def exactness_conditions(frame: E3Frame, spec: AlgebraSpec | None = None) -> ExactnessReport:
+def exactness_conditions(frame: E3Frame) -> ExactnessReport:
     """Structural predicates guaranteeing lambda = 2 pi i (each sufficient)."""
-    spec = spec or frame.spec
+    spec = frame.spec
     n, m = spec.n, spec.m
     dim_n = n - m
 
@@ -481,26 +469,23 @@ def _as_field(phi, frame: E3Frame, nodes: int):
     return phi
 
 
-def cauchy_theorem_residual(phi, frame: E3Frame, curve: Curve3,
-                            spec: AlgebraSpec | None = None, nodes: int = 1024) -> float:
+def cauchy_theorem_residual(phi, frame: E3Frame, curve: Curve3, *, nodes: int = 1024) -> float:
     """norm of the loop integral of a monogenic function (zero in exact arithmetic)."""
     field_fn = _as_field(phi, frame, nodes)
     return norm_euclid(curvilinear_integral(field_fn, curve, frame))
 
 
-def cauchy_formula_residual(phi, frame: E3Frame, p0, curve: Curve3,
-                            spec: AlgebraSpec | None = None, nodes: int = 1024) -> float:
+def cauchy_formula_residual(phi, frame: E3Frame, p0, curve: Curve3, *,
+                            nodes: int = 1024) -> float:
     """norm(lambda * Phi(zeta_0) - loop integral of Phi(zeta)(zeta - zeta_0)^{-1} d zeta)."""
-    spec = spec or frame.spec
+    spec = frame.spec
     p0 = np.asarray(p0, dtype=float)
     field_fn = _as_field(phi, frame, nodes)
 
     translated = Curve3(curve.points - p0, curve.closed, curve.tangents, curve.dt)
-    lam = lambda_numeric(frame, translated, spec).lambda_
+    lam = lambda_numeric(frame, translated).lambda_
 
     phi0 = AlgElement(spec, np.asarray(field_fn(p0[None, :]), dtype=complex)[0])
-
-    from .algebra import _mul_coeffs
 
     def integrand(pts):
         return _mul_coeffs(spec, np.asarray(field_fn(pts), dtype=complex),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import AlgElement, _mul_coeffs, basis_element
 from .geometry import E3Frame, _xi_batch, _zeta_coeffs
-from .resolvent import SingularityError, _expand, _orders, _recurrences
+from .resolvent import SingularityError, _expand, _one, _orders, _recurrences
 
 __all__ = [
     "ContourError",
@@ -199,7 +199,7 @@ def _rep_batch(mspec: MonogenicSpec, frame: E3Frame, pts: np.ndarray,
 def eval_representation(mspec: MonogenicSpec, frame: E3Frame, p,
                         nodes: int = 1024) -> AlgElement:
     """Evaluate the represented monogenic function at one point."""
-    return AlgElement(frame.spec, _rep_batch(mspec, frame, np.asarray(p, dtype=float), nodes))
+    return AlgElement(frame.spec, _rep_batch(mspec, frame, _one(p), nodes)[0])
 
 
 def representation_field(mspec: MonogenicSpec, frame: E3Frame, nodes: int = 1024):

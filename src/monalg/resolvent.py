@@ -125,17 +125,22 @@ class ResolventCoeffs:
     Qtilde: dict[tuple[int, int], complex]
 
 
+def _one(p) -> np.ndarray:
+    """p as a batch of one: single-point calls then give their row of any batch."""
+    return np.asarray(p, dtype=float)[None]
+
+
 def compute_coeffs(frame: E3Frame, p) -> ResolventCoeffs:
     """All recurrence data at a single point p."""
     spec = frame.spec
-    xi, T, B, Q = _recurrences(frame, np.asarray(p, dtype=float))
+    xi, T, B, Q = _recurrences(frame, _one(p))
     m = spec.m
     return ResolventCoeffs(
-        xi=xi,
-        T={m + 1 + i: complex(T[i]) for i in range(spec.n - m)},
-        B={k: complex(v) for k, v in B.items()},
-        Q={k: complex(v) for k, v in Q.items()},
-        Qtilde={k: complex(v) if k[0] % 2 else -complex(v) for k, v in Q.items()},
+        xi=xi[0],
+        T={m + 1 + i: complex(T[0, i]) for i in range(spec.n - m)},
+        B={k: complex(v[0]) for k, v in B.items()},
+        Q={k: complex(v[0]) for k, v in Q.items()},
+        Qtilde={k: complex(v[0]) if k[0] % 2 else -complex(v[0]) for k, v in Q.items()},
     )
 
 
@@ -154,7 +159,7 @@ def _resolvent_batch(frame: E3Frame, pts: np.ndarray, t: complex) -> np.ndarray:
 
 def resolvent_at(t: complex, frame: E3Frame, p) -> AlgElement:
     """(t e1 - zeta)^{-1} via the expansion in powers of (t - xi_{u_s})."""
-    return AlgElement(frame.spec, _resolvent_batch(frame, np.asarray(p, dtype=float), complex(t)))
+    return AlgElement(frame.spec, _resolvent_batch(frame, _one(p), complex(t))[0])
 
 
 def _zeta_inverse_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
@@ -175,4 +180,4 @@ def _zeta_inverse_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
 
 def zeta_inverse_closed(frame: E3Frame, p) -> AlgElement:
     """zeta^{-1} from the resolvent expansion (the production inverse on E3)."""
-    return AlgElement(frame.spec, _zeta_inverse_batch(frame, np.asarray(p, dtype=float)))
+    return AlgElement(frame.spec, _zeta_inverse_batch(frame, _one(p))[0])

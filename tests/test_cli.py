@@ -1,28 +1,19 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import monalg
 from monalg import cli
 
-# The child runs from a temporary directory, where a relative PYTHONPATH such
-# as "src" names nothing; put the directory holding this package first.
-_PACKAGE_ROOT = str(Path(monalg.__file__).resolve().parent.parent)
+from conftest import package_env
 
 
 def run_cli(*args, cwd):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [_PACKAGE_ROOT, env.get("PYTHONPATH")])
-    )
     return subprocess.run(
         [sys.executable, "-m", "monalg", *args],
-        capture_output=True, text=True, cwd=cwd, env=env,
+        capture_output=True, text=True, cwd=cwd, env=package_env(),
     )
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from monalg import (
+    AlgElement,
     Curve3,
     certified_lemma_constant,
     circle_curve,
@@ -182,7 +183,6 @@ def test_morera_non_monogenic_unit_triangle(bundles):
                                 frame, per_edge=256)
         i1 = np.zeros(spec.n, dtype=complex)
         i1[0] = 1.0
-        from monalg import AlgElement
         want = 0.5 * (multiply(AlgElement(spec, i1), frame.e2) + frame.e2)
         np.testing.assert_allclose(got.coeffs, want.coeffs, atol=1e-12)
         assert norm_euclid(got) >= 1e-2
@@ -309,3 +309,50 @@ def test_field_evaluation_error_carries_context(bundles):
 
     with pytest.raises(FieldEvaluationError, match="curve"):
         curvilinear_integral(broken, circle_curve(nodes=64), frame)
+
+
+def test_polyline_rule_matches_per_segment_trapezoid(bundles):
+    frame = bundles["A5"].frames["harmonic"]
+    spec = frame.spec
+    rng = np.random.default_rng(5)
+    pts = np.cumsum(rng.uniform(-0.3, 0.3, size=(40, 3)), axis=0) + [0.6, 0.2, -0.1]
+    field = zeta_power_field(frame, 3)
+    got = curvilinear_integral(field, polyline_curve(pts), frame)
+    # independent reference: sum over segments of (f_i + f_{i+1}) / 2 times d zeta(dp_i)
+    want = AlgElement(spec, np.zeros(spec.n, dtype=complex))
+    for p, q in zip(pts[:-1], pts[1:]):
+        avg = AlgElement(spec, 0.5 * (field(p[None])[0] + field(q[None])[0]))
+        want = want + multiply(make_zeta(frame, q - p), avg)
+    np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=0, atol=1e-13 * norm_euclid(want))
+
+
+def test_triangle_lambda_nilpotents_equal_sigma_integrals(bundles):
+    for name in ("A5", "J71", "A2_radical"):
+        frame = bundles[name].default_frame
+        m = frame.spec.m
+        res = lambda_numeric(frame, triangle_curve((1.2, -0.6, 0.1), (0.1, 1.3, -0.2),
+                                                   (-1.1, -0.7, 0.15), per_edge=512))
+        for k, sig in res.sigma_integrals.items():
+            assert k > m
+            assert abs(res.lambda_.coeffs[k - 1] - sig) <= 1e-13
+
+
+def test_lambda_numeric_inverts_zeta_once(bundles, monkeypatch):
+    import monalg.integration
+    import monalg.lambda_const
+    from monalg.resolvent import _zeta_inverse_batch
+
+    calls = []
+
+    def counting(frame, pts):
+        calls.append(len(pts))
+        return _zeta_inverse_batch(frame, pts)
+
+    # both modules that can invert zeta on a loop's nodes
+    monkeypatch.setattr(monalg.lambda_const, "_zeta_inverse_batch", counting)
+    monkeypatch.setattr(monalg.integration, "_zeta_inverse_batch", counting)
+    for curve in (circle_curve(nodes=256), triangle_curve((1.2, -0.6, 0.1), (0.1, 1.3, -0.2),
+                                                          (-1.1, -0.7, 0.15), per_edge=64)):
+        calls.clear()
+        lambda_numeric(bundles["A5"].default_frame, curve)
+        assert calls == [len(curve.points)]

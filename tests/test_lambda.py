@@ -408,26 +408,23 @@ def test_cauchy_theorem_nonclosed_case_equals_lambda_norm(bundles):
 
 def test_cauchy_formula_constant(bundles):
     frame = bundles["A5"].frames["harmonic"]
-    spec = frame.spec
     ms = MonogenicSpec(F=(HoloFunction("polynomial", (1.0,)),))
     p0 = (0.3, 0.2, -0.4)
     curve = circle_curve(center=p0, radius=0.8, nodes=2048)
-    assert cauchy_formula_residual(ms, frame, p0, curve, spec, nodes=512) <= 1e-8
+    assert cauchy_formula_residual(ms, frame, p0, curve, nodes=512) <= 1e-8
 
 
 def test_cauchy_formula_zeta_on_c2(bundles):
     frame = bundles["C2"].default_frame
-    spec = frame.spec
     ms = MonogenicSpec(F=(HoloFunction("polynomial", (0, 1)),) * 2)
     p0 = (0.31, 0.17, -0.23)
     curve = circle_curve(center=p0, radius=0.9, nodes=2048)
-    assert cauchy_formula_residual(ms, frame, p0, curve, spec, nodes=512) <= 1e-7
+    assert cauchy_formula_residual(ms, frame, p0, curve, nodes=512) <= 1e-7
 
 
 def test_cauchy_formula_square_on_a5(bundles):
     frame = bundles["A5"].frames["harmonic"]
-    spec = frame.spec
     ms = MonogenicSpec(F=(HoloFunction("polynomial", (0, 0, 1)),))
     p0 = (0.5, -0.2, 0.6)
     curve = circle_curve(center=p0, radius=1.0, nodes=2048)
-    assert cauchy_formula_residual(ms, frame, p0, curve, spec, nodes=512) <= 1e-6
+    assert cauchy_formula_residual(ms, frame, p0, curve, nodes=512) <= 1e-6

@@ -257,3 +257,15 @@ def test_callable_integrand_flagged_but_works(bundles):
     series = HoloFunction.exp_series(14, scale=0.3)
     want = eval_representation(MonogenicSpec(F=(series,)), frame, (0.5, 0.3, -0.4), nodes=512)
     assert norm_euclid(got - want) <= 1e-9
+
+
+def test_eval_representation_returns_its_batch_row(bundles):
+    for name in ("A5", "C2"):
+        frame = bundles[name].default_frame
+        spec = frame.spec
+        ms = MonogenicSpec(F=tuple(HoloFunction.exp_series(8) for _ in range(spec.m)),
+                           G={spec.n: HoloFunction("polynomial", (0.5, 1.0))} if spec.n > spec.m else {})
+        pts = eval_points(frame, np.random.default_rng(12), 5)
+        batch = representation_field(ms, frame, nodes=256)(pts)
+        for i, p in enumerate(pts):
+            assert np.array_equal(eval_representation(ms, frame, p, nodes=256).coeffs, batch[i])

@@ -144,3 +144,21 @@ def test_b_couplings_a5(bundles):
     co = compute_coeffs(frame, (0.4, -0.7, 1.3))
     for (r, s), v in co.B.items():
         assert v == pytest.approx(co.T[s - r + 1])
+
+
+def test_single_point_calls_return_their_batch_row(bundles):
+    from monalg.resolvent import _recurrences, _resolvent_batch, _zeta_inverse_batch
+
+    t = 3.1 + 0.8j
+    for name in ("A5", "J71", "A2_radical", "C2"):
+        frame = bundles[name].default_frame
+        pts = random_safe_points(frame, np.random.default_rng(11), 6)
+        inv = _zeta_inverse_batch(frame, pts)
+        res = _resolvent_batch(frame, pts, t)
+        xi, _, _, Q = _recurrences(frame, pts)
+        for i, p in enumerate(pts):
+            assert np.array_equal(zeta_inverse_closed(frame, p).coeffs, inv[i])
+            assert np.array_equal(resolvent_at(t, frame, p).coeffs, res[i])
+            co = compute_coeffs(frame, p)
+            assert np.array_equal(co.xi, xi[i])
+            assert all(co.Q[k] == v[i] for k, v in Q.items())
