@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,14 +44,15 @@ from .integration import (
 from .lambda_const import (
     EmbraceError,
     LambdaResult,
-    cauchy_formula_residual,
+    _formula_lambda,
+    _formula_residual,
     cauchy_theorem_residual,
     exactness_conditions,
     lambda_numeric,
     atilde_closed,
 )
 from .monogenic import HoloFunction, MonogenicSpec, representation_field
-from .resolvent import resolvent_at, zeta_inverse_closed
+from .resolvent import _resolvent_batch, _zeta_inverse_batch, zeta_inverse_closed
 
 
 @dataclass
@@ -229,9 +229,10 @@ def _cmd_verify_cauchy(cfg: RunConfig):
 def _formula_residuals(spec: AlgebraSpec, frame: E3Frame, nodes: int) -> dict[str, float]:
     p0 = np.array([0.31, 0.17, -0.23])
     curve = circle_curve(center=p0, radius=0.9, nodes=nodes)
+    lam = _formula_lambda(frame, p0, curve)  # shared by every function on this curve
     out = {}
     for name, ms in _standard_mspecs(spec).items():
-        out[name] = cauchy_formula_residual(ms, frame, p0, curve, nodes=512)
+        out[name] = _formula_residual(representation_field(ms, frame, 512), frame, p0, curve, lam)
     return out
 
 
@@ -262,17 +263,20 @@ def _verify_one_fixture(name: str, cfg: RunConfig) -> dict:
     rec["validation"] = validation.violations
     ok &= validation.ok
 
-    # closed-form vs linear-solve oracle on seeded random points
+    # closed-form vs linear-solve oracle on seeded random points; the closed
+    # forms run batched, the dense solves and atilde_closed point by point
     pts = random_safe_points(frame, rng, 100)
+    ts = [complex(rng.uniform(2.5, 4.0), rng.uniform(0.5, 1.5)) for _ in pts]
+    closed_rows = _zeta_inverse_batch(frame, pts)
+    res_rows = _resolvent_batch(frame, pts, np.array(ts))
     worst_inv = worst_res = worst_at = 0.0
-    for p in pts:
+    for p, t, closed_row, res_row in zip(pts, ts, closed_rows, res_rows):
         direct = invert_direct(make_zeta(frame, p))
-        closed = zeta_inverse_closed(frame, p)
+        closed = AlgElement(spec, closed_row)
         worst_inv = max(worst_inv, norm_euclid(closed - direct) / norm_euclid(direct))
-        t = complex(rng.uniform(2.5, 4.0), rng.uniform(0.5, 1.5))
         shifted = t * unit_element(spec) - make_zeta(frame, p)
         oracle = invert_direct(shifted)
-        res = resolvent_at(t, frame, p)
+        res = AlgElement(spec, res_row)
         worst_res = max(worst_res, norm_euclid(res - oracle) / norm_euclid(oracle))
         at = atilde_closed(frame, p)
         if at:
@@ -380,8 +384,7 @@ def _verify_one_fixture(name: str, cfg: RunConfig) -> dict:
 
 
 def _cmd_verify_all(cfg: RunConfig):
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(lambda nm: _verify_one_fixture(nm, cfg), CATALOG))
+    results = [_verify_one_fixture(nm, cfg) for nm in CATALOG]
     per_fixture = {rec["algebra"]: rec for rec in results}
     ok = all(rec["ok"] for rec in results)
     return {

@@ -478,13 +478,21 @@ def cauchy_theorem_residual(phi, frame: E3Frame, curve: Curve3, *, nodes: int = 
 def cauchy_formula_residual(phi, frame: E3Frame, p0, curve: Curve3, *,
                             nodes: int = 1024) -> float:
     """norm(lambda * Phi(zeta_0) - loop integral of Phi(zeta)(zeta - zeta_0)^{-1} d zeta)."""
-    spec = frame.spec
     p0 = np.asarray(p0, dtype=float)
-    field_fn = _as_field(phi, frame, nodes)
+    return _formula_residual(_as_field(phi, frame, nodes), frame, p0, curve,
+                             _formula_lambda(frame, p0, curve))
 
+
+def _formula_lambda(frame: E3Frame, p0: np.ndarray, curve: Curve3) -> AlgElement:
+    """The lambda of the Cauchy formula at p0: lambda on the curve translated by -p0."""
     translated = Curve3(curve.points - p0, curve.closed, curve.tangents, curve.dt)
-    lam = lambda_numeric(frame, translated).lambda_
+    return lambda_numeric(frame, translated).lambda_
 
+
+def _formula_residual(field_fn, frame: E3Frame, p0: np.ndarray, curve: Curve3,
+                      lam: AlgElement) -> float:
+    """cauchy_formula_residual for a field callable, given its lambda (_formula_lambda)."""
+    spec = frame.spec
     phi0 = AlgElement(spec, np.asarray(field_fn(p0[None, :]), dtype=complex)[0])
 
     def integrand(pts):

@@ -3,9 +3,13 @@
 A monogenic function is assembled as
     Phi(zeta) = sum_u I_u (2 pi i)^{-1} contour-int F_u(t) (t - zeta)^{-1} dt
               + sum_s I_s (2 pi i)^{-1} contour-int G_s(t) (t - zeta)^{-1} dt,
-with each contour a circle around xi_u enclosing no other xi_l.  Contour
-integrals use the periodic trapezoid rule; since the resolvent's t-dependence
-is explicit, only the scalar moments int F(t) (t - xi)^{-k} dt are quadratured.
+with each contour a circle around xi_u enclosing no other xi_l.  Since the
+resolvent's t-dependence is explicit, only the scalar moments
+(2 pi i)^{-1} contour-int F(t) (t - xi)^{-k} dt are needed, and by Cauchy's
+integral formula each equals the Taylor coefficient F^{(k-1)}(xi) / (k-1)!.
+Polynomial, series and rational data therefore give their moments exactly
+as Taylor jets at xi (rational poles are checked against the contour disks);
+only callable integrands run the periodic trapezoid rule on the contour.
 """
 
 from __future__ import annotations
@@ -41,11 +45,12 @@ class HoloFunction:
     """Holomorphic integrand: polynomial/truncated series, rational, or callback.
 
     kind "polynomial" / "series": coeffs are Taylor coefficients about center.
-    kind "rational": num/den are polynomial coefficients about center; poles
-    must stay off every contour the function is integrated over (checked at
-    quadrature nodes).
-    kind "callable": fn is evaluated as given; holomorphy on the contours
-    cannot be verified, which is flagged with a warning at construction.
+    kind "rational": num/den are polynomial coefficients about center; a pole
+    (root of den) on or inside a contour the function is integrated over
+    raises ContourError.
+    kind "callable": fn is evaluated as given, at the nodes of the periodic
+    trapezoid rule on each contour; holomorphy on the contours cannot be
+    verified, which is flagged with a warning at construction.
     Domain hypotheses (holomorphy on and inside every contour used) are the
     caller's responsibility for all kinds.
     """
@@ -149,8 +154,28 @@ def _check_enclosure(xi, u, center, radius):
             raise ContourError(f"contour for u={u} also encloses xi_{ell}")
 
 
-def _moments(func, center, radius, xi_u, kmax: int, nodes: int, chunk: int = 256):
-    """W_k = (2 pi i)^{-1} contour-int func(t) (t - xi_u)^{-k} dt for k = 1..kmax.
+def _jet(coeffs, w, kmax: int) -> list:
+    """Taylor jet [P^{(k)}(w) / k! for k < kmax] of P(w) = sum_j coeffs[j] w^j:
+    one Horner pass with kmax accumulators."""
+    jet = [np.zeros_like(w) for _ in range(kmax)]
+    for c in reversed(coeffs):
+        for k in range(kmax - 1, 0, -1):
+            jet[k] = jet[k] * w + jet[k - 1]
+        jet[0] = jet[0] * w + c
+    return jet
+
+
+def _check_poles(func: HoloFunction, center, radius) -> None:
+    """ContourError if a root of func.den lies on or inside the circle (center, radius)."""
+    if not any(func.den):
+        raise ContourError("rational integrand has a zero denominator")
+    for pole in func.center + np.roots(func.den[::-1]):
+        if np.any(np.abs(pole - center) <= radius + 1e-12 * (1 + abs(pole))):
+            raise ContourError(f"rational integrand has a pole at {pole} on or inside the contour")
+
+
+def _trapezoid_moments(func, center, radius, xi_u, kmax: int, nodes: int, chunk: int = 256):
+    """The moments of _moments by the periodic trapezoid rule with `nodes` nodes.
 
     Node axis is processed in chunks to bound memory on large point batches.
     """
@@ -171,6 +196,30 @@ def _moments(func, center, radius, xi_u, kmax: int, nodes: int, chunk: int = 256
     return out
 
 
+def _moments(func: HoloFunction, center, radius, xi_u, kmax: int, nodes: int) -> list:
+    """W_k = (2 pi i)^{-1} contour-int func(t) (t - xi_u)^{-k} dt for k = 1..kmax
+    over the circle (center, radius), which encloses xi_u.
+
+    By Cauchy's integral formula W_k = func^{(k-1)}(xi_u) / (k-1)!, the Taylor
+    jet at xi_u, which polynomial, series and rational data give exactly.  Only
+    callables are quadratured (and read `nodes`).
+    """
+    if func.kind == "callable":
+        return _trapezoid_moments(func, center, radius, xi_u, kmax, nodes)
+    w = xi_u - func.center
+    if func.kind != "rational":
+        return _jet(func.coeffs, w, kmax)
+    _check_poles(func, center, radius)
+    a, b = _jet(func.num, w, kmax), _jet(func.den, w, kmax)
+    q = []  # power-series quotient a / b
+    for k in range(kmax):
+        acc = a[k]
+        for j in range(1, k + 1):
+            acc = acc - b[j] * q[k - j]
+        q.append(acc / b[0])
+    return q
+
+
 def _rep_batch(mspec: MonogenicSpec, frame: E3Frame, pts: np.ndarray,
                nodes: int = 1024) -> np.ndarray:
     spec = frame.spec
@@ -188,10 +237,15 @@ def _rep_batch(mspec: MonogenicSpec, frame: E3Frame, pts: np.ndarray,
         _moments(mspec.F[u], centers[u], radii[u], xi[..., u], kmax[u], nodes) for u in range(m)
     ])
 
-    # nilpotent terms: full resolvent integral over Gamma_{u_s}, then times I_s
+    # nilpotent terms: full resolvent integral over Gamma_{u_s}, then times I_s;
+    # every other xi_u lies outside Gamma_{u_s} (_check_enclosure), so its moments vanish
+    zero = np.zeros_like(xi[..., 0])
     for s, g in sorted(mspec.G.items()):
-        c, r = centers[spec.u_map[s] - 1], radii[spec.u_map[s] - 1]
-        vec = _expand(spec, Q, [_moments(g, c, r, xi[..., u], kmax[u], nodes) for u in range(m)])
+        us = spec.u_map[s] - 1
+        vec = _expand(spec, Q, [
+            _moments(g, centers[us], radii[us], xi[..., us], kmax[us], nodes) if u == us
+            else [zero] * kmax[u] for u in range(m)
+        ])
         out += _mul_coeffs(spec, basis_element(spec, s).coeffs, vec)
     return out
 

@@ -144,14 +144,18 @@ def compute_coeffs(frame: E3Frame, p) -> ResolventCoeffs:
     )
 
 
-def _resolvent_batch(frame: E3Frame, pts: np.ndarray, t: complex) -> np.ndarray:
+def _resolvent_batch(frame: E3Frame, pts: np.ndarray, t) -> np.ndarray:
+    """Resolvent at a batch of points; t is one complex or one per point (batch shape)."""
     spec = frame.spec
     xi, _, _, Q = _recurrences(frame, pts)
+    t = np.asarray(t, dtype=complex)[..., None]
     d = t - xi
-    bad = np.abs(d) < _POLE_TOL * (1 + abs(t))
+    bad = np.abs(d) < _POLE_TOL * (1 + np.abs(t))
     if np.any(bad):
-        u = int(np.argwhere(bad)[0][-1]) + 1
-        raise SingularityError(f"t = {t} hits the pole xi_{u}", u=u)
+        idx = tuple(np.argwhere(bad)[0])
+        u = int(idx[-1]) + 1
+        raise SingularityError(f"t = {complex(np.broadcast_to(t, d.shape)[idx])} hits "
+                               f"the pole xi_{u}", u=u)
     W = [[1.0 / d[..., u]] + [d[..., u] ** -k for k in range(2, kmax + 1)]
          for u, kmax in enumerate(_orders(spec))]
     return _expand(spec, Q, W)

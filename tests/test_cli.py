@@ -132,3 +132,25 @@ def test_verify_all_plane_loop_propagates_unexpected_errors(monkeypatch):
     monkeypatch.setattr(cli, "lambda_numeric", failing_off_xy)
     with pytest.raises(RuntimeError, match="off the xy plane"):
         cli._verify_one_fixture("A5", cli.RunConfig("verify-all", nodes=256))
+
+
+def test_formula_residuals_compute_lambda_once(monkeypatch):
+    # the three monogenic functions share the curve, so they share its lambda
+    import monalg.lambda_const
+    from monalg import cauchy_formula_residual, circle_curve, load_fixture
+
+    frame = load_fixture("A5").default_frame
+    calls = []
+    real = monalg.lambda_const.lambda_numeric
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(monalg.lambda_const, "lambda_numeric", counting)
+    got = cli._formula_residuals(frame.spec, frame, 256)
+    assert len(calls) == 1
+    p0 = np.array([0.31, 0.17, -0.23])
+    curve = circle_curve(center=p0, radius=0.9, nodes=256)
+    for name, ms in cli._standard_mspecs(frame.spec).items():
+        assert got[name] == cauchy_formula_residual(ms, frame, p0, curve, nodes=512)

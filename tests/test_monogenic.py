@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,23 @@ def test_rational_pole_on_contour(bundles):
         eval_representation(ms, frame, p)
 
 
+def test_rational_pole_inside_contour_raises(bundles):
+    # the Cauchy formula needs F holomorphic inside the contour; a quadrature
+    # would silently add the pole's residue
+    frame = bundles["A5"].default_frame
+    p = (0.5, 0.3, -0.4)
+    xi = complex(xi_values(frame, p)[0])
+    ms = MonogenicSpec(
+        F=(HoloFunction("rational", num=(1,), den=(-(xi + 0.5j), 1.0)),),  # pole at xi + 0.5i
+        contours={1: (xi, 1.0)},
+    )
+    with pytest.raises(ContourError, match="inside"):
+        eval_representation(ms, frame, p)
+    zero_den = MonogenicSpec(F=(HoloFunction("rational", num=(1,), den=(0,)),))
+    with pytest.raises(ContourError, match="zero denominator"):
+        eval_representation(zero_den, frame, p)
+
+
 def test_rational_evaluates_cleanly(bundles):
     frame = bundles["A5"].default_frame
     ms = MonogenicSpec(F=(HoloFunction("rational", num=(1.0,), den=(-4.0, 1.0)),))
@@ -269,3 +288,68 @@ def test_eval_representation_returns_its_batch_row(bundles):
         batch = representation_field(ms, frame, nodes=256)(pts)
         for i, p in enumerate(pts):
             assert np.array_equal(eval_representation(ms, frame, p, nodes=256).coeffs, batch[i])
+
+
+def _as_callable(h):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # unverified holomorphy, by design
+        return HoloFunction("callable", fn=lambda t: h(t))
+
+
+def _each_kind(spec, pole_radius):
+    """One MonogenicSpec per non-callable kind; rational poles sit at distance
+    pole_radius from the origin, G_s are degree 2 for every nilpotent s."""
+    m, n = spec.m, spec.n
+    q1, q2 = pole_radius, -pole_radius + 0.5j
+    kinds = {
+        "polynomial": [HoloFunction("polynomial", (0.3, -1.2 + 0.5j, 0.8, 0.25j))] * m,
+        "series": [HoloFunction("series", tuple((0.4 - 0.3j) ** k / (k + 1) for k in range(13)),
+                                center=0.2 - 0.1j)] * m,
+        "rational": [HoloFunction("rational", num=(1.0, 0.5j, -0.3),
+                                  den=(q1 * q2, -(q1 + q2), 1.0))] * m,
+    }
+    out = {kind: MonogenicSpec(F=tuple(F)) for kind, F in kinds.items()}
+    if n > m:
+        out["G_s"] = MonogenicSpec(
+            F=tuple(kinds["polynomial"]),
+            G={s: HoloFunction("polynomial", (0.7 - 0.2j, -1.1 + 0.4j, 0.35 + 0.5j))
+               for s in range(m + 1, n + 1)},
+        )
+    return out
+
+
+def test_jets_match_trapezoid_quadrature(bundles):
+    # the same data wrapped as callables runs the periodic trapezoid rule
+    rng = np.random.default_rng(53)
+    for name in ("A5", "J71", "C2", "A2_radical"):
+        frame = bundles[name].default_frame
+        pts = eval_points(frame, rng, 4)
+        # poles at least 3 away from every xi_u, far outside every contour
+        pole_radius = float(np.abs(xi_values(frame, pts)).max()) + 3.0
+        for kind, ms in _each_kind(frame.spec, pole_radius).items():
+            twin = MonogenicSpec(F=tuple(_as_callable(h) for h in ms.F),
+                                 G={s: _as_callable(g) for s, g in ms.G.items()})
+            for p in pts:
+                got = eval_representation(ms, frame, p)
+                ref = eval_representation(twin, frame, p)
+                assert norm_euclid(got - ref) <= 1e-12 * (1 + norm_euclid(ref)), (name, kind)
+
+
+def test_only_callables_reach_the_trapezoid(bundles, monkeypatch):
+    import monalg.monogenic
+
+    def spy(*args, **kwargs):
+        raise AssertionError("trapezoid rule reached")
+
+    monkeypatch.setattr(monalg.monogenic, "_trapezoid_moments", spy)
+    rng = np.random.default_rng(59)
+    for bundle in bundles.values():
+        frame = bundle.default_frame
+        pts = eval_points(frame, rng, 3)
+        pole_radius = float(np.abs(xi_values(frame, pts)).max()) + 3.0
+        for ms in _each_kind(frame.spec, pole_radius).values():
+            representation_field(ms, frame)(pts)
+    frame = bundles["A5"].default_frame
+    with pytest.raises(AssertionError, match="trapezoid"):
+        eval_representation(MonogenicSpec(F=(_as_callable(HoloFunction.exp_series(4)),)),
+                            frame, (0.5, 0.3, -0.4))

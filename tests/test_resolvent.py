@@ -162,3 +162,21 @@ def test_single_point_calls_return_their_batch_row(bundles):
             co = compute_coeffs(frame, p)
             assert np.array_equal(co.xi, xi[i])
             assert all(co.Q[k] == v[i] for k, v in Q.items())
+
+
+def test_resolvent_batch_takes_one_t_per_point(bundles):
+    from monalg.resolvent import _resolvent_batch
+
+    rng = np.random.default_rng(17)
+    for name in ("A5", "C2"):
+        frame = bundles[name].default_frame
+        pts = random_safe_points(frame, rng, 6)
+        ts = [complex(rng.uniform(2.5, 4.0), rng.uniform(0.5, 1.5)) for _ in pts]
+        res = _resolvent_batch(frame, pts, np.array(ts))
+        for i, (p, t) in enumerate(zip(pts, ts)):
+            assert np.array_equal(resolvent_at(t, frame, p).coeffs, res[i])
+    frame = bundles["A5"].frames["harmonic"]
+    pts = np.array([[0.3, 0.5, -0.2], [0.3, 0.5, -0.2]])
+    with pytest.raises(SingularityError, match=r"t = \(0\.3\+0\.5j\)") as err:
+        _resolvent_batch(frame, pts, np.array([3.0 + 1j, 0.3 + 0.5j]))
+    assert err.value.u == 1
