@@ -54,6 +54,35 @@ class NonInvertibleError(AlgebraError):
 
 
 @dataclass(frozen=True)
+class CouplingPlan:
+    """The fixed sums over the structure constants that the closed forms read.
+
+    AlgebraSpec builds it once from its table, so no evaluation scans the
+    gamma(r, s, k) triples.  Indices are 1-based, gamma values are complex,
+    and B and sigma list only the nonzero structure constants.
+
+    B: ((r, s), ((k, gamma(r, k, s)), ...)) for s in m+2..n, r in m+1..s-1,
+        the terms of the coupling B_{r,s} = sum_k T_k gamma(r, k, s).
+    Q: per s in m+1..n, (s, (((k, s), pairs), ...)) for k in 3..s-m+1, where
+        pairs lists ((k-1, r), (r, s)) for Q_{k,s} = sum_r Q_{k-1,r} B_{r,s}
+        and leaves out every product with an identically zero factor.
+    expand: (s, u_s, ks) per nilpotent s, ks the k whose Q_{k,s} is not
+        identically zero (Q_{2,s} = T_s always counts).
+    orders: per u, the largest s - m + 1 over nilpotents with u_s = u, else 1.
+    sigma: (k, u_k, ((r, s, gamma(r, s, k)), ...)) for k in m+1..n.
+    shorthands: the ten constants A, B2, C, D, E, F, G, H, J, K of the
+        closed forms at indices m+1..m+4 (0.0 where the index exceeds n).
+    """
+
+    B: tuple
+    Q: tuple
+    expand: tuple
+    orders: tuple
+    sigma: tuple
+    shorthands: Mapping[str, complex]
+
+
+@dataclass(frozen=True)
 class AlgebraSpec:
     """Multiplication data for an algebra A_n^m.
 
@@ -70,6 +99,7 @@ class AlgebraSpec:
     u_map: Mapping[int, int] = field(default_factory=dict)
     name: str = ""
     _table: np.ndarray = field(init=False, repr=False, compare=False)
+    _plan: CouplingPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -88,6 +118,7 @@ class AlgebraSpec:
             if r <= self.m or s <= self.m or k <= self.m:
                 raise StructuralError(f"gamma key ({r},{s},{k}) must use nilpotent indices only")
         object.__setattr__(self, "_table", self._build_table())
+        object.__setattr__(self, "_plan", self._build_plan())
 
     def _build_table(self) -> np.ndarray:
         n, m = self.n, self.m
@@ -106,6 +137,51 @@ class AlgebraSpec:
                         v = self.gamma.get((s, r, k), 0.0)
                     tab[r - 1, s - 1, k - 1] = v
         return tab
+
+    def _build_plan(self) -> CouplingPlan:
+        n, m = self.n, self.m
+
+        def g(r, s, k):
+            return complex(self._table[r - 1, s - 1, k - 1])
+
+        B = tuple(((r, s), tuple((k, g(r, k, s)) for k in range(m + 1, s) if g(r, k, s) != 0))
+                  for s in range(m + 2, n + 1) for r in range(m + 1, s))
+        coupled = {rs for rs, terms in B if terms}
+        live = {(2, s) for s in range(m + 1, n + 1)}  # Q entries not identically zero
+        Q = []
+        for s in range(m + 1, n + 1):
+            entries = []
+            for k in range(3, s - m + 2):
+                pairs = tuple(((k - 1, r), (r, s)) for r in range(k + m - 2, s)
+                              if (k - 1, r) in live and (r, s) in coupled)
+                if pairs:
+                    live.add((k, s))
+                entries.append(((k, s), pairs))
+            Q.append((s, tuple(entries)))
+        expand = tuple((s, self.u_map[s], tuple(k for k in range(2, s - m + 2) if (k, s) in live))
+                       for s in range(m + 1, n + 1))
+        orders = [1] * m
+        for s, u in self.u_map.items():
+            orders[u - 1] = max(orders[u - 1], s - m + 1)
+        sigma = tuple((k, self.u_map[k], tuple((r, s, g(r, s, k)) for r in range(m + 1, k)
+                                               for s in range(m + 1, k) if g(r, s, k) != 0))
+                      for k in range(m + 1, n + 1))
+        p, q, r, w = m + 1, m + 2, m + 3, m + 4
+
+        def safe(i, j, k):
+            return g(i, j, k) if k <= n else 0.0
+
+        shorthands = {
+            "A": safe(p, p, q), "B2": safe(p, p, r), "C": safe(p, q, r), "D": safe(q, q, r),
+            "E": safe(p, p, w), "F": safe(p, q, w), "G": safe(p, r, w), "H": safe(q, q, w),
+            "J": safe(q, r, w), "K": safe(r, r, w),
+        }
+        return CouplingPlan(B, tuple(Q), expand, tuple(orders), sigma, shorthands)
+
+    @property
+    def plan(self) -> CouplingPlan:
+        """The coupling plan the closed forms evaluate (see CouplingPlan)."""
+        return self._plan
 
     def gamma_coeff(self, r: int, s: int, k: int) -> complex:
         """Coefficient of I_k in I_r * I_s (0 outside the stored table)."""

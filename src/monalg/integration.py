@@ -48,7 +48,7 @@ __all__ = [
 
 Field = Callable[[np.ndarray], np.ndarray]
 
-_CLOSE_TOL = 1e-14
+_CLOSE_TOL = 1e-14  # relative: times 1 + the largest coordinate magnitude
 
 
 class FieldEvaluationError(Exception):
@@ -75,7 +75,8 @@ class Curve3:
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
             raise ValueError("curve needs an (N, 3) array with N >= 2")
         object.__setattr__(self, "points", pts)
-        if self.closed and np.max(np.abs(pts[0] - pts[-1])) > _CLOSE_TOL:
+        if self.closed and (np.max(np.abs(pts[0] - pts[-1]))
+                            > _CLOSE_TOL * (1 + np.max(np.abs(pts)))):
             raise ValueError("closed curve must end where it starts")
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         if np.any(seg == 0.0):

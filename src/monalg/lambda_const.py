@@ -73,14 +73,10 @@ def _sigma_node_values(frame: E3Frame, pts: np.ndarray, d: np.ndarray,
     xi = _xi_batch(frame, pts)
     out = np.zeros((len(pts), n), dtype=complex)
     out[:, :m] = dxi / xi
-    for k in range(m + 1, n + 1):
-        uk = spec.u_map[k]
+    for k, uk, triples in spec.plan.sigma:
         acc = dT[:, k - m - 1] / xi[:, uk - 1] + atil[:, k - 1] * dxi[:, uk - 1]
-        for r in range(m + 1, k):
-            for s in range(m + 1, k):
-                g = spec.gamma_coeff(r, s, k)
-                if g != 0:
-                    acc = acc + atil[:, r - 1] * dT[:, s - m - 1] * g
+        for r, s, g in triples:
+            acc = acc + atil[:, r - 1] * dT[:, s - m - 1] * g
         out[:, k - 1] = acc
     return out
 
@@ -137,29 +133,6 @@ def lambda_numeric(frame: E3Frame, circle: Curve3, *, tol: float | None = None) 
 # closed forms for the first four nilpotent coefficients and sigma forms
 # ---------------------------------------------------------------------------
 
-def _gamma_shorthands(spec: AlgebraSpec):
-    """The ten structure constants entering the m+1..m+4 closed forms."""
-    m = spec.m
-    p, q, r, w = m + 1, m + 2, m + 3, m + 4
-    g = spec.gamma_coeff
-
-    def safe(i, j, k):
-        return g(i, j, k) if k <= spec.n else 0.0
-
-    return {
-        "A": safe(p, p, q) if q <= spec.n else 0.0,
-        "B2": safe(p, p, r) if r <= spec.n else 0.0,
-        "C": safe(p, q, r) if r <= spec.n else 0.0,
-        "D": safe(q, q, r) if r <= spec.n else 0.0,
-        "E": safe(p, p, w) if w <= spec.n else 0.0,
-        "F": safe(p, q, w) if w <= spec.n else 0.0,
-        "G": safe(p, r, w) if w <= spec.n else 0.0,
-        "H": safe(q, q, w) if w <= spec.n else 0.0,
-        "J": safe(q, r, w) if w <= spec.n else 0.0,
-        "K": safe(r, r, w) if w <= spec.n else 0.0,
-    }
-
-
 def atilde_closed(frame: E3Frame, p) -> dict[int, complex]:
     """The displayed closed forms for the zeta^{-1} coefficients at indices m+1..m+4.
 
@@ -174,7 +147,7 @@ def atilde_closed(frame: E3Frame, p) -> dict[int, complex]:
     pt = np.asarray(p, dtype=float)
     xi = _xi_batch(frame, pt)
     T = _t_batch(frame, pt)
-    c = _gamma_shorthands(spec)
+    c = spec.plan.shorthands
     A, B2, C, D = c["A"], c["B2"], c["C"], c["D"]
     E, F, G, H, J, K = c["E"], c["F"], c["G"], c["H"], c["J"], c["K"]
 
@@ -305,7 +278,7 @@ def sigma_closed(frame: E3Frame, p, dp) -> SigmaForms:
     xi_all = _xi_batch(frame, pt)
     T = _t_batch(frame, pt)
     dT = d[1] * frame.a[m:] + d[2] * frame.b[m:]
-    c = _gamma_shorthands(spec)
+    c = spec.plan.shorthands
     anti = _antiderivative_terms(c)
     rem = _remainder_terms(c)
 
@@ -405,7 +378,7 @@ _GAMMA_ARGS = {
 def theorem8_products(spec: AlgebraSpec) -> list[tuple[str, complex]]:
     """The fourteen structure-constant products whose vanishing guarantees
     exactness of the sigma forms when the radical has dimension four."""
-    c = _gamma_shorthands(spec)
+    c = spec.plan.shorthands
     m = spec.m
     out = []
     for (factors,) in _PRODUCT_DEFS:

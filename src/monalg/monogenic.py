@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import AlgElement, _mul_coeffs, basis_element
 from .geometry import E3Frame, _xi_batch, _zeta_coeffs
-from .resolvent import SingularityError, _expand, _one, _orders, _recurrences
+from .resolvent import SingularityError, _expand, _one, _recurrences
 
 __all__ = [
     "ContourError",
@@ -45,9 +45,10 @@ class HoloFunction:
     """Holomorphic integrand: polynomial/truncated series, rational, or callback.
 
     kind "polynomial" / "series": coeffs are Taylor coefficients about center.
-    kind "rational": num/den are polynomial coefficients about center; a pole
-    (root of den) on or inside a contour the function is integrated over
-    raises ContourError.
+    kind "rational": num/den are polynomial coefficients about center; the
+    roots of den are found once, at construction.  A pole within
+    1e-12 (1 + |pole|) of a point the function is evaluated at, or of the
+    disk of a contour it is integrated over, raises ContourError.
     kind "callable": fn is evaluated as given, at the nodes of the periodic
     trapezoid rule on each contour; holomorphy on the contours cannot be
     verified, which is flagged with a warning at construction.
@@ -61,6 +62,7 @@ class HoloFunction:
     den: tuple = ()
     center: complex = 0.0
     fn: object = None
+    _poles: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("polynomial", "series", "rational", "callable"):
@@ -73,17 +75,17 @@ class HoloFunction:
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
         object.__setattr__(self, "num", tuple(complex(c) for c in self.num))
         object.__setattr__(self, "den", tuple(complex(c) for c in self.den))
+        if self.kind == "rational" and any(self.den):
+            object.__setattr__(self, "_poles", self.center + np.roots(self.den[::-1]))
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         if self.kind == "callable":
             return np.asarray(self.fn(np.asarray(t, dtype=complex)), dtype=complex)
-        w = np.asarray(t, dtype=complex) - self.center
+        t = np.asarray(t, dtype=complex)
+        w = t - self.center
         if self.kind == "rational":
-            den = _horner(self.den, w)
-            small = np.abs(den) < 1e-12 * (1 + np.abs(w))
-            if np.any(small):
-                raise ContourError("rational integrand has a pole on or near the contour")
-            return _horner(self.num, w) / den
+            _check_poles(self, t, 0.0)
+            return _horner(self.num, w) / _horner(self.den, w)
         return _horner(self.coeffs, w)
 
     @staticmethod
@@ -156,9 +158,9 @@ def _check_enclosure(xi, u, center, radius):
 
 def _jet(coeffs, w, kmax: int) -> list:
     """Taylor jet [P^{(k)}(w) / k! for k < kmax] of P(w) = sum_j coeffs[j] w^j:
-    one Horner pass with kmax accumulators."""
-    jet = [np.zeros_like(w) for _ in range(kmax)]
-    for c in reversed(coeffs):
+    one Horner pass with kmax accumulators, one array each."""
+    jet = [0.0] * kmax
+    for c in reversed(coeffs or (0.0,)):
         for k in range(kmax - 1, 0, -1):
             jet[k] = jet[k] * w + jet[k - 1]
         jet[0] = jet[0] * w + c
@@ -166,34 +168,45 @@ def _jet(coeffs, w, kmax: int) -> list:
 
 
 def _check_poles(func: HoloFunction, center, radius) -> None:
-    """ContourError if a root of func.den lies on or inside the circle (center, radius)."""
+    """ContourError if a root of func.den lies within 1e-12 (1 + |root|) of the
+    closed disk (center, radius); radius 0 checks the points center."""
     if not any(func.den):
         raise ContourError("rational integrand has a zero denominator")
-    for pole in func.center + np.roots(func.den[::-1]):
+    for pole in func._poles:
         if np.any(np.abs(pole - center) <= radius + 1e-12 * (1 + abs(pole))):
             raise ContourError(f"rational integrand has a pole at {pole} on or inside the contour")
 
 
-def _trapezoid_moments(func, center, radius, xi_u, kmax: int, nodes: int, chunk: int = 256):
+# Point x node products per block of _trapezoid_moments: bounds memory on
+# large batches while a single point's contour stays one block.
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _trapezoid_moments(func, center, radius, xi_u, kmax: int, nodes: int):
     """The moments of _moments by the periodic trapezoid rule with `nodes` nodes.
 
-    Node axis is processed in chunks to bound memory on large point batches.
+    Points are processed in blocks of whole contours, each summed by one
+    np.sum, so a point's moments do not depend on the batch it is in.
     """
-    out = [np.zeros(np.shape(center), dtype=complex) for _ in range(kmax)]
-    for j0 in range(0, nodes, chunk):
-        theta = 2 * np.pi * np.arange(j0, min(j0 + chunk, nodes)) / nodes
-        rot = np.exp(1j * theta)
-        t = center[..., None] + radius[..., None] * rot  # (..., chunk)
-        d = t - xi_u[..., None]
+    shape = np.shape(center)
+    center, radius, xi_u = (np.reshape(a, -1) for a in (center, radius, xi_u))
+    theta = 2 * np.pi * np.arange(nodes) / nodes
+    rot = np.exp(1j * theta)
+    out = np.zeros((kmax, center.size), dtype=complex)
+    step = max(1, _BLOCK_ELEMENTS // nodes)
+    for i in range(0, center.size, step):
+        blk = slice(i, i + step)
+        t = center[blk, None] + radius[blk, None] * rot  # (points, nodes)
+        d = t - xi_u[blk, None]
         if np.min(np.abs(d)) < 1e-12 * (1 + np.max(np.abs(t))):
             raise SingularityError("resolvent pole sits on a quadrature node of the contour")
-        base = func(t) * (radius[..., None] * rot / nodes)  # contains dt/(2 pi i)
+        base = func(t) * (radius[blk, None] * rot / nodes)  # contains dt/(2 pi i)
         dinv = 1.0 / d
         cur = dinv
         for k in range(kmax):
-            out[k] += np.sum(base * cur, axis=-1)
+            out[k, blk] = np.sum(base * cur, axis=-1)
             cur = cur * dinv
-    return out
+    return list(out.reshape((kmax,) + shape))
 
 
 def _moments(func: HoloFunction, center, radius, xi_u, kmax: int, nodes: int) -> list:
@@ -230,7 +243,7 @@ def _rep_batch(mspec: MonogenicSpec, frame: E3Frame, pts: np.ndarray,
     centers, radii = _auto_contours(xi, m, mspec.contours)
     for u in range(1, m + 1):
         _check_enclosure(xi, u, centers[u - 1], radii[u - 1])
-    kmax = _orders(spec)
+    kmax = spec.plan.orders
 
     # idempotent terms: F_u integrated over Gamma_u only touches I_u and its nilpotents
     out = _expand(spec, Q, [

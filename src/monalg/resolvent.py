@@ -10,6 +10,14 @@ the factors (-1)^{k+1} xi_u^{-k}; the inverse recurrence is therefore
 Qtilde_{k,s} = (-1)^{k+1} Q_{k,s}.  The monogenic representation reuses the
 expansion with contour moments as factors (see _expand).  All of this is
 cross-checked against the dense linear-solve oracle in the tests.
+
+The sums over the structure constants are fixed per algebra, so they are
+not rediscovered per call: AlgebraSpec builds a CouplingPlan once, listing
+the nonzero terms of each B_{r,s}, the products of the Q recurrence that are
+not identically zero, and the orders the expansion reads.  _recurrences and
+_expand walk that plan and do only array arithmetic; all-zero couplings
+share one zero array.  The plan keeps the scan's order of operations, so
+results are bit for bit those of scanning every gamma(r, k, s).
 """
 
 from __future__ import annotations
@@ -49,65 +57,50 @@ def _t_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
 
 
 def _recurrences(frame: E3Frame, pts: np.ndarray):
-    """xi, T, B, Q at a batch of points.
+    """xi, T, B, Q at a batch of points, from the spec's coupling plan.
 
     B[(r, s)] and Q[(k, s)] hold arrays of the batch shape, with Q defined for
-    k in 2..s-m+1 only.
+    k in 2..s-m+1 only; entries that are identically zero share one zero array.
     """
     spec = frame.spec
-    n, m = spec.n, spec.m
+    m = spec.m
     xi = _xi_batch(frame, pts)
     T = _t_batch(frame, pts)
-
-    def t_of(s: int):
-        return T[..., s - m - 1]
+    zero = np.zeros_like(xi[..., 0])
 
     B: dict[tuple[int, int], np.ndarray] = {}
-    for s in range(m + 2, n + 1):
-        for r in range(m + 1, s):
-            acc = 0.0
-            for k in range(m + 1, s):
-                g = spec.gamma_coeff(r, k, s)
-                if g != 0:
-                    acc = acc + t_of(k) * g
-            B[(r, s)] = acc + np.zeros_like(xi[..., 0])
+    for rs, terms in spec.plan.B:
+        acc = 0.0
+        for k, g in terms:
+            acc = acc + T[..., k - m - 1] * g
+        B[rs] = acc if terms else zero
 
     Q: dict[tuple[int, int], np.ndarray] = {}
-    for s in range(m + 1, n + 1):
-        Q[(2, s)] = t_of(s)
-        for k in range(3, s - m + 2):
+    for s, entries in spec.plan.Q:
+        Q[(2, s)] = T[..., s - m - 1]
+        for ks, pairs in entries:
             acc = 0.0
-            for r in range(k + m - 2, s):
-                acc = acc + Q[(k - 1, r)] * B[(r, s)]
-            Q[(k, s)] = acc + np.zeros_like(xi[..., 0])
+            for q, b in pairs:
+                acc = acc + Q[q] * B[b]
+            Q[ks] = acc if pairs else zero
     return xi, T, B, Q
-
-
-def _orders(spec: AlgebraSpec) -> list[int]:
-    """Per u, how many factors the expansion reads from W[u-1]: the largest
-    s - m + 1 over nilpotents I_s with u_s = u, and 1 when there is none."""
-    kmax = [1] * spec.m
-    for s, u in spec.u_map.items():
-        kmax[u - 1] = max(kmax[u - 1], s - spec.m + 1)
-    return kmax
 
 
 def _expand(spec: AlgebraSpec, Q, W) -> np.ndarray:
     """Coefficients of sum_u W[u-1][0] I_u + sum_s sum_k Q_{k,s} W[u_s-1][k-1] I_s.
 
     W[u-1] lists the scalar factors (batch arrays) paired with xi_u for
-    k = 1.._orders(spec)[u-1]: powers (t - xi_u)^{-k} give the resolvent,
+    k = 1..spec.plan.orders[u-1]: powers (t - xi_u)^{-k} give the resolvent,
     (-1)^{k+1} xi_u^{-k} give zeta^{-1}, contour moments give the monogenic
-    representation.
+    representation.  Terms whose Q_{k,s} is identically zero are skipped.
     """
-    n, m = spec.n, spec.m
-    out = np.zeros(np.shape(W[0][0]) + (n,), dtype=complex)
-    for u in range(1, m + 1):
-        out[..., u - 1] = W[u - 1][0]
-    for s in range(m + 1, n + 1):
-        w = W[spec.u_map[s] - 1]
+    out = np.zeros(np.shape(W[0][0]) + (spec.n,), dtype=complex)
+    for u in range(spec.m):
+        out[..., u] = W[u][0]
+    for s, u, ks in spec.plan.expand:
+        w = W[u - 1]
         acc = 0.0
-        for k in range(2, s - m + 2):
+        for k in ks:
             acc = acc + Q[(k, s)] * w[k - 1]
         out[..., s - 1] = acc
     return out
@@ -157,7 +150,7 @@ def _resolvent_batch(frame: E3Frame, pts: np.ndarray, t) -> np.ndarray:
         raise SingularityError(f"t = {complex(np.broadcast_to(t, d.shape)[idx])} hits "
                                f"the pole xi_{u}", u=u)
     W = [[1.0 / d[..., u]] + [d[..., u] ** -k for k in range(2, kmax + 1)]
-         for u, kmax in enumerate(_orders(spec))]
+         for u, kmax in enumerate(spec.plan.orders)]
     return _expand(spec, Q, W)
 
 
@@ -178,7 +171,7 @@ def _zeta_inverse_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
     # minus the resolvent at t = 0: the factors are (-1)^{k+1} xi_u^{-k}
     W = [[1.0 / xi[..., u]]
          + [xi[..., u] ** -k if k % 2 else -(xi[..., u] ** -k) for k in range(2, kmax + 1)]
-         for u, kmax in enumerate(_orders(spec))]
+         for u, kmax in enumerate(spec.plan.orders)]
     return _expand(spec, Q, W)
 
 

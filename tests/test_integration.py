@@ -110,6 +110,21 @@ def test_curve_invariants():
         Curve3(np.array([[0.0, 0, 0]]), closed=False)
 
 
+def test_closure_tolerance_scales_with_coordinates():
+    # cos/sin at t = 0 and 2 pi differ by rounding that grows with the
+    # coordinates; every one of these circles is closed
+    rng = np.random.default_rng(0)
+    t = np.linspace(0.0, 2 * np.pi, 1025)
+    for _ in range(200):
+        u, v = np.linalg.qr(rng.normal(size=(3, 2)))[0].T
+        center = rng.uniform(-1e3, 1e3, size=3)
+        pts = center + 7.3 * (np.cos(t)[:, None] * u + np.sin(t)[:, None] * v)
+        Curve3(pts, closed=True)
+    pts[-1] = pts[0] + 1e-9
+    with pytest.raises(ValueError, match="must end where it starts"):
+        Curve3(pts, closed=True)
+
+
 def test_curve_json_round_trip():
     curve = triangle_curve((0, 0, 0), (1, 0, 0), (0, 1, 0), 4)
     back = curve_from_json(curve_to_json(curve))

@@ -353,3 +353,50 @@ def test_only_callables_reach_the_trapezoid(bundles, monkeypatch):
     with pytest.raises(AssertionError, match="trapezoid"):
         eval_representation(MonogenicSpec(F=(_as_callable(HoloFunction.exp_series(4)),)),
                             frame, (0.5, 0.3, -0.4))
+
+
+def test_one_pole_rule_for_rational_data(bundles):
+    # poles are the roots of den on both paths: a small nonzero constant
+    # denominator has none, whether the function is called or integrated
+    frame = bundles["A5"].default_frame
+    p = (0.5, 0.3, -0.4)
+    tiny = HoloFunction("rational", num=(1,), den=(1e-13,))
+    assert tiny(np.array([0.5]))[0] == pytest.approx(1e13, rel=1e-15)
+    want = 1e13 * unit_element(frame.spec)
+    for F in (tiny, _as_callable(tiny)):
+        got = eval_representation(MonogenicSpec(F=(F,)), frame, p)
+        assert norm_euclid(got - want) <= 1e-12 * norm_euclid(want)
+    near = HoloFunction("rational", num=(1,), den=(-0.5, 1.0))  # pole at 0.5
+    for t in (0.5, 0.5 + 1e-13j):
+        with pytest.raises(ContourError, match="pole at"):
+            near(np.array([t]))
+    assert near(np.array([0.5 + 1e-9]))[0] == pytest.approx(1e9)
+    with pytest.raises(ContourError, match="zero denominator"):
+        HoloFunction("rational", num=(1,), den=(0,))(np.array([0.5]))
+
+
+def test_rational_roots_are_found_once(bundles, monkeypatch):
+    import monalg.monogenic
+
+    frame = bundles["A5"].default_frame
+    ms = MonogenicSpec(F=(HoloFunction("rational", num=(1.0, 0.5j), den=(-4.0, 0.0, 1.0)),))
+    first = eval_representation(ms, frame, (0.5, 0.3, -0.4))
+    calls = []
+    real = monalg.monogenic.np.roots
+    monkeypatch.setattr(monalg.monogenic.np, "roots", lambda c: calls.append(c) or real(c))
+    for _ in range(3):
+        again = eval_representation(ms, frame, (0.5, 0.3, -0.4))
+        assert np.array_equal(again.coeffs, first.coeffs)
+    assert calls == []
+
+
+def test_callable_point_is_its_row_of_a_multi_block_batch(bundles):
+    # 700 points at 1024 nodes span three blocks of the trapezoid moments
+    for name in ("A5", "C2"):
+        frame = bundles[name].default_frame
+        ms = MonogenicSpec(F=tuple(_as_callable(HoloFunction.exp_series(10, 0.4))
+                                   for _ in range(frame.spec.m)))
+        pts = eval_points(frame, np.random.default_rng(61), 700)
+        batch = representation_field(ms, frame, nodes=1024)(pts)
+        for i, p in enumerate(pts):
+            assert np.array_equal(eval_representation(ms, frame, p, nodes=1024).coeffs, batch[i])

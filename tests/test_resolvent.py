@@ -180,3 +180,83 @@ def test_resolvent_batch_takes_one_t_per_point(bundles):
     with pytest.raises(SingularityError, match=r"t = \(0\.3\+0\.5j\)") as err:
         _resolvent_batch(frame, pts, np.array([3.0 + 1j, 0.3 + 0.5j]))
     assert err.value.u == 1
+
+
+def _scan_recurrences(frame, pts):
+    """The triple scan over gamma_coeff that the coupling plan replaced,
+    transcribed literally as the plan's reference."""
+    from monalg.geometry import _xi_batch
+    from monalg.resolvent import _t_batch
+
+    spec = frame.spec
+    n, m = spec.n, spec.m
+    xi = _xi_batch(frame, pts)
+    T = _t_batch(frame, pts)
+
+    def t_of(s: int):
+        return T[..., s - m - 1]
+
+    B = {}
+    for s in range(m + 2, n + 1):
+        for r in range(m + 1, s):
+            acc = 0.0
+            for k in range(m + 1, s):
+                g = spec.gamma_coeff(r, k, s)
+                if g != 0:
+                    acc = acc + t_of(k) * g
+            B[(r, s)] = acc + np.zeros_like(xi[..., 0])
+
+    Q = {}
+    for s in range(m + 1, n + 1):
+        Q[(2, s)] = t_of(s)
+        for k in range(3, s - m + 2):
+            acc = 0.0
+            for r in range(k + m - 2, s):
+                acc = acc + Q[(k - 1, r)] * B[(r, s)]
+            Q[(k, s)] = acc + np.zeros_like(xi[..., 0])
+    return xi, T, B, Q
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_plan_matches_the_gamma_scan(bundles):
+    from monalg.resolvent import _recurrences
+
+    rng = np.random.default_rng(41)
+    for bundle in bundles.values():
+        for frame in bundle.frames.values():
+            pts = random_safe_points(frame, rng, 32)
+            for batch in (pts, pts[:1], pts[5]):
+                got, want = _recurrences(frame, batch), _scan_recurrences(frame, batch)
+                assert _same_bytes(got[0], want[0]) and _same_bytes(got[1], want[1])
+                for g, w in zip(got[2:], want[2:]):  # B, then Q
+                    assert list(g) == list(w)
+                    assert all(_same_bytes(g[key], w[key]) for key in w)
+
+
+def test_evaluation_never_scans_gamma(bundles, monkeypatch):
+    from monalg import (AlgebraSpec, HoloFunction, MonogenicSpec, atilde_closed,
+                        eval_representation, sigma_closed, sigma_direct)
+
+    def spy(self, r, s, k):
+        raise AssertionError("gamma_coeff called during evaluation")
+
+    monkeypatch.setattr(AlgebraSpec, "gamma_coeff", spy)
+    rng = np.random.default_rng(43)
+    for bundle in bundles.values():
+        for frame in bundle.frames.values():
+            n, m = frame.spec.n, frame.spec.m
+            p = random_safe_points(frame, rng, 1)[0]
+            p[2] = np.sign(p[2]) * max(abs(p[2]), 0.4)  # separated contours for m > 1
+            dp = rng.normal(size=3)
+            zeta_inverse_closed(frame, p)
+            resolvent_at(3.1 + 0.8j, frame, p)
+            atilde_closed(frame, p)
+            sigma_closed(frame, p, dp)
+            sigma_direct(frame, p, dp)
+            poly = HoloFunction("polynomial", (0.5, 1.0, -0.3j))
+            G = {n: poly} if n > m else {}
+            eval_representation(MonogenicSpec(F=(poly,) * m, G=G), frame, p)
