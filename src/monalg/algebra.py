@@ -99,6 +99,7 @@ class AlgebraSpec:
     u_map: Mapping[int, int] = field(default_factory=dict)
     name: str = ""
     _table: np.ndarray = field(init=False, repr=False, compare=False)
+    _right: np.ndarray = field(init=False, repr=False, compare=False)
     _plan: CouplingPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -118,6 +119,9 @@ class AlgebraSpec:
             if r <= self.m or s <= self.m or k <= self.m:
                 raise StructuralError(f"gamma key ({r},{s},{k}) must use nilpotent indices only")
         object.__setattr__(self, "_table", self._build_table())
+        # right[k, j*n + l] = table[j, k, l]: b @ right is the matrix of a -> a * b
+        right = np.ascontiguousarray(self._table.transpose(1, 0, 2).reshape(self.n, -1))
+        object.__setattr__(self, "_right", right)
         object.__setattr__(self, "_plan", self._build_plan())
 
     def _build_table(self) -> np.ndarray:
@@ -252,7 +256,15 @@ def basis_element(spec: AlgebraSpec, k: int) -> AlgElement:
 
 
 def _mul_coeffs(spec: AlgebraSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("...j,...k,jkl->...l", a, b, spec.table)
+    """Product of coefficient arrays (n,) or (N, n), broadcast against each other.
+
+    Two stacked vector-matrix products, one small BLAS call per point, so a
+    point's product is the same whether it comes alone or in a batch, and no
+    call is large enough for OpenBLAS to hand to a second thread.
+    """
+    n = spec.n
+    right = (b[..., None, :] @ spec._right).reshape(b.shape[:-1] + (n, n))
+    return (a[..., None, :] @ right)[..., 0, :]
 
 
 def multiply(a: AlgElement, b: AlgElement, spec: AlgebraSpec | None = None) -> AlgElement:
@@ -278,23 +290,40 @@ def norm_euclid(a: AlgElement) -> float:
     return float(np.linalg.norm(a.coeffs))
 
 
+def _mult_matrices(spec: AlgebraSpec, coeffs: np.ndarray) -> np.ndarray:
+    """(..., n, n) matrices of multiplication by coeffs (..., n): column k is a * I_{k+1}."""
+    n = spec.n
+    rows = (coeffs[..., None, :] @ spec.table.reshape(n, n * n)).reshape(coeffs.shape[:-1] + (n, n))
+    return rows.swapaxes(-1, -2)
+
+
 def mult_matrix(a: AlgElement) -> np.ndarray:
     """n x n complex matrix of multiplication by a: column k is a * I_{k+1}."""
-    return np.einsum("j,jkl->lk", a.coeffs, a.spec.table)
+    return _mult_matrices(a.spec, a.coeffs)
+
+
+def _invert_direct_batch(spec: AlgebraSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Inverses of the rows of coeffs (N, n) by one stacked dense solve.
+
+    Raises NonInvertibleError for the first row, in order, with an f_u equal
+    to 0, carrying its smallest such u.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    f = coeffs[:, : spec.m]
+    if np.count_nonzero(f) != f.size:
+        i, u0 = np.argwhere(f == 0)[0]
+        raise NonInvertibleError(f"f_{u0 + 1}(a) = 0 at row {i}: element not invertible",
+                                 u=int(u0) + 1)
+    try:
+        return np.linalg.solve(_mult_matrices(spec, coeffs), spec.unit_coeffs[:, None])[..., 0]
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by f_u check
+        raise NonInvertibleError(str(exc)) from exc
 
 
 def invert_direct(a: AlgElement, spec: AlgebraSpec | None = None) -> AlgElement:
     """Inverse by dense linear solve; the oracle all closed forms are tested against."""
     spec = spec or a.spec
-    for u in range(1, spec.m + 1):
-        if a.coeffs[u - 1] == 0:
-            raise NonInvertibleError(f"f_{u}(a) = 0: element not invertible", u=u)
-    mat = mult_matrix(a)
-    try:
-        x = np.linalg.solve(mat, spec.unit_coeffs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by f_u check
-        raise NonInvertibleError(str(exc)) from exc
-    return AlgElement(spec, x)
+    return AlgElement(spec, _invert_direct_batch(spec, a.coeffs[None])[0])
 
 
 @dataclass

@@ -22,6 +22,7 @@ from .algebra import (
     AlgebraSpec,
     AlgElement,
     NonInvertibleError,
+    _invert_direct_batch,
     algebra_from_json,
     check_propositions,
     invert_direct,
@@ -31,7 +32,7 @@ from .algebra import (
     validate_algebra,
 )
 from .fixtures import CATALOG, load_fixture
-from .geometry import E3Frame, frame_from_json, make_zeta, random_safe_points
+from .geometry import E3Frame, _zeta_coeffs, frame_from_json, make_zeta, random_safe_points
 from .integration import (
     circle_curve,
     constant_field,
@@ -44,12 +45,12 @@ from .integration import (
 from .lambda_const import (
     EmbraceError,
     LambdaResult,
+    _atilde_batch,
     _formula_lambda,
     _formula_residual,
     cauchy_theorem_residual,
     exactness_conditions,
     lambda_numeric,
-    atilde_closed,
 )
 from .monogenic import HoloFunction, MonogenicSpec, representation_field
 from .resolvent import _resolvent_batch, _zeta_inverse_batch, zeta_inverse_closed
@@ -251,6 +252,30 @@ def _cmd_verify_formula(cfg: RunConfig):
     }, ok
 
 
+def _max_rel(rows: np.ndarray, refs: np.ndarray) -> float:
+    """Largest relative Euclidean distance of a row from its reference row (0 for no columns)."""
+    dist = np.linalg.norm(rows - refs, axis=1)
+    return float(np.max(dist / np.maximum(1e-300, np.linalg.norm(refs, axis=1))))
+
+
+def _oracle_record(frame: E3Frame, rng: np.random.Generator) -> dict:
+    """Closed forms against the dense-solve oracle on 100 seeded random points, all batched."""
+    spec = frame.spec
+    pts = random_safe_points(frame, rng, 100)
+    ts = np.array([complex(rng.uniform(2.5, 4.0), rng.uniform(0.5, 1.5)) for _ in pts])
+    zc = _zeta_coeffs(frame, pts)
+    shifted = ts[:, None] * spec.unit_coeffs - zc
+    closed = _zeta_inverse_batch(frame, pts)
+    at = _atilde_batch(frame, pts)
+    return {
+        "zeta_inverse_max_rel": _max_rel(closed, _invert_direct_batch(spec, zc)),
+        "resolvent_max_rel": _max_rel(_resolvent_batch(frame, pts, ts),
+                                      _invert_direct_batch(spec, shifted)),
+        "atilde_max_rel": _max_rel(at, closed[:, spec.m: spec.m + at.shape[1]]),
+        "trials": len(pts),
+    }
+
+
 def _verify_one_fixture(name: str, cfg: RunConfig) -> dict:
     bundle = load_fixture(name)
     spec = bundle.algebra
@@ -263,34 +288,9 @@ def _verify_one_fixture(name: str, cfg: RunConfig) -> dict:
     rec["validation"] = validation.violations
     ok &= validation.ok
 
-    # closed-form vs linear-solve oracle on seeded random points; the closed
-    # forms run batched, the dense solves and atilde_closed point by point
-    pts = random_safe_points(frame, rng, 100)
-    ts = [complex(rng.uniform(2.5, 4.0), rng.uniform(0.5, 1.5)) for _ in pts]
-    closed_rows = _zeta_inverse_batch(frame, pts)
-    res_rows = _resolvent_batch(frame, pts, np.array(ts))
-    worst_inv = worst_res = worst_at = 0.0
-    for p, t, closed_row, res_row in zip(pts, ts, closed_rows, res_rows):
-        direct = invert_direct(make_zeta(frame, p))
-        closed = AlgElement(spec, closed_row)
-        worst_inv = max(worst_inv, norm_euclid(closed - direct) / norm_euclid(direct))
-        shifted = t * unit_element(spec) - make_zeta(frame, p)
-        oracle = invert_direct(shifted)
-        res = AlgElement(spec, res_row)
-        worst_res = max(worst_res, norm_euclid(res - oracle) / norm_euclid(oracle))
-        at = atilde_closed(frame, p)
-        if at:
-            closed_sub = np.array([at[k] for k in sorted(at)])
-            rec_sub = np.array([closed.coeffs[k - 1] for k in sorted(at)])
-            denom = max(1e-300, float(np.linalg.norm(rec_sub)))
-            worst_at = max(worst_at, float(np.linalg.norm(closed_sub - rec_sub)) / denom)
-    rec["oracle"] = {
-        "zeta_inverse_max_rel": worst_inv,
-        "resolvent_max_rel": worst_res,
-        "atilde_max_rel": worst_at,
-        "trials": len(pts),
-    }
-    ok &= worst_inv <= 1e-9 and worst_res <= 1e-9 and worst_at <= 1e-10
+    oracle = rec["oracle"] = _oracle_record(frame, rng)
+    ok &= (oracle["zeta_inverse_max_rel"] <= 1e-9 and oracle["resolvent_max_rel"] <= 1e-9
+           and oracle["atilde_max_rel"] <= 1e-10)
 
     # one lambda per xy circle radius; the reported radius is usually 1.0
     lams = {r: lambda_numeric(frame, circle_curve(radius=r, nodes=cfg.nodes))

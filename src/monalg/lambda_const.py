@@ -23,7 +23,7 @@ from .algebra import (
     norm_euclid,
     unit_element,
 )
-from .geometry import E3Frame, _xi_batch
+from .geometry import E3Frame, _xi_batch, _zeta_coeffs
 from .integration import Curve3, _integrate_values, _node_steps, curvilinear_integral
 from .monogenic import MonogenicSpec, representation_field
 from .resolvent import _t_batch, _zeta_inverse_batch
@@ -133,60 +133,59 @@ def lambda_numeric(frame: E3Frame, circle: Curve3, *, tol: float | None = None) 
 # closed forms for the first four nilpotent coefficients and sigma forms
 # ---------------------------------------------------------------------------
 
-def atilde_closed(frame: E3Frame, p) -> dict[int, complex]:
+def _atilde_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
     """The displayed closed forms for the zeta^{-1} coefficients at indices m+1..m+4.
 
+    pts (N, 3) -> (N, min(4, n - m)), column i holding index m+1+i.
     Implemented independently of the Q recurrence as a cross-check of the inverse it gives.
     The final T-degree-4 term of the m+4 coefficient follows the recurrence
     (the printed sources carry a degree typo there).
+
+    Coefficient m+j is -T_{m+j} / x^2 plus the displayed numerators over
+    x^3 .. x^(j+1), with x = xi_{u_{m+j}} and T_i = T_{m+i}.  Each numerator
+    is grouped by the rows of its quadratic form: R = C T1 + D T2, and M, P, L
+    are (E, F, G), (F, H, J), (G, J, K) dotted with (T1, T2, T3).  The m+3
+    numerators are N3 = T1 (B2 T1 + C T2) + T2 R and N4 = A T1^2 R; the m+4
+    ones are T1 M + T2 P + T3 L, A T1^2 P + L N3 and L N4.
     """
     spec = frame.spec
-    n, m = spec.n, spec.m
-    if n - m < 1:
-        return {}
-    pt = np.asarray(p, dtype=float)
-    xi = _xi_batch(frame, pt)
-    T = _t_batch(frame, pt)
+    m = spec.m
+    cols = min(4, spec.n - m)
+    pts = np.asarray(pts, dtype=float)
+    if cols == 0:
+        return np.zeros((len(pts), 0), dtype=complex)
+    zc = _zeta_coeffs(frame, pts)  # xi_u = zc[:, u - 1] and T_s = zc[:, s - 1]
+    x = zc[:, [spec.u_map[s] - 1 for s in range(m + 1, m + cols + 1)]]
     c = spec.plan.shorthands
     A, B2, C, D = c["A"], c["B2"], c["C"], c["D"]
     E, F, G, H, J, K = c["E"], c["F"], c["G"], c["H"], c["J"], c["K"]
+    # nums[:, j, d] is the numerator of coefficient m+1+j over x^(d+2)
+    nums = np.zeros((len(pts), cols, cols), dtype=complex)
+    nums[:, :, 0] = -zc[:, m: m + cols]
+    t1, t2, t3 = (zc[:, m + i] if i < cols else None for i in range(3))
+    if cols >= 2:
+        a1 = A * t1 * t1
+        nums[:, 1, 1] = a1
+    if cols >= 3:
+        R = C * t1 + D * t2
+        n3 = t1 * (B2 * t1 + C * t2) + t2 * R
+        n4 = a1 * R
+        nums[:, 2, 1] = n3
+        nums[:, 2, 2] = -n4
+    if cols >= 4:
+        M = E * t1 + F * t2 + G * t3
+        P = F * t1 + H * t2 + J * t3
+        L = G * t1 + J * t2 + K * t3
+        nums[:, 3, 1] = t1 * M + t2 * P + t3 * L
+        nums[:, 3, 2] = -(a1 * P + L * n3)
+        nums[:, 3, 3] = L * n4
+    return (nums / x[..., None] ** np.arange(2, cols + 2)).sum(axis=-1)
 
-    def t(i):  # T_{m+i}
-        return complex(T[i - 1])
 
-    def x(s):  # xi_{u_s}
-        return complex(xi[spec.u_map[s] - 1])
-
-    out: dict[int, complex] = {}
-    s = m + 1
-    out[s] = -t(1) / x(s) ** 2
-    if n - m >= 2:
-        s = m + 2
-        out[s] = -t(2) / x(s) ** 2 + A * t(1) ** 2 / x(s) ** 3
-    if n - m >= 3:
-        s = m + 3
-        out[s] = (
-            -t(3) / x(s) ** 2
-            + (B2 * t(1) ** 2 + 2 * C * t(1) * t(2) + D * t(2) ** 2) / x(s) ** 3
-            - (A * C * t(1) ** 3 + A * D * t(1) ** 2 * t(2)) / x(s) ** 4
-        )
-    if n - m >= 4:
-        s = m + 4
-        t1, t2, t3, t4 = t(1), t(2), t(3), t(4)
-        out[s] = (
-            -t4 / x(s) ** 2
-            + (E * t1 ** 2 + 2 * F * t1 * t2 + 2 * G * t1 * t3
-               + H * t2 ** 2 + 2 * J * t2 * t3 + K * t3 ** 2) / x(s) ** 3
-            - (A * F * t1 ** 3 + A * H * t1 ** 2 * t2 + A * J * t1 ** 2 * t3
-               + B2 * G * t1 ** 3 + B2 * J * t1 ** 2 * t2 + B2 * K * t1 ** 2 * t3
-               + 2 * C * G * t1 ** 2 * t2 + 2 * C * J * t1 * t2 ** 2
-               + 2 * C * K * t1 * t2 * t3 + D * G * t1 * t2 ** 2
-               + D * J * t2 ** 3 + D * K * t2 ** 2 * t3) / x(s) ** 4
-            + (A * C * G * t1 ** 4 + A * C * J * t1 ** 3 * t2 + A * C * K * t1 ** 3 * t3
-               + A * D * G * t1 ** 3 * t2 + A * D * J * t1 ** 2 * t2 ** 2
-               + A * D * K * t1 ** 2 * t2 * t3) / x(s) ** 5
-        )
-    return out
+def atilde_closed(frame: E3Frame, p) -> dict[int, complex]:
+    """_atilde_batch at one point, keyed by the 1-based index of each coefficient."""
+    row = _atilde_batch(frame, np.asarray(p, dtype=float)[None])[0]
+    return {frame.spec.m + 1 + i: complex(v) for i, v in enumerate(row)}
 
 
 @dataclass(frozen=True)

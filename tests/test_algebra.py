@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from monalg import (
+    AlgElement,
     AlgebraSpec,
     StructuralError,
     NonInvertibleError,
@@ -12,11 +13,16 @@ from monalg import (
     functional_f,
     invert_direct,
     make_zeta,
+    mult_matrix,
     multiply,
     norm_euclid,
     unit_element,
     validate_algebra,
 )
+from monalg.algebra import _invert_direct_batch, _mul_coeffs
+from monalg.geometry import _zeta_coeffs
+
+from conftest import random_safe_points
 
 
 def broken_symmetry_spec():
@@ -248,3 +254,70 @@ def test_multiply_rejects_mixed_algebras(bundles):
     j69 = bundles["J69"].algebra
     with pytest.raises(Exception, match="different algebras"):
         multiply(unit_element(a5), unit_element(j69))
+
+
+def _all_frames(bundles):
+    return [frame for bundle in bundles.values() for frame in bundle.frames.values()]
+
+
+def test_product_kernel_matches_einsum_reference(bundles):
+    rng = np.random.default_rng(7)
+    for frame in _all_frames(bundles):
+        spec = frame.spec
+        n = spec.n
+        a = rng.normal(size=(33, n)) + 1j * rng.normal(size=(33, n))
+        b = rng.normal(size=(33, n)) + 1j * rng.normal(size=(33, n))
+        for x, y in ((a[0], b[0]), (a, b), (a[0], b), (a, b[0])):
+            ref = np.einsum("...j,...k,jkl->...l", x, y, spec.table)
+            got = _mul_coeffs(spec, x, y)
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= 1e-14 * (1 + np.abs(ref)))
+
+
+def test_single_product_is_its_batch_row(bundles):
+    rng = np.random.default_rng(8)
+    for frame in _all_frames(bundles):
+        spec = frame.spec
+        n = spec.n
+        a = rng.normal(size=(40, n)) + 1j * rng.normal(size=(40, n))
+        b = rng.normal(size=(40, n)) + 1j * rng.normal(size=(40, n))
+        both = _mul_coeffs(spec, a, b)
+        left = _mul_coeffs(spec, a[0], b)
+        right = _mul_coeffs(spec, a, b[0])
+        for i in range(len(a)):
+            assert np.array_equal(both[i], _mul_coeffs(spec, a[i], b[i]))
+            assert np.array_equal(left[i], _mul_coeffs(spec, a[0], b[i]))
+            assert np.array_equal(right[i], _mul_coeffs(spec, a[i], b[0]))
+
+
+def test_mult_matrix_agrees_with_product(bundles):
+    rng = np.random.default_rng(9)
+    for frame in _all_frames(bundles):
+        spec = frame.spec
+        for _ in range(5):
+            a, b = (rng.normal(size=spec.n) + 1j * rng.normal(size=spec.n) for _ in range(2))
+            np.testing.assert_allclose(mult_matrix(AlgElement(spec, a)) @ b,
+                                       _mul_coeffs(spec, a, b), rtol=1e-14, atol=1e-14)
+
+
+def test_batched_dense_solve_rows_are_invert_direct(bundles):
+    rng = np.random.default_rng(10)
+    for frame in _all_frames(bundles):
+        spec = frame.spec
+        pts = random_safe_points(frame, rng, 30)
+        zc = _zeta_coeffs(frame, pts)
+        for coeffs in (zc, (3.0 + 1.0j) * spec.unit_coeffs - zc):
+            rows = _invert_direct_batch(spec, coeffs)
+            for row, c in zip(rows, coeffs):
+                assert np.array_equal(row, invert_direct(AlgElement(spec, c)).coeffs)
+
+
+def test_batched_dense_solve_names_the_vanishing_functional(bundles):
+    rng = np.random.default_rng(11)
+    for name, u in (("C2", 1), ("C2", 2), ("A2_radical", 2), ("A5", 1)):
+        spec = bundles[name].algebra
+        batch = rng.normal(size=(6, spec.n)) + 1j * rng.normal(size=(6, spec.n))
+        batch[4, u - 1] = 0.0
+        with pytest.raises(NonInvertibleError, match="row 4") as err:
+            _invert_direct_batch(spec, batch)
+        assert err.value.u == u

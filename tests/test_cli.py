@@ -154,3 +154,39 @@ def test_formula_residuals_compute_lambda_once(monkeypatch):
     curve = circle_curve(center=p0, radius=0.9, nodes=256)
     for name, ms in cli._standard_mspecs(frame.spec).items():
         assert got[name] == cauchy_formula_residual(ms, frame, p0, curve, nodes=512)
+
+
+def test_batched_oracle_matches_point_by_point_solves():
+    # verify-all computes its dense-solve references in two stacked solves;
+    # a point-by-point loop over invert_direct and atilde_closed must report
+    # the same maxima to rounding level
+    from monalg import (atilde_closed, invert_direct, list_fixtures, load_fixture,
+                        make_zeta, norm_euclid, resolvent_at, unit_element, zeta_inverse_closed)
+    from monalg.geometry import random_safe_points
+
+    for name in list_fixtures():
+        frame = load_fixture(name).default_frame
+        spec = frame.spec
+        got = cli._oracle_record(frame, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        pts = random_safe_points(frame, rng, 100)
+        ts = [complex(rng.uniform(2.5, 4.0), rng.uniform(0.5, 1.5)) for _ in pts]
+        worst = dict.fromkeys(("zeta_inverse_max_rel", "resolvent_max_rel", "atilde_max_rel"), 0.0)
+        for p, t in zip(pts, ts):
+            direct = invert_direct(make_zeta(frame, p))
+            closed = zeta_inverse_closed(frame, p)
+            worst["zeta_inverse_max_rel"] = max(
+                worst["zeta_inverse_max_rel"], norm_euclid(closed - direct) / norm_euclid(direct))
+            oracle = invert_direct(t * unit_element(spec) - make_zeta(frame, p))
+            res = resolvent_at(t, frame, p)
+            worst["resolvent_max_rel"] = max(
+                worst["resolvent_max_rel"], norm_euclid(res - oracle) / norm_euclid(oracle))
+            at = atilde_closed(frame, p)
+            if at:
+                diff = np.array([at[k] - closed.coeff(k) for k in at])
+                base = np.linalg.norm([closed.coeff(k) for k in at])
+                worst["atilde_max_rel"] = max(worst["atilde_max_rel"],
+                                              float(np.linalg.norm(diff)) / base)
+        assert got["trials"] == 100
+        for key, want in worst.items():
+            assert abs(got[key] - want) <= 1e-15, (name, key, got[key], want)

@@ -371,3 +371,49 @@ def test_lambda_numeric_inverts_zeta_once(bundles, monkeypatch):
         calls.clear()
         lambda_numeric(bundles["A5"].default_frame, curve)
         assert calls == [len(curve.points)]
+
+
+def test_contraction_accepts_any_field_layout(bundles):
+    # the loop contraction views a contiguous complex copy of the values as
+    # floats; float, strided and Fortran-ordered field values must give the
+    # same integral as the contiguous complex array they hold
+    frame = bundles["A5"].frames["harmonic"]
+    n = frame.spec.n
+    curve = triangle_curve((0.2, 0.1, 0.0), (1.1, 0.3, 0.1), (0.4, 1.2, -0.2), per_edge=64)
+
+    def real_part(pts):
+        return np.cos(np.arange(1, n + 1) * pts[:, :1]) * pts[:, 1:2] + pts[:, 2:]
+
+    def wide(pts):  # every other column of a (N, 2n) array
+        out = np.zeros((len(pts), 2 * n), dtype=complex)
+        out[:, ::2] = real_part(pts) * (1 - 2j)
+        return out[:, ::2]
+
+    def fortran(pts):
+        return np.asfortranarray(real_part(pts) * (1 - 2j))
+
+    def contiguous(pts):
+        return np.ascontiguousarray(real_part(pts) * (1 - 2j))
+
+    want = curvilinear_integral(contiguous, curve, frame).coeffs
+    assert np.array_equal(curvilinear_integral(wide, curve, frame).coeffs, want)
+    assert np.array_equal(curvilinear_integral(fortran, curve, frame).coeffs, want)
+    got = curvilinear_integral(real_part, curve, frame).coeffs
+    ref = curvilinear_integral(lambda pts: real_part(pts).astype(complex), curve, frame).coeffs
+    assert np.array_equal(got, ref)
+
+
+def test_long_loop_matches_node_by_node_sum(bundles):
+    from monalg.integration import _node_steps
+
+    frame = bundles["A5"].default_frame
+    curve = circle_curve(center=(0.1, -0.05, 0.02), radius=1.3, nodes=16384)
+    assert len(curve.points) == 16385
+    vals = zeta_inverse_field(frame)(curve.points)
+    steps = _node_steps(curve)
+    sums = [sum(steps[i, d] * vals[i] for i in range(len(vals))) for d in range(3)]
+    spec = frame.spec
+    want = (AlgElement(spec, sums[0]) + multiply(frame.e2, AlgElement(spec, sums[1]))
+            + multiply(frame.e3, AlgElement(spec, sums[2])))
+    got = curvilinear_integral(zeta_inverse_field(frame), curve, frame)
+    assert norm_euclid(got - want) <= 1e-13 * norm_euclid(want)

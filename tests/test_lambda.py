@@ -229,6 +229,22 @@ def test_atilde_matches_recurrence_everywhere(bundles):
             assert np.linalg.norm(closed - rec) <= 1e-10 * (1 + denom)
 
 
+def test_atilde_point_is_its_batch_row(bundles):
+    from monalg.lambda_const import _atilde_batch
+
+    rng = np.random.default_rng(43)
+    cases = [frame for b in bundles.values() for frame in b.frames.values()]
+    for frame in cases + [frame for _, frame in handmade_cases()]:
+        spec = frame.spec
+        pts = random_safe_points(frame, rng, 40)
+        batch = _atilde_batch(frame, pts)
+        assert batch.shape == (40, min(4, spec.n - spec.m))
+        for p, row in zip(pts, batch):
+            at = atilde_closed(frame, p)
+            assert list(at) == list(range(spec.m + 1, spec.m + 1 + len(row)))
+            assert np.array_equal(np.array(list(at.values()), dtype=complex), row)
+
+
 def test_sigma_split_matches_direct_assembly(bundles):
     rng = np.random.default_rng(43)
     cases = [(b.algebra, b.default_frame) for b in bundles.values()] + handmade_cases()
