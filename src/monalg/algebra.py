@@ -99,7 +99,6 @@ class AlgebraSpec:
     u_map: Mapping[int, int] = field(default_factory=dict)
     name: str = ""
     _table: np.ndarray = field(init=False, repr=False, compare=False)
-    _right: np.ndarray = field(init=False, repr=False, compare=False)
     _plan: CouplingPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -119,9 +118,6 @@ class AlgebraSpec:
             if r <= self.m or s <= self.m or k <= self.m:
                 raise StructuralError(f"gamma key ({r},{s},{k}) must use nilpotent indices only")
         object.__setattr__(self, "_table", self._build_table())
-        # right[k, j*n + l] = table[j, k, l]: b @ right is the matrix of a -> a * b
-        right = np.ascontiguousarray(self._table.transpose(1, 0, 2).reshape(self.n, -1))
-        object.__setattr__(self, "_right", right)
         object.__setattr__(self, "_plan", self._build_plan())
 
     def _build_table(self) -> np.ndarray:
@@ -258,13 +254,12 @@ def basis_element(spec: AlgebraSpec, k: int) -> AlgElement:
 def _mul_coeffs(spec: AlgebraSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of coefficient arrays (n,) or (N, n), broadcast against each other.
 
-    Two stacked vector-matrix products, one small BLAS call per point, so a
-    point's product is the same whether it comes alone or in a batch, and no
-    call is large enough for OpenBLAS to hand to a second thread.
+    Two stacked vector-matrix products, one small BLAS call per point: a
+    gives the rows of its multiplication matrix, and b times them is a * b.
+    A point's product is the same whether it comes alone or in a batch, and
+    no call is large enough for OpenBLAS to hand to a second thread.
     """
-    n = spec.n
-    right = (b[..., None, :] @ spec._right).reshape(b.shape[:-1] + (n, n))
-    return (a[..., None, :] @ right)[..., 0, :]
+    return (b[..., None, :] @ _mult_rows(spec, a))[..., 0, :]
 
 
 def multiply(a: AlgElement, b: AlgElement, spec: AlgebraSpec | None = None) -> AlgElement:
@@ -290,11 +285,15 @@ def norm_euclid(a: AlgElement) -> float:
     return float(np.linalg.norm(a.coeffs))
 
 
+def _mult_rows(spec: AlgebraSpec, coeffs: np.ndarray) -> np.ndarray:
+    """(..., n, n) transposed matrices of multiplication by coeffs (..., n): row k is a * I_{k+1}."""
+    n = spec.n
+    return (coeffs[..., None, :] @ spec.table.reshape(n, n * n)).reshape(coeffs.shape[:-1] + (n, n))
+
+
 def _mult_matrices(spec: AlgebraSpec, coeffs: np.ndarray) -> np.ndarray:
     """(..., n, n) matrices of multiplication by coeffs (..., n): column k is a * I_{k+1}."""
-    n = spec.n
-    rows = (coeffs[..., None, :] @ spec.table.reshape(n, n * n)).reshape(coeffs.shape[:-1] + (n, n))
-    return rows.swapaxes(-1, -2)
+    return _mult_rows(spec, coeffs).swapaxes(-1, -2)
 
 
 def mult_matrix(a: AlgElement) -> np.ndarray:
@@ -312,10 +311,13 @@ def _invert_direct_batch(spec: AlgebraSpec, coeffs: np.ndarray) -> np.ndarray:
     f = coeffs[:, : spec.m]
     if np.count_nonzero(f) != f.size:
         i, u0 = np.argwhere(f == 0)[0]
-        raise NonInvertibleError(f"f_{u0 + 1}(a) = 0 at row {i}: element not invertible",
+        where = f" at row {i}" if len(coeffs) > 1 else ""
+        raise NonInvertibleError(f"f_{u0 + 1}(a) = 0{where}: element not invertible",
                                  u=int(u0) + 1)
+    # b as an explicit (N, n, 1) stack: numpy < 2 reads an (n, 1) b as n vectors
+    unit = np.broadcast_to(spec.unit_coeffs, coeffs.shape)[..., None]
     try:
-        return np.linalg.solve(_mult_matrices(spec, coeffs), spec.unit_coeffs[:, None])[..., 0]
+        return np.linalg.solve(_mult_matrices(spec, coeffs), unit)[..., 0]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by f_u check
         raise NonInvertibleError(str(exc)) from exc
 

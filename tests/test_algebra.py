@@ -321,3 +321,7 @@ def test_batched_dense_solve_names_the_vanishing_functional(bundles):
         with pytest.raises(NonInvertibleError, match="row 4") as err:
             _invert_direct_batch(spec, batch)
         assert err.value.u == u
+        # a lone element is not a batch: its message names no row
+        with pytest.raises(NonInvertibleError, match=f"^f_{u}\\(a\\) = 0: ") as one:
+            invert_direct(AlgElement(spec, batch[4]))
+        assert one.value.u == u
