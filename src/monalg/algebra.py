@@ -286,7 +286,7 @@ def norm_euclid(a: AlgElement) -> float:
 
 
 def _mult_rows(spec: AlgebraSpec, coeffs: np.ndarray) -> np.ndarray:
-    """(..., n, n) transposed matrices of multiplication by coeffs (..., n): row k is a * I_{k+1}."""
+    """Transposed matrices of multiplication by coeffs (..., n): row k is a * I_{k+1}."""
     n = spec.n
     return (coeffs[..., None, :] @ spec.table.reshape(n, n * n)).reshape(coeffs.shape[:-1] + (n, n))
 
@@ -314,8 +314,9 @@ def _invert_direct_batch(spec: AlgebraSpec, coeffs: np.ndarray) -> np.ndarray:
         where = f" at row {i}" if len(coeffs) > 1 else ""
         raise NonInvertibleError(f"f_{u0 + 1}(a) = 0{where}: element not invertible",
                                  u=int(u0) + 1)
-    # b as an explicit (N, n, 1) stack: numpy < 2 reads an (n, 1) b as n vectors
-    unit = np.broadcast_to(spec.unit_coeffs, coeffs.shape)[..., None]
+    # the unit as an explicit (N, n, 1) stack: numpy < 2 reads an (n, 1) b as n vectors
+    unit = np.zeros(coeffs.shape + (1,), dtype=complex)
+    unit[:, : spec.m] = 1.0
     try:
         return np.linalg.solve(_mult_matrices(spec, coeffs), unit)[..., 0]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by f_u check
