@@ -34,10 +34,14 @@ from .algebra import (
 from .fixtures import CATALOG, load_fixture
 from .geometry import E3Frame, _zeta_coeffs, frame_from_json, make_zeta, random_safe_points
 from .integration import (
+    Curve3,
+    _integrate_values,
+    _node_steps,
+    _norm_inequality,
+    certified_lemma_constant,
     circle_curve,
     constant_field,
-    morera_functional,
-    norm_inequality_check,
+    curvilinear_integral,
     triangle_curve,
     zeta_field,
     zeta_power_field,
@@ -46,14 +50,14 @@ from .lambda_const import (
     EmbraceError,
     LambdaResult,
     _atilde_batch,
-    _formula_lambda,
+    _formula_loop,
     _formula_residual,
-    cauchy_theorem_residual,
+    _lambda_numeric,
     exactness_conditions,
     lambda_numeric,
 )
-from .monogenic import HoloFunction, MonogenicSpec, representation_field
-from .resolvent import _resolvent_batch, _zeta_inverse_batch, zeta_inverse_closed
+from .monogenic import HoloFunction, MonogenicSpec, _rep_values
+from .resolvent import _recurrences, _resolvent_batch, _zeta_inverse_batch, zeta_inverse_closed
 
 
 @dataclass
@@ -204,18 +208,32 @@ def _cmd_classify(cfg: RunConfig):
     }, True
 
 
-def _cauchy_residuals(spec: AlgebraSpec, frame: E3Frame, nodes: int) -> dict[str, float]:
-    curve = circle_curve(center=(0.05, -0.04, 0.03), radius=0.8, nodes=nodes)
-    out = {}
-    for name, ms in _standard_mspecs(spec).items():
-        out[name] = cauchy_theorem_residual(ms, frame, curve, nodes=512)
-    return out
+# The checks of Cauchy's theorem and formula run on these curves.  The
+# formula is evaluated at _FORMULA_P0, the centre of its circle.
+_FORMULA_P0 = (0.31, 0.17, -0.23)
+
+
+def _theorem_circle(nodes: int) -> Curve3:
+    return circle_curve(center=(0.05, -0.04, 0.03), radius=0.8, nodes=nodes)
+
+
+def _formula_circle(nodes: int) -> Curve3:
+    return circle_curve(center=_FORMULA_P0, radius=0.9, nodes=nodes)
+
+
+def _cauchy_residuals(frame: E3Frame, curve: Curve3) -> dict[str, float]:
+    """cauchy_theorem_residual of the standard functions on curve, which share
+    the recurrences at its nodes."""
+    xi, _, _, Q = _recurrences(frame, curve.points)
+    steps = _node_steps(curve)
+    return {name: norm_euclid(_integrate_values(frame, _rep_values(ms, frame, xi, Q, 512), steps))
+            for name, ms in _standard_mspecs(frame.spec).items()}
 
 
 def _cmd_verify_cauchy(cfg: RunConfig):
     spec, frame = _load_inputs(cfg)
     tol = cfg.tol if cfg.tol is not None else 1e-7
-    res = _cauchy_residuals(spec, frame, cfg.nodes)
+    res = _cauchy_residuals(frame, _theorem_circle(cfg.nodes))
     ok = all(v <= tol for v in res.values())
     return {
         "command": "verify-cauchy",
@@ -227,20 +245,28 @@ def _cmd_verify_cauchy(cfg: RunConfig):
     }, ok
 
 
-def _formula_residuals(spec: AlgebraSpec, frame: E3Frame, nodes: int) -> dict[str, float]:
-    p0 = np.array([0.31, 0.17, -0.23])
-    curve = circle_curve(center=p0, radius=0.9, nodes=nodes)
-    lam = _formula_lambda(frame, p0, curve)  # shared by every function on this curve
+def _formula_residuals(frame: E3Frame, p0, curve: Curve3, loop: Curve3) -> dict[str, float]:
+    """cauchy_formula_residual at p0 of the standard functions on curve, whose
+    translate by -p0 is loop.  They share the lambda, the (zeta - zeta_0)^{-1}
+    at the nodes and the recurrences at the nodes and at p0."""
+    p0 = np.asarray(p0, dtype=float)
+    res, inv = _lambda_numeric(frame, loop, None)
+    xi, _, _, Q = _recurrences(frame, curve.points)
+    xi0, _, _, Q0 = _recurrences(frame, p0[None])
+    steps = _node_steps(curve)
     out = {}
-    for name, ms in _standard_mspecs(spec).items():
-        out[name] = _formula_residual(representation_field(ms, frame, 512), frame, p0, curve, lam)
+    for name, ms in _standard_mspecs(frame.spec).items():
+        phi0 = _rep_values(ms, frame, xi0, Q0, 512)[0]
+        out[name] = _formula_residual(frame, res.lambda_, phi0, _rep_values(ms, frame, xi, Q, 512),
+                                      inv, steps)
     return out
 
 
 def _cmd_verify_formula(cfg: RunConfig):
     spec, frame = _load_inputs(cfg)
     tol = cfg.tol if cfg.tol is not None else 1e-6
-    res = _formula_residuals(spec, frame, cfg.nodes)
+    curve = _formula_circle(cfg.nodes)
+    res = _formula_residuals(frame, _FORMULA_P0, curve, _formula_loop(curve, _FORMULA_P0))
     ok = all(v <= tol for v in res.values())
     return {
         "command": "verify-formula",
@@ -276,7 +302,47 @@ def _oracle_record(frame: E3Frame, rng: np.random.Generator) -> dict:
     }
 
 
-def _verify_one_fixture(name: str, cfg: RunConfig) -> dict:
+_TRIANGLE = ((0.2, 0.1, 0.0), (1.1, 0.3, 0.1), (0.4, 1.2, -0.2))
+
+
+@dataclass(frozen=True)
+class _Curves:
+    """The curves verify-all checks on every fixture.  None depends on the
+    fixture, so a run builds them once and drops them when it ends."""
+
+    xy: dict[float, Curve3]  # lambda circles by radius: 0.5, 1, 2 and --radius
+    off_plane: tuple[Curve3, ...]  # unit yz and zx circles, each followed by its reverse
+    theorem: Curve3
+    formula: Curve3
+    formula_loop: Curve3  # the formula circle translated by -_FORMULA_P0
+    morera: Curve3  # boundary of _TRIANGLE
+    morera_unit: Curve3  # boundary of the unit right triangle in the xy plane
+    lemma: tuple[Curve3, ...]
+
+    @classmethod
+    def build(cls, cfg: RunConfig) -> "_Curves":
+        off_plane = []
+        for plane in ("yz", "zx"):
+            circle = circle_curve(nodes=cfg.nodes, plane=plane)
+            off_plane += [circle, circle.reversed()]
+        formula = _formula_circle(cfg.nodes)
+        return cls(
+            xy={r: circle_curve(radius=r, nodes=cfg.nodes) for r in {0.5, 1.0, 2.0, cfg.radius}},
+            off_plane=tuple(off_plane),
+            theorem=_theorem_circle(cfg.nodes),
+            formula=formula,
+            formula_loop=_formula_loop(formula, _FORMULA_P0),
+            morera=triangle_curve(*_TRIANGLE, per_edge=2048),
+            morera_unit=triangle_curve((0, 0, 0), (1, 0, 0), (0, 1, 0), per_edge=512),
+            lemma=(
+                circle_curve(radius=1.0, nodes=512),
+                circle_curve(center=(0.1, 0.05, -0.04), radius=0.7, nodes=512, plane="zx"),
+                triangle_curve(*_TRIANGLE, per_edge=128),
+            ),
+        )
+
+
+def _verify_one_fixture(name: str, cfg: RunConfig, curves: _Curves) -> dict:
     bundle = load_fixture(name)
     spec = bundle.algebra
     frame = bundle.default_frame
@@ -293,8 +359,7 @@ def _verify_one_fixture(name: str, cfg: RunConfig) -> dict:
            and oracle["atilde_max_rel"] <= 1e-10)
 
     # one lambda per xy circle radius; the reported radius is usually 1.0
-    lams = {r: lambda_numeric(frame, circle_curve(radius=r, nodes=cfg.nodes))
-            for r in {0.5, 1.0, 2.0, cfg.radius}}
+    lams = {r: lambda_numeric(frame, circle) for r, circle in curves.xy.items()}
     rec["lambda"] = _lambda_record(lams[cfg.radius], "xy")
     lam_one = lams[1.0]
     radius_dev = max(
@@ -307,17 +372,13 @@ def _verify_one_fixture(name: str, cfg: RunConfig) -> dict:
     # plane choice is exposed rather than assumed equivalent: report the
     # observed variation on any other-plane circle that still embraces once
     plane_var = None
-    for plane in ("yz", "zx"):
-        for orient in (False, True):
-            curve = circle_curve(nodes=cfg.nodes, plane=plane)
-            if orient:
-                curve = curve.reversed()
-            try:
-                alt = lambda_numeric(frame, curve)
-            except (EmbraceError, NonInvertibleError):
-                continue
-            dev = norm_euclid(alt.lambda_ - lam_one.lambda_) / norm_euclid(lam_one.lambda_)
-            plane_var = max(plane_var or 0.0, dev)
+    for curve in curves.off_plane:
+        try:
+            alt = lambda_numeric(frame, curve)
+        except (EmbraceError, NonInvertibleError):
+            continue
+        dev = norm_euclid(alt.lambda_ - lam_one.lambda_) / norm_euclid(lam_one.lambda_)
+        plane_var = max(plane_var or 0.0, dev)
     rec["lambda"]["plane_variation_rel"] = plane_var
 
     exact = exactness_conditions(frame)
@@ -335,13 +396,14 @@ def _verify_one_fixture(name: str, cfg: RunConfig) -> dict:
     rec["prediction_sound"] = prediction_sound
     ok &= prediction_sound
 
-    rec["cauchy_theorem"] = _cauchy_residuals(spec, frame, cfg.nodes)
+    rec["cauchy_theorem"] = _cauchy_residuals(frame, curves.theorem)
     ok &= all(v <= 1e-7 for v in rec["cauchy_theorem"].values())
-    rec["cauchy_formula"] = _formula_residuals(spec, frame, cfg.nodes)
+    rec["cauchy_formula"] = _formula_residuals(frame, _FORMULA_P0, curves.formula,
+                                               curves.formula_loop)
     ok &= all(v <= 1e-6 for v in rec["cauchy_formula"].values())
 
-    tri = [(0.2, 0.1, 0.0), (1.1, 0.3, 0.1), (0.4, 1.2, -0.2)]
-    mono = norm_euclid(morera_functional(zeta_field(frame), tri, frame, per_edge=2048))
+    # the Morera functional on each triangle: the loop integral around its boundary
+    mono = norm_euclid(curvilinear_integral(zeta_field(frame), curves.morera, frame))
     rec["morera"] = {"monogenic_zeta": mono}
     ok &= mono <= 1e-8
 
@@ -352,31 +414,25 @@ def _verify_one_fixture(name: str, cfg: RunConfig) -> dict:
         return out
 
     rec["morera"]["non_monogenic"] = norm_euclid(
-        morera_functional(non_mono, [(0, 0, 0), (1, 0, 0), (0, 1, 0)], frame, per_edge=512)
-    )
+        curvilinear_integral(non_mono, curves.morera_unit, frame))
     ok &= rec["morera"]["non_monogenic"] >= 1e-2
 
     lemma_pairs = 0
     lemma_viol = 0
-    curves = [
-        circle_curve(radius=1.0, nodes=512),
-        circle_curve(center=(0.1, 0.05, -0.04), radius=0.7, nodes=512, plane="zx"),
-        triangle_curve((0.2, 0.1, 0.0), (1.1, 0.3, 0.1), (0.4, 1.2, -0.2), per_edge=128),
-    ]
     fields = {
         "const": constant_field(unit_element(spec)),
         "zeta": zeta_field(frame),
         "zeta_sq": zeta_power_field(frame, 2),
         "non_monogenic": non_mono,
     }
-    c_used = None
+    c = certified_lemma_constant(frame)
     for fld in fields.values():
-        for curve in curves:
-            lhs, rhs, c_used = norm_inequality_check(fld, curve, frame)
+        for curve in curves.lemma:
+            lhs, rhs = _norm_inequality(fld, curve, frame, c)
             lemma_pairs += 1
             if lhs > rhs * (1 + 1e-12):
                 lemma_viol += 1
-    rec["lemma1"] = {"pairs": lemma_pairs, "violations": lemma_viol, "c": c_used}
+    rec["lemma1"] = {"pairs": lemma_pairs, "violations": lemma_viol, "c": c}
     ok &= lemma_viol == 0
 
     rec["ok"] = bool(ok)
@@ -384,7 +440,8 @@ def _verify_one_fixture(name: str, cfg: RunConfig) -> dict:
 
 
 def _cmd_verify_all(cfg: RunConfig):
-    results = [_verify_one_fixture(nm, cfg) for nm in CATALOG]
+    curves = _Curves.build(cfg)
+    results = [_verify_one_fixture(nm, cfg, curves) for nm in CATALOG]
     per_fixture = {rec["algebra"]: rec for rec in results}
     ok = all(rec["ok"] for rec in results)
     return {

@@ -160,13 +160,18 @@ def point_invertible(frame: E3Frame, p) -> tuple[bool, float]:
 
 def random_safe_points(frame: E3Frame, rng: np.random.Generator, count: int,
                        margin: float = 0.3) -> np.ndarray:
-    """count uniform draws from [-2, 2]^3 with every |xi_u| above margin."""
-    pts = []
+    """count uniform draws from [-2, 2]^3 with every |xi_u| above margin.
+
+    Each round draws exactly as many points as are still missing and keeps the
+    good ones in order, so the draws, and the generator's state after them,
+    are those of drawing and testing one point at a time.
+    """
+    pts = np.empty((0, 3))
     while len(pts) < count:
-        p = rng.uniform(-2.0, 2.0, size=3)
-        if np.min(np.abs(xi_values(frame, p))) > margin:
-            pts.append(p)
-    return np.array(pts)
+        draw = rng.uniform(-2.0, 2.0, size=(count - len(pts), 3))
+        keep = np.min(np.abs(_xi_batch(frame, draw)), axis=1) > margin
+        pts = np.concatenate([pts, draw[keep]])
+    return pts
 
 
 def frame_from_json(data: dict, spec: AlgebraSpec) -> E3Frame:

@@ -102,12 +102,13 @@ def circle_curve(center=(0.0, 0.0, 0.0), radius: float = 1.0, nodes: int = 4096,
     """Uniform circle in a parameter-coordinate plane, with exact tangents."""
     i, j = _PLANE_AXES[plane]
     t = np.linspace(0.0, 2 * np.pi, nodes + 1)
+    rcos, rsin = radius * np.cos(t), radius * np.sin(t)
     pts = np.tile(np.asarray(center, dtype=float), (nodes + 1, 1))
-    pts[:, i] += radius * np.cos(t)
-    pts[:, j] += radius * np.sin(t)
+    pts[:, i] += rcos
+    pts[:, j] += rsin
     tg = np.zeros_like(pts)
-    tg[:, i] = -radius * np.sin(t)
-    tg[:, j] = radius * np.cos(t)
+    tg[:, i] = -rsin
+    tg[:, j] = rcos
     return Curve3(pts, closed=True, tangents=tg, dt=2 * np.pi / nodes)
 
 
@@ -393,11 +394,17 @@ def certified_lemma_constant(frame: E3Frame) -> float:
 def norm_inequality_check(psi: Field, curve: Curve3, frame: E3Frame) -> tuple[float, float, float]:
     """(lhs, rhs, c): norm of the integral vs c * integral of ||Psi|| ||d zeta||."""
     c = certified_lemma_constant(frame)
+    return (*_norm_inequality(psi, curve, frame, c), c)
+
+
+def _norm_inequality(psi: Field, curve: Curve3, frame: E3Frame, c: float) -> tuple[float, float]:
+    """(lhs, rhs) of norm_inequality_check for the frame's constant c, which
+    checks of many fields and curves on one frame compute once."""
     vals = _eval_field(psi, curve.points, "curve")
     steps = _node_steps(curve)
     lhs = norm_euclid(_integrate_values(frame, vals, steps))
     rhs = c * float(np.sum(np.linalg.norm(vals, axis=1) * _zeta_tangent_norm(frame, steps)))
-    return lhs, rhs, c
+    return lhs, rhs
 
 
 def _zeta_tangent_norm(frame: E3Frame, d: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from .algebra import (
     unit_element,
 )
 from .geometry import E3Frame, _xi_batch, _zeta_coeffs
-from .integration import Curve3, _integrate_values, _node_steps, curvilinear_integral
+from .integration import Curve3, _eval_field, _integrate_values, _node_steps, curvilinear_integral
 from .monogenic import MonogenicSpec, representation_field
 from .resolvent import _t_batch, _zeta_inverse_batch
 
@@ -51,27 +51,30 @@ class EmbraceError(Exception):
 
 def winding_number(frame: E3Frame, curve: Curve3, u: int, around: complex = 0.0) -> int:
     """Discrete winding of t -> xi_u(curve(t)) - around about zero."""
-    w = _xi_batch(frame, curve.points)[:, u - 1] - around
+    return _winding(_xi_batch(frame, curve.points)[:, u - 1], u, around)
+
+
+def _winding(xi_u: np.ndarray, u: int, around: complex) -> int:
+    """winding_number from the values of xi_u at the curve's nodes."""
+    w = xi_u - around
     if np.min(np.abs(w)) < 1e-10 * (1 + abs(around)):
         raise EmbraceError(f"xi_{u} passes within 1e-10 of the winding point")
     total = float(np.sum(np.angle(w[1:] / w[:-1])))
     return int(np.rint(total / (2 * np.pi)))
 
 
-def _sigma_node_values(frame: E3Frame, pts: np.ndarray, d: np.ndarray,
-                       atil: np.ndarray | None = None) -> np.ndarray:
+def _sigma_node_values(frame: E3Frame, xi: np.ndarray, d: np.ndarray,
+                       atil: np.ndarray) -> np.ndarray:
     """sigma_k of the integrand decomposition, per node, applied to tangent data d.
 
-    atil (N, n) stands in for the recurrence inverse zeta^{-1} at the nodes.
+    xi (N, m) holds the xi_u at the nodes; atil (N, n) stands in for the
+    recurrence inverse zeta^{-1} there.
     """
     spec = frame.spec
     n, m = spec.n, spec.m
-    if atil is None:
-        atil = _zeta_inverse_batch(frame, pts)
     dxi = d[:, 0, None] + d[:, 1, None] * frame.a[:m] + d[:, 2, None] * frame.b[:m]
     dT = d[:, 1, None] * frame.a[m:] + d[:, 2, None] * frame.b[m:]
-    xi = _xi_batch(frame, pts)
-    out = np.zeros((len(pts), n), dtype=complex)
+    out = np.zeros((len(xi), n), dtype=complex)
     out[:, :m] = dxi / xi
     for k, uk, triples in spec.plan.sigma:
         acc = dT[:, k - m - 1] / xi[:, uk - 1] + atil[:, k - 1] * dxi[:, uk - 1]
@@ -94,9 +97,16 @@ class LambdaResult:
 
 def lambda_numeric(frame: E3Frame, circle: Curve3, *, tol: float | None = None) -> LambdaResult:
     """Loop integral of zeta^{-1} d zeta with embrace and invertibility preconditions."""
+    return _lambda_numeric(frame, circle, tol)[0]
+
+
+def _lambda_numeric(frame: E3Frame, circle: Curve3,
+                    tol: float | None) -> tuple[LambdaResult, np.ndarray]:
+    """lambda_numeric, and the zeta^{-1} at the curve's nodes that it integrated."""
     spec = frame.spec
     if not circle.closed:
         raise EmbraceError("lambda requires a closed curve")
+    # one xi per node serves the embrace margin, the winding numbers and the sigma forms
     xi = _xi_batch(frame, circle.points)
     margin = float(np.min(np.abs(xi)))
     if margin < 1e-12 * (1 + float(np.max(np.abs(circle.points)))):
@@ -104,15 +114,14 @@ def lambda_numeric(frame: E3Frame, circle: Curve3, *, tol: float | None = None) 
         raise NonInvertibleError(f"curve node on or near line L_{u}", u=u)
     winding = {}
     for u in range(1, spec.m + 1):
-        wu = winding_number(frame, circle, u)
+        wu = _winding(xi[:, u - 1], u, 0.0)
         winding[u] = wu
         if wu != 1:
             raise EmbraceError(f"curve does not embrace once: winding of xi_{u} is {wu}")
-    # one zeta^{-1} per node serves lambda and the sigma-form integrals
     steps = _node_steps(circle)
     inv = _zeta_inverse_batch(frame, circle.points)
     lam = _integrate_values(frame, inv, steps)
-    total = _sigma_node_values(frame, circle.points, steps, inv).sum(axis=0)
+    total = _sigma_node_values(frame, xi, steps, inv).sum(axis=0)
     sig = {k: complex(total[k - 1]) for k in range(spec.m + 1, spec.n + 1)}
     centroid = circle.points[:-1].mean(axis=0)
     radius = float(np.mean(np.linalg.norm(circle.points[:-1] - centroid, axis=1)))
@@ -126,7 +135,7 @@ def lambda_numeric(frame: E3Frame, circle: Curve3, *, tol: float | None = None) 
         is_2pi_i=bool(dev <= tol),
         tol=tol,
         winding=winding,
-    )
+    ), inv
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +330,8 @@ def sigma_direct(frame: E3Frame, p, dp,
     atil = _zeta_inverse_batch(frame, pt)
     for k, v in (atilde or {}).items():
         atil[0, k - 1] = v
-    vals = _sigma_node_values(frame, pt, np.asarray(dp, dtype=float)[None], atil)[0]
+    vals = _sigma_node_values(frame, _xi_batch(frame, pt), np.asarray(dp, dtype=float)[None],
+                              atil)[0]
     return {k: complex(v) for k, v in enumerate(vals, start=1)}
 
 
@@ -451,25 +461,23 @@ def cauchy_formula_residual(phi, frame: E3Frame, p0, curve: Curve3, *,
                             nodes: int = 1024) -> float:
     """norm(lambda * Phi(zeta_0) - loop integral of Phi(zeta)(zeta - zeta_0)^{-1} d zeta)."""
     p0 = np.asarray(p0, dtype=float)
-    return _formula_residual(_as_field(phi, frame, nodes), frame, p0, curve,
-                             _formula_lambda(frame, p0, curve))
+    field_fn = _as_field(phi, frame, nodes)
+    res, inv = _lambda_numeric(frame, _formula_loop(curve, p0), None)
+    phi0 = np.asarray(field_fn(p0[None, :]), dtype=complex)[0]
+    vals = _eval_field(field_fn, curve.points, "curve")
+    return _formula_residual(frame, res.lambda_, phi0, vals, inv, _node_steps(curve))
 
 
-def _formula_lambda(frame: E3Frame, p0: np.ndarray, curve: Curve3) -> AlgElement:
-    """The lambda of the Cauchy formula at p0: lambda on the curve translated by -p0."""
-    translated = Curve3(curve.points - p0, curve.closed, curve.tangents, curve.dt)
-    return lambda_numeric(frame, translated).lambda_
+def _formula_loop(curve: Curve3, p0: np.ndarray) -> Curve3:
+    """The curve translated by -p0: zeta - zeta_0 runs over it, and the lambda
+    of the Cauchy formula at p0 is lambda_numeric on it."""
+    return Curve3(curve.points - p0, curve.closed, curve.tangents, curve.dt)
 
 
-def _formula_residual(field_fn, frame: E3Frame, p0: np.ndarray, curve: Curve3,
-                      lam: AlgElement) -> float:
-    """cauchy_formula_residual for a field callable, given its lambda (_formula_lambda)."""
+def _formula_residual(frame: E3Frame, lam: AlgElement, phi0: np.ndarray, vals: np.ndarray,
+                      inv: np.ndarray, steps: np.ndarray) -> float:
+    """cauchy_formula_residual from node data: Phi(zeta_0) (n,), Phi (N, n) and
+    (zeta - zeta_0)^{-1} (N, n) at the curve's nodes, and their steps (_node_steps)."""
     spec = frame.spec
-    phi0 = AlgElement(spec, np.asarray(field_fn(p0[None, :]), dtype=complex)[0])
-
-    def integrand(pts):
-        return _mul_coeffs(spec, np.asarray(field_fn(pts), dtype=complex),
-                           _zeta_inverse_batch(frame, pts - p0))
-
-    rhs = curvilinear_integral(integrand, curve, frame)
-    return norm_euclid(multiply(lam, phi0) - rhs)
+    rhs = _integrate_values(frame, _mul_coeffs(spec, vals, inv), steps)
+    return norm_euclid(multiply(lam, AlgElement(spec, phi0)) - rhs)

@@ -235,11 +235,18 @@ def _moments(func: HoloFunction, center, radius, xi_u, kmax: int, nodes: int) ->
 
 def _rep_batch(mspec: MonogenicSpec, frame: E3Frame, pts: np.ndarray,
                nodes: int = 1024) -> np.ndarray:
+    xi, _, _, Q = _recurrences(frame, pts)
+    return _rep_values(mspec, frame, xi, Q, nodes)
+
+
+def _rep_values(mspec: MonogenicSpec, frame: E3Frame, xi: np.ndarray, Q,
+                nodes: int) -> np.ndarray:
+    """The representation at a batch of points given their xi and Q from
+    _recurrences, which functions evaluated at the same points can share."""
     spec = frame.spec
     m = spec.m
     if len(mspec.F) != m:
         raise ValueError(f"need one F_u per idempotent ({m}), got {len(mspec.F)}")
-    xi, _, _, Q = _recurrences(frame, pts)
     centers, radii = _auto_contours(xi, m, mspec.contours)
     for u in range(1, m + 1):
         _check_enclosure(xi, u, centers[u - 1], radii[u - 1])

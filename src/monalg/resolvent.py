@@ -159,12 +159,22 @@ def resolvent_at(t: complex, frame: E3Frame, p) -> AlgElement:
     return AlgElement(frame.spec, _resolvent_batch(frame, _one(p), complex(t))[0])
 
 
+def _pole_scale(pts: np.ndarray) -> float:
+    """1 + the largest |p| over a batch of points (..., 3).
+
+    Bit for bit np.linalg.norm(pts, axis=-1).max() + 1: the squares are summed
+    in the same order, and sqrt is correctly rounded and monotone, so it can
+    be taken after the max, without norm's copies.
+    """
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    return 1 + np.sqrt(np.max(x * x + y * y + z * z))
+
+
 def _zeta_inverse_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
     spec = frame.spec
     pts = np.asarray(pts, dtype=float)
     xi, _, _, Q = _recurrences(frame, pts)
-    scale = 1 + np.linalg.norm(np.atleast_2d(pts), axis=-1).max()
-    bad = np.abs(xi) < _POLE_TOL * scale
+    bad = np.abs(xi) < _POLE_TOL * _pole_scale(pts)
     if np.any(bad):
         u = int(np.argwhere(bad)[0][-1]) + 1
         raise NonInvertibleError(f"point lies on line L_{u} (xi_{u} = 0)", u=u)

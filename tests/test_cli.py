@@ -130,30 +130,91 @@ def test_verify_all_plane_loop_propagates_unexpected_errors(monkeypatch):
         return real(frame, curve, *args, **kwargs)
 
     monkeypatch.setattr(cli, "lambda_numeric", failing_off_xy)
+    cfg = cli.RunConfig("verify-all", nodes=256)
     with pytest.raises(RuntimeError, match="off the xy plane"):
-        cli._verify_one_fixture("A5", cli.RunConfig("verify-all", nodes=256))
+        cli._verify_one_fixture("A5", cfg, cli._Curves.build(cfg))
 
 
 def test_formula_residuals_compute_lambda_once(monkeypatch):
     # the three monogenic functions share the curve, so they share its lambda
-    import monalg.lambda_const
     from monalg import cauchy_formula_residual, circle_curve, load_fixture
+    from monalg.lambda_const import _formula_loop
 
     frame = load_fixture("A5").default_frame
     calls = []
-    real = monalg.lambda_const.lambda_numeric
+    real = cli._lambda_numeric
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(monalg.lambda_const, "lambda_numeric", counting)
-    got = cli._formula_residuals(frame.spec, frame, 256)
-    assert len(calls) == 1
+    monkeypatch.setattr(cli, "_lambda_numeric", counting)
     p0 = np.array([0.31, 0.17, -0.23])
     curve = circle_curve(center=p0, radius=0.9, nodes=256)
+    got = cli._formula_residuals(frame, p0, curve, _formula_loop(curve, p0))
+    assert len(calls) == 1
     for name, ms in cli._standard_mspecs(frame.spec).items():
         assert got[name] == cauchy_formula_residual(ms, frame, p0, curve, nodes=512)
+
+
+def test_cauchy_residuals_are_cauchy_theorem_residual():
+    from monalg import cauchy_theorem_residual, list_fixtures, load_fixture
+
+    curve = cli._theorem_circle(256)
+    for fixture in list_fixtures():
+        frame = load_fixture(fixture).default_frame
+        got = cli._cauchy_residuals(frame, curve)
+        for name, ms in cli._standard_mspecs(frame.spec).items():
+            assert got[name] == cauchy_theorem_residual(ms, frame, curve, nodes=512), fixture
+
+
+def _spy(monkeypatch, module, name: str, record) -> None:
+    """Replace module.name, in every monalg module that binds it, by a wrapper
+    that passes the call's arguments to record(args, kwargs) first."""
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        record(args, kwargs)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "monalg" and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, spy)
+
+
+def test_verify_all_builds_each_curve_once(monkeypatch):
+    # none of verify-all's curves depends on the fixture
+    built = []
+    _spy(monkeypatch, cli, "circle_curve", lambda args, kwargs: built.append((args, kwargs)))
+    monkeypatch.setattr(cli, "CATALOG", cli.CATALOG[:3])
+    cli._cmd_verify_all(cli.RunConfig("verify-all", nodes=256, radius=1.5))
+    assert len(built) == 10
+    keys = [repr(args) for args in built]
+    assert len(set(keys)) == len(keys)
+
+
+def test_verify_all_shares_work_on_each_curve(monkeypatch):
+    from monalg import resolvent
+
+    cfg = cli.RunConfig("verify-all", nodes=256)
+    curves = cli._Curves.build(cfg)
+    recurrences, inverses, constants = [], [], []
+    _spy(monkeypatch, resolvent, "_recurrences", lambda args, _: recurrences.append(args[1]))
+    _spy(monkeypatch, resolvent, "_zeta_inverse_batch", lambda args, _: inverses.append(args[1]))
+    _spy(monkeypatch, cli, "certified_lemma_constant", lambda args, _: constants.append(args))
+
+    def runs_on(seen, curve):
+        return sum(np.array_equal(pts, curve.points) for pts in seen)
+
+    for fixture in ("A5", "J71", "C2"):
+        for seen in (recurrences, inverses, constants):
+            seen.clear()
+        assert cli._verify_one_fixture(fixture, cfg, curves)["ok"]
+        assert runs_on(recurrences, curves.theorem) == 1, fixture
+        assert runs_on(recurrences, curves.formula) == 1, fixture
+        assert runs_on(recurrences, curves.formula_loop) == 1, fixture
+        assert runs_on(inverses, curves.formula_loop) == 1, fixture
+        assert len(constants) == 1, fixture
 
 
 def test_batched_oracle_matches_point_by_point_solves():

@@ -122,3 +122,27 @@ def test_frame_json_cross_check(bundles):
     data = frame_to_json(bundles["A5"].default_frame)
     with pytest.raises(ValueError):
         frame_from_json(data, bundles["C2"].algebra)
+
+
+def _safe_points_one_at_a_time(frame, rng, count, margin=0.3):
+    """random_safe_points as a loop that draws and tests one point at a time."""
+    pts = []
+    while len(pts) < count:
+        p = rng.uniform(-2.0, 2.0, size=3)
+        if np.min(np.abs(xi_values(frame, p))) > margin:
+            pts.append(p)
+    return np.array(pts)
+
+
+def test_random_safe_points_makes_the_draws_of_a_point_loop(bundles):
+    # seeded tests and verify-all's oracle depend on this draw order
+    from monalg.geometry import random_safe_points
+
+    for bundle in bundles.values():
+        for frame in bundle.frames.values():
+            for seed, count, margin in ((0, 1, 0.3), (3, 25, 0.3), (11, 100, 0.3), (5, 40, 1.2)):
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = random_safe_points(frame, got_rng, count, margin)
+                want = _safe_points_one_at_a_time(frame, want_rng, count, margin)
+                assert np.array_equal(got, want)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state

@@ -105,6 +105,26 @@ def test_winding_numbers(bundles):
         winding_number(frame, circle, 1, around=1.0)  # xi passes through 1
 
 
+def test_lambda_evaluates_xi_once(bundles, monkeypatch):
+    # the embrace margin, every winding number and the sigma forms read one
+    # batch of xi_u at the nodes (zeta^{-1} takes its own in _recurrences)
+    import monalg.lambda_const
+
+    calls = []
+    real = monalg.lambda_const._xi_batch
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(monalg.lambda_const, "_xi_batch", counting)
+    circle = circle_curve(radius=1.0, nodes=256)
+    for bundle in bundles.values():
+        calls.clear()
+        lambda_numeric(bundle.default_frame, circle)
+        assert len(calls) == 1, bundle.algebra.name
+
+
 def test_lambda_c2_is_2pi_i(bundles):
     res = lambda_numeric(bundles["C2"].default_frame, circle_curve(nodes=2048))
     dev = norm_euclid(res.lambda_ - TWO_PI_I * unit_element(bundles["C2"].algebra))

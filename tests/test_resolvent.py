@@ -260,3 +260,20 @@ def test_evaluation_never_scans_gamma(bundles, monkeypatch):
             poly = HoloFunction("polynomial", (0.5, 1.0, -0.3j))
             G = {n: poly} if n > m else {}
             eval_representation(MonogenicSpec(F=(poly,) * m, G=G), frame, p)
+
+
+def test_pole_scale_is_the_norm_expression_bit_for_bit():
+    # _zeta_inverse_batch's pole test once scaled by this norm expression
+    from monalg.resolvent import _pole_scale
+
+    def norm_scale(pts):
+        return 1 + np.linalg.norm(np.atleast_2d(pts), axis=-1).max()
+
+    rng = np.random.default_rng(23)
+    batches = [np.array([0.3, -0.4, 1.2]), np.zeros((1, 3)), np.eye(3)]
+    for exponent in (-150, -100, 0, 100, 150):
+        for n in (1, 2, 7, 4097):
+            pts = rng.normal(size=(n, 3)) * 10.0 ** (exponent + rng.uniform(-3, 3, size=(n, 1)))
+            batches += [pts, np.asfortranarray(pts), pts[::-1], pts.reshape(1, n, 3)]
+    for pts in batches:
+        assert _pole_scale(pts) == norm_scale(pts), pts.shape
