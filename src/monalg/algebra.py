@@ -366,39 +366,37 @@ def validate_algebra(spec: AlgebraSpec, tol: float = 1e-12) -> ValidationReport:
             if np.max(np.abs(tab[r - 1, s - 1] - tab[s - 1, r - 1])) > tol:
                 report.violations.append(f"commutativity: I_{r} I_{s} != I_{s} I_{r}")
 
-    def prod3_left(i, j, k):
-        return _mul_coeffs(spec, tab[i - 1, j - 1], np.eye(n, dtype=complex)[k - 1])
+    # each check is one batched product; a batch row is bit for bit its single product
+    eye = np.eye(n, dtype=complex)
 
-    def prod3_right(i, j, k):
-        return _mul_coeffs(spec, np.eye(n, dtype=complex)[i - 1], tab[j - 1, k - 1])
+    def assoc(label: str, left) -> None:
+        triples = [(i, s, p) for i in left for s in nil for p in nil]
+        if not triples:
+            return
+        ii, ss, pp = (np.array(col) - 1 for col in zip(*triples))
+        lhs = _mul_coeffs(spec, tab[ii, ss], eye[pp])
+        rhs = _mul_coeffs(spec, eye[ii], tab[ss, pp])
+        bad = np.max(np.abs(lhs - rhs), axis=1) > tol * (1 + np.max(np.abs(lhs), axis=1))
+        for (i, s, p), b in zip(triples, bad):
+            if b:
+                report.violations.append(
+                    f"assoc-{label}: (I_{i} I_{s}) I_{p} != I_{i} (I_{s} I_{p})")
 
-    for r in nil:
-        for s in nil:
-            for p in nil:
-                lhs, rhs = prod3_left(r, s, p), prod3_right(r, s, p)
-                if np.max(np.abs(lhs - rhs)) > tol * (1 + np.max(np.abs(lhs))):
-                    report.violations.append(f"assoc-A1: (I_{r} I_{s}) I_{p} != I_{r} (I_{s} I_{p})")
-    for u in range(1, m + 1):
-        for s in nil:
-            for p in nil:
-                lhs, rhs = prod3_left(u, s, p), prod3_right(u, s, p)
-                if np.max(np.abs(lhs - rhs)) > tol * (1 + np.max(np.abs(lhs))):
-                    report.violations.append(f"assoc-A2: (I_{u} I_{s}) I_{p} != I_{u} (I_{s} I_{p})")
+    assoc("A1", nil)
+    assoc("A2", range(1, m + 1))
 
-    one = spec.unit_coeffs
-    for k in range(1, n + 1):
-        ek = np.eye(n, dtype=complex)[k - 1]
-        if np.max(np.abs(_mul_coeffs(spec, one, ek) - ek)) > tol:
-            report.violations.append(f"unit: (sum I_u) I_{k} != I_{k}")
+    unit_off = np.max(np.abs(_mul_coeffs(spec, spec.unit_coeffs, eye) - eye), axis=1)
+    for k in np.flatnonzero(unit_off > tol).tolist():
+        report.violations.append(f"unit: (sum I_u) I_{k + 1} != I_{k + 1}")
 
     # nilpotency: span of (n-m+1)-fold products of nilpotent basis vectors must be 0
     if n > m:
-        span = np.eye(n, dtype=complex)[m:]
+        span = eye[m:]
         for _ in range(n - m):
-            prods = [
-                _mul_coeffs(spec, v, np.eye(n, dtype=complex)[s - 1]) for v in span for s in nil
-            ]
-            span = np.array([p for p in prods if np.max(np.abs(p)) > tol])
+            # every span vector times every nilpotent basis vector, in that order
+            prods = _mul_coeffs(spec, np.repeat(span, n - m, axis=0),
+                                np.tile(eye[m:], (len(span), 1)))
+            span = prods[np.max(np.abs(prods), axis=1) > tol]
             if span.size == 0:
                 break
         if span.size != 0:

@@ -38,6 +38,7 @@ from .integration import (
     _integrate_values,
     _node_steps,
     _norm_inequality,
+    _zeta_tangent_norm,
     certified_lemma_constant,
     circle_curve,
     constant_field,
@@ -426,9 +427,11 @@ def _verify_one_fixture(name: str, cfg: RunConfig, curves: _Curves) -> dict:
         "non_monogenic": non_mono,
     }
     c = certified_lemma_constant(frame)
-    for fld in fields.values():
-        for curve in curves.lemma:
-            lhs, rhs = _norm_inequality(fld, curve, frame, c)
+    for curve in curves.lemma:
+        steps = _node_steps(curve)
+        dzeta = _zeta_tangent_norm(frame, steps)
+        for fld in fields.values():
+            lhs, rhs = _norm_inequality(fld, curve, frame, c, steps, dzeta)
             lemma_pairs += 1
             if lhs > rhs * (1 + 1e-12):
                 lemma_viol += 1

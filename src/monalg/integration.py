@@ -394,20 +394,23 @@ def certified_lemma_constant(frame: E3Frame) -> float:
 def norm_inequality_check(psi: Field, curve: Curve3, frame: E3Frame) -> tuple[float, float, float]:
     """(lhs, rhs, c): norm of the integral vs c * integral of ||Psi|| ||d zeta||."""
     c = certified_lemma_constant(frame)
-    return (*_norm_inequality(psi, curve, frame, c), c)
-
-
-def _norm_inequality(psi: Field, curve: Curve3, frame: E3Frame, c: float) -> tuple[float, float]:
-    """(lhs, rhs) of norm_inequality_check for the frame's constant c, which
-    checks of many fields and curves on one frame compute once."""
-    vals = _eval_field(psi, curve.points, "curve")
     steps = _node_steps(curve)
+    return (*_norm_inequality(psi, curve, frame, c, steps, _zeta_tangent_norm(frame, steps)), c)
+
+
+def _norm_inequality(psi: Field, curve: Curve3, frame: E3Frame, c: float, steps: np.ndarray,
+                     dzeta: np.ndarray) -> tuple[float, float]:
+    """(lhs, rhs) of norm_inequality_check from the frame's constant c, the
+    curve's steps (_node_steps) and dzeta = _zeta_tangent_norm(frame, steps):
+    checks of many fields on one frame and curve compute those once."""
+    vals = _eval_field(psi, curve.points, "curve")
     lhs = norm_euclid(_integrate_values(frame, vals, steps))
-    rhs = c * float(np.sum(np.linalg.norm(vals, axis=1) * _zeta_tangent_norm(frame, steps)))
+    rhs = c * float(np.sum(np.linalg.norm(vals, axis=1) * dzeta))
     return lhs, rhs
 
 
 def _zeta_tangent_norm(frame: E3Frame, d: np.ndarray) -> np.ndarray:
+    """||d zeta|| at each node for tangent data d (N, 3)."""
     alg = (d[:, 0, None] * frame.spec.unit_coeffs
            + d[:, 1, None] * frame.a + d[:, 2, None] * frame.b)
     return np.linalg.norm(alg, axis=1)

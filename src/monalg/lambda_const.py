@@ -24,7 +24,15 @@ from .algebra import (
     unit_element,
 )
 from .geometry import E3Frame, _xi_batch, _zeta_coeffs
-from .integration import Curve3, _eval_field, _integrate_values, _node_steps, curvilinear_integral
+from .integration import (
+    Curve3,
+    _assemble,
+    _eval_field,
+    _integrate_values,
+    _node_steps,
+    _weighted_sums,
+    curvilinear_integral,
+)
 from .monogenic import MonogenicSpec, representation_field
 from .resolvent import _t_batch, _zeta_inverse_batch
 
@@ -63,24 +71,34 @@ def _winding(xi_u: np.ndarray, u: int, around: complex) -> int:
     return int(np.rint(total / (2 * np.pi)))
 
 
-def _sigma_node_values(frame: E3Frame, xi: np.ndarray, d: np.ndarray,
-                       atil: np.ndarray) -> np.ndarray:
-    """sigma_k of the integrand decomposition, per node, applied to tangent data d.
+def _sigma_forms(frame: E3Frame, S: np.ndarray) -> np.ndarray:
+    """sigma_1..sigma_n of the integrand decomposition summed over nodes, from S (..., 3, n).
 
-    xi (N, m) holds the xi_u at the nodes; atil (N, n) stands in for the
-    recurrence inverse zeta^{-1} there.
+    At one node sigma_k is linear in the tangent d and in zeta^{-1} there,
+    its idempotent part included, since zeta^{-1}_u = 1/xi_u.  So the sum over
+    nodes of sigma_k(d_i) is a fixed linear map of S = sum_i d_i zeta^{-1}(p_i)^T
+    (rows dx, dy, dz; integration._weighted_sums of the steps and the inverse),
+    the sums lambda is assembled from.  A single point is S = outer(d, zeta^{-1}).
+    With x, y, z the rows of S, the forms read, column by column,
+        sigma_u = x_u + a_u y_u + b_u z_u                 (d xi_u / xi_u),
+        sigma_k = a_k y_{u_k} + b_k z_{u_k}               (d T_k / xi_{u_k})
+                  + x_k + a_{u_k} y_k + b_{u_k} z_k       (zeta^{-1}_k d xi_{u_k})
+                  + sum gamma(r, s, k) (a_s y_r + b_s z_r)  (zeta^{-1}_r d T_s),
+    the last sum over the plan's sigma triples (r, s, gamma(r, s, k)).
     """
     spec = frame.spec
-    n, m = spec.n, spec.m
-    dxi = d[:, 0, None] + d[:, 1, None] * frame.a[:m] + d[:, 2, None] * frame.b[:m]
-    dT = d[:, 1, None] * frame.a[m:] + d[:, 2, None] * frame.b[m:]
-    out = np.zeros((len(xi), n), dtype=complex)
-    out[:, :m] = dxi / xi
+    m = spec.m
+    a, b = frame.a, frame.b
+    x, y, z = S[..., 0, :], S[..., 1, :], S[..., 2, :]
+    out = np.empty(S.shape[:-2] + (spec.n,), dtype=complex)
+    out[..., :m] = x[..., :m] + a[:m] * y[..., :m] + b[:m] * z[..., :m]
     for k, uk, triples in spec.plan.sigma:
-        acc = dT[:, k - m - 1] / xi[:, uk - 1] + atil[:, k - 1] * dxi[:, uk - 1]
+        u = uk - 1
+        acc = (a[k - 1] * y[..., u] + b[k - 1] * z[..., u]
+               + (x[..., k - 1] + a[u] * y[..., k - 1] + b[u] * z[..., k - 1]))
         for r, s, g in triples:
-            acc = acc + atil[:, r - 1] * dT[:, s - m - 1] * g
-        out[:, k - 1] = acc
+            acc = acc + (a[s - 1] * y[..., r - 1] + b[s - 1] * z[..., r - 1]) * g
+        out[..., k - 1] = acc
     return out
 
 
@@ -106,7 +124,8 @@ def _lambda_numeric(frame: E3Frame, circle: Curve3,
     spec = frame.spec
     if not circle.closed:
         raise EmbraceError("lambda requires a closed curve")
-    # one xi per node serves the embrace margin, the winding numbers and the sigma forms
+    # one xi per node serves the embrace margin, the winding numbers and the
+    # zeta^{-1} recurrence; the sigma forms need no per-node pass of their own
     xi = _xi_batch(frame, circle.points)
     margin = float(np.min(np.abs(xi)))
     if margin < 1e-12 * (1 + float(np.max(np.abs(circle.points)))):
@@ -118,10 +137,12 @@ def _lambda_numeric(frame: E3Frame, circle: Curve3,
         winding[u] = wu
         if wu != 1:
             raise EmbraceError(f"curve does not embrace once: winding of xi_{u} is {wu}")
-    steps = _node_steps(circle)
-    inv = _zeta_inverse_batch(frame, circle.points)
-    lam = _integrate_values(frame, inv, steps)
-    total = _sigma_node_values(frame, xi, steps, inv).sum(axis=0)
+    inv = _zeta_inverse_batch(frame, circle.points, xi)
+    # S = sum over nodes of step (x) zeta^{-1}: lambda is e1 S_x + e2 S_y + e3 S_z
+    # by the table product, the sigma integrals the same sums by the plan's triples
+    S = _weighted_sums(_node_steps(circle), inv)
+    lam = _assemble(frame, *S)
+    total = _sigma_forms(frame, S)
     sig = {k: complex(total[k - 1]) for k in range(spec.m + 1, spec.n + 1)}
     centroid = circle.points[:-1].mean(axis=0)
     radius = float(np.mean(np.linalg.norm(circle.points[:-1] - centroid, axis=1)))
@@ -188,7 +209,12 @@ def _atilde_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
         nums[:, 3, 1] = t1 * M + t2 * P + t3 * L
         nums[:, 3, 2] = -(a1 * P + L * n3)
         nums[:, 3, 3] = L * n4
-    return (nums / x[..., None] ** np.arange(2, cols + 2)).sum(axis=-1)
+    # x^2 .. x^(cols+1) by repeated multiplication, like the recurrence's factors
+    xp = np.empty_like(nums)
+    xp[..., 0] = x * x
+    for d in range(1, cols):
+        xp[..., d] = xp[..., d - 1] * x
+    return (nums / xp).sum(axis=-1)
 
 
 def atilde_closed(frame: E3Frame, p) -> dict[int, complex]:
@@ -326,12 +352,10 @@ def sigma_direct(frame: E3Frame, p, dp,
     With atilde given (e.g. from atilde_closed) the nilpotent coefficients come
     from it; otherwise from the recurrence inverse.
     """
-    pt = np.asarray(p, dtype=float)[None]
-    atil = _zeta_inverse_batch(frame, pt)
+    atil = _zeta_inverse_batch(frame, np.asarray(p, dtype=float)[None])[0]
     for k, v in (atilde or {}).items():
-        atil[0, k - 1] = v
-    vals = _sigma_node_values(frame, _xi_batch(frame, pt), np.asarray(dp, dtype=float)[None],
-                              atil)[0]
+        atil[k - 1] = v
+    vals = _sigma_forms(frame, np.outer(np.asarray(dp, dtype=float), atil))
     return {k: complex(v) for k, v in enumerate(vals, start=1)}
 
 

@@ -7,9 +7,12 @@ I_r I_k), and one recurrence Q.  The resolvent is
                        + sum_s sum_k Q_{k,s} (t - xi_{u_s})^{-k} I_s,
 and zeta^{-1} is minus its value at t = 0, which is the same expansion with
 the factors (-1)^{k+1} xi_u^{-k}; the inverse recurrence is therefore
-Qtilde_{k,s} = (-1)^{k+1} Q_{k,s}.  The monogenic representation reuses the
-expansion with contour moments as factors (see _expand).  All of this is
-cross-checked against the dense linear-solve oracle in the tests.
+Qtilde_{k,s} = (-1)^{k+1} Q_{k,s}.  _power_factors forms each factor of
+either kind as +-1 / x^k, with x^k accumulated by repeated multiplication:
+one complex multiply and one divide per order.  The monogenic
+representation reuses the expansion with contour moments as factors (see
+_expand).  All of this is cross-checked against the dense linear-solve
+oracle in the tests.
 
 The sums over the structure constants are fixed per algebra, so they are
 not rediscovered per call: AlgebraSpec builds a CouplingPlan once, listing
@@ -56,15 +59,17 @@ def _t_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
     return y[..., None] * frame.a[m:] + z[..., None] * frame.b[m:]
 
 
-def _recurrences(frame: E3Frame, pts: np.ndarray):
+def _recurrences(frame: E3Frame, pts: np.ndarray, xi: np.ndarray | None = None):
     """xi, T, B, Q at a batch of points, from the spec's coupling plan.
 
     B[(r, s)] and Q[(k, s)] hold arrays of the batch shape, with Q defined for
     k in 2..s-m+1 only; entries that are identically zero share one zero array.
+    A caller that already holds xi = _xi_batch(frame, pts) passes it in.
     """
     spec = frame.spec
     m = spec.m
-    xi = _xi_batch(frame, pts)
+    if xi is None:
+        xi = _xi_batch(frame, pts)
     T = _t_batch(frame, pts)
     zero = np.zeros_like(xi[..., 0])
 
@@ -84,6 +89,22 @@ def _recurrences(frame: E3Frame, pts: np.ndarray):
                 acc = acc + Q[q] * B[b]
             Q[ks] = acc if pairs else zero
     return xi, T, B, Q
+
+
+def _power_factors(x: np.ndarray, kmax: int, alternate: bool = False) -> list[np.ndarray]:
+    """[c_k / x^k for k = 1..kmax], c_k = 1, or (-1)^{k+1} when alternate.
+
+    x^k is accumulated by repeated multiplication and divided into c_k once.
+    A complex x ** -k costs several times that multiply and divide, and is
+    less accurate for k >= 2; (1/x)^k compounds the rounding of 1/x and is
+    less accurate still.
+    """
+    out = [1.0 / x]
+    xk = x
+    for k in range(2, kmax + 1):
+        xk = xk * x
+        out.append(-1.0 / xk if alternate and k % 2 == 0 else 1.0 / xk)
+    return out
 
 
 def _expand(spec: AlgebraSpec, Q, W) -> np.ndarray:
@@ -149,8 +170,7 @@ def _resolvent_batch(frame: E3Frame, pts: np.ndarray, t) -> np.ndarray:
         u = int(idx[-1]) + 1
         raise SingularityError(f"t = {complex(np.broadcast_to(t, d.shape)[idx])} hits "
                                f"the pole xi_{u}", u=u)
-    W = [[1.0 / d[..., u]] + [d[..., u] ** -k for k in range(2, kmax + 1)]
-         for u, kmax in enumerate(spec.plan.orders)]
+    W = [_power_factors(d[..., u], kmax) for u, kmax in enumerate(spec.plan.orders)]
     return _expand(spec, Q, W)
 
 
@@ -170,17 +190,18 @@ def _pole_scale(pts: np.ndarray) -> float:
     return 1 + np.sqrt(np.max(x * x + y * y + z * z))
 
 
-def _zeta_inverse_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
+def _zeta_inverse_batch(frame: E3Frame, pts: np.ndarray,
+                        xi: np.ndarray | None = None) -> np.ndarray:
+    """zeta^{-1} at a batch of points (..., 3) -> (..., n); xi as in _recurrences."""
     spec = frame.spec
     pts = np.asarray(pts, dtype=float)
-    xi, _, _, Q = _recurrences(frame, pts)
+    xi, _, _, Q = _recurrences(frame, pts, xi)
     bad = np.abs(xi) < _POLE_TOL * _pole_scale(pts)
     if np.any(bad):
         u = int(np.argwhere(bad)[0][-1]) + 1
         raise NonInvertibleError(f"point lies on line L_{u} (xi_{u} = 0)", u=u)
     # minus the resolvent at t = 0: the factors are (-1)^{k+1} xi_u^{-k}
-    W = [[1.0 / xi[..., u]]
-         + [xi[..., u] ** -k if k % 2 else -(xi[..., u] ** -k) for k in range(2, kmax + 1)]
+    W = [_power_factors(xi[..., u], kmax, alternate=True)
          for u, kmax in enumerate(spec.plan.orders)]
     return _expand(spec, Q, W)
 

@@ -325,3 +325,64 @@ def test_batched_dense_solve_names_the_vanishing_functional(bundles):
         with pytest.raises(NonInvertibleError, match=f"^f_{u}\\(a\\) = 0: ") as one:
             invert_direct(AlgElement(spec, batch[4]))
         assert one.value.u == u
+
+
+def _validate_by_loops(spec, tol=1e-12) -> list[str]:
+    """The associativity, unit and nilpotency violations of validate_algebra,
+    checked as before they were batched: one product per basis pair or triple."""
+    n, m = spec.n, spec.m
+    tab = spec.table
+    nil = range(m + 1, n + 1)
+    out = []
+
+    def prod3_left(i, j, k):
+        return _mul_coeffs(spec, tab[i - 1, j - 1], np.eye(n, dtype=complex)[k - 1])
+
+    def prod3_right(i, j, k):
+        return _mul_coeffs(spec, np.eye(n, dtype=complex)[i - 1], tab[j - 1, k - 1])
+
+    for label, left in (("A1", nil), ("A2", range(1, m + 1))):
+        for r in left:
+            for s in nil:
+                for p in nil:
+                    lhs, rhs = prod3_left(r, s, p), prod3_right(r, s, p)
+                    if np.max(np.abs(lhs - rhs)) > tol * (1 + np.max(np.abs(lhs))):
+                        out.append(f"assoc-{label}: (I_{r} I_{s}) I_{p} != I_{r} (I_{s} I_{p})")
+    one = spec.unit_coeffs
+    for k in range(1, n + 1):
+        ek = np.eye(n, dtype=complex)[k - 1]
+        if np.max(np.abs(_mul_coeffs(spec, one, ek) - ek)) > tol:
+            out.append(f"unit: (sum I_u) I_{k} != I_{k}")
+    if n > m:
+        span = np.eye(n, dtype=complex)[m:]
+        for _ in range(n - m):
+            prods = [_mul_coeffs(spec, v, np.eye(n, dtype=complex)[s - 1])
+                     for v in span for s in nil]
+            span = np.array([p for p in prods if np.max(np.abs(p)) > tol])
+            if span.size == 0:
+                break
+        if span.size != 0:
+            out.append(
+                f"nilpotency: some product of {n - m + 1} nilpotent basis vectors is nonzero")
+    return out
+
+
+def test_batched_validation_matches_the_loops(bundles):
+    one_idem = {2: 1, 3: 1, 4: 1, 5: 1}
+    broken = [
+        broken_symmetry_spec(),
+        AlgebraSpec(n=3, m=1, gamma={(2, 3, 3): 1.0}, u_map={2: 1, 3: 1}),
+        AlgebraSpec(n=5, m=1, u_map=one_idem,
+                    gamma={(2, 2, 3): 1.0, (3, 3, 5): 1.0, (2, 3, 4): 1.0, (2, 4, 5): 0.5}),
+        AlgebraSpec(n=4, m=2, gamma={(3, 3, 4): 1.0}, u_map={3: 1, 4: 2}),
+        # I_2 I_2 = I_2: its powers never vanish, and two (A1) triples break
+        AlgebraSpec(n=4, m=1, gamma={(2, 2, 2): 1.0, (2, 3, 4): 2.0}, u_map={2: 1, 3: 1, 4: 1}),
+    ]
+    specs = [b.algebra for b in bundles.values()] + broken
+    flagged = set()
+    for spec in specs:
+        got = validate_algebra(spec).violations
+        checked = [v for v in got if v.startswith(("assoc-", "unit:", "nilpotency:"))]
+        assert checked == _validate_by_loops(spec), spec.name
+        flagged.update(v.split(":")[0] for v in checked)
+    assert {"assoc-A1", "assoc-A2", "nilpotency"} <= flagged

@@ -217,6 +217,24 @@ def test_verify_all_shares_work_on_each_curve(monkeypatch):
         assert len(constants) == 1, fixture
 
 
+def test_verify_all_norms_each_lemma_curve_once(monkeypatch):
+    # the Lemma-1 check shares each curve's steps and ||d zeta|| across its fields
+    from monalg import integration
+
+    cfg = cli.RunConfig("verify-all", nodes=256)
+    curves = cli._Curves.build(cfg)
+    norms = []
+    _spy(monkeypatch, integration, "_zeta_tangent_norm", lambda args, _: norms.append(args[1]))
+    for fixture in ("A5", "C2"):
+        norms.clear()
+        rec = cli._verify_one_fixture(fixture, cfg, curves)
+        assert rec["ok"] and rec["lemma1"]["pairs"] == 12
+        assert len(norms) == len(curves.lemma) == 3, fixture
+        for curve in curves.lemma:
+            steps = integration._node_steps(curve)
+            assert sum(np.array_equal(d, steps) for d in norms) == 1, fixture
+
+
 def test_batched_oracle_matches_point_by_point_solves():
     # verify-all computes its dense-solve references in two stacked solves;
     # a point-by-point loop over invert_direct and atilde_closed must report

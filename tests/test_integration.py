@@ -359,9 +359,9 @@ def test_lambda_numeric_inverts_zeta_once(bundles, monkeypatch):
 
     calls = []
 
-    def counting(frame, pts):
+    def counting(frame, pts, *xi):
         calls.append(len(pts))
-        return _zeta_inverse_batch(frame, pts)
+        return _zeta_inverse_batch(frame, pts, *xi)
 
     # both modules that can invert zeta on a loop's nodes
     monkeypatch.setattr(monalg.lambda_const, "_zeta_inverse_batch", counting)

@@ -106,9 +106,10 @@ def test_winding_numbers(bundles):
 
 
 def test_lambda_evaluates_xi_once(bundles, monkeypatch):
-    # the embrace margin, every winding number and the sigma forms read one
-    # batch of xi_u at the nodes (zeta^{-1} takes its own in _recurrences)
+    # the embrace margin, every winding number and the zeta^{-1} recurrence
+    # read one batch of xi_u at the nodes
     import monalg.lambda_const
+    import monalg.resolvent
 
     calls = []
     real = monalg.lambda_const._xi_batch
@@ -118,6 +119,7 @@ def test_lambda_evaluates_xi_once(bundles, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(monalg.lambda_const, "_xi_batch", counting)
+    monkeypatch.setattr(monalg.resolvent, "_xi_batch", counting)
     circle = circle_curve(radius=1.0, nodes=256)
     for bundle in bundles.values():
         calls.clear()
@@ -277,6 +279,76 @@ def test_sigma_split_matches_direct_assembly(bundles):
             direct = sigma_direct(frame, p, dp, atilde=atilde_closed(frame, p))
             for k, v in split.total.items():
                 assert abs(v - direct[k]) <= 1e-10 * (1 + abs(direct[k])), (spec.name, k)
+
+
+def _per_node_sigma(frame, xi, d, atil):
+    """sigma_k per node, as lambda_numeric summed it before the sigma forms
+    were read off lambda's sums: xi (N, m), tangents d (N, 3), zeta^{-1} (N, n)."""
+    spec = frame.spec
+    n, m = spec.n, spec.m
+    dxi = d[:, 0, None] + d[:, 1, None] * frame.a[:m] + d[:, 2, None] * frame.b[:m]
+    dT = d[:, 1, None] * frame.a[m:] + d[:, 2, None] * frame.b[m:]
+    out = np.zeros((len(xi), n), dtype=complex)
+    out[:, :m] = dxi / xi
+    for k in range(m + 1, n + 1):
+        uk = spec.u_map[k]
+        acc = dT[:, k - m - 1] / xi[:, uk - 1] + atil[:, k - 1] * dxi[:, uk - 1]
+        for r in range(m + 1, k):
+            for s_ in range(m + 1, k):
+                g = spec.gamma_coeff(r, s_, k)
+                if g != 0:
+                    acc = acc + atil[:, r - 1] * dT[:, s_ - m - 1] * g
+        out[:, k - 1] = acc
+    return out
+
+
+def test_lambda_and_sigma_totals_match_the_per_node_sums(bundles):
+    # lambda_numeric reads the sigma integrals off the weighted sums lambda is
+    # assembled from; summing the per-node forms gives the same totals
+    from monalg.geometry import _xi_batch
+    from monalg.integration import _node_steps, triangle_curve
+    from monalg.resolvent import _zeta_inverse_batch
+
+    curves = [circle_curve(nodes=512),
+              circle_curve(center=(0.1, -0.05, 0.2), radius=0.7, nodes=1024),
+              triangle_curve((1.2, -0.6, 0.1), (0.1, 1.3, -0.2), (-1.1, -0.7, 0.15), per_edge=256)]
+    frames = [fr for b in bundles.values() for fr in b.frames.values()]
+    frames += [fr for _, fr in handmade_cases()]
+    for frame in frames:
+        m = frame.spec.m
+        for i, curve in enumerate(curves):
+            pts = curve.points
+            res = lambda_numeric(frame, curve)
+            want = _per_node_sigma(frame, _xi_batch(frame, pts), _node_steps(curve),
+                                      _zeta_inverse_batch(frame, pts)).sum(axis=0)
+            tol = 1e-13 * (1 + np.linalg.norm(want))
+            assert np.max(np.abs(res.lambda_.coeffs - want)) <= tol, (frame.spec.name, i)
+            assert sorted(res.sigma_integrals) == list(range(m + 1, frame.spec.n + 1))
+            for k, v in res.sigma_integrals.items():
+                assert abs(v - want[k - 1]) <= tol, (frame.spec.name, i, k)
+
+
+def test_sigma_direct_matches_the_per_node_formula(bundles):
+    from monalg.geometry import _xi_batch
+    from monalg.resolvent import _zeta_inverse_batch
+
+    rng = np.random.default_rng(47)
+    cases = [(b.algebra, fr) for b in bundles.values() for fr in b.frames.values()]
+    for spec, frame in cases + handmade_cases():
+        for p in random_safe_points(frame, rng, 8):
+            dp = rng.normal(size=3)
+            pt = p[None]
+            inv = _zeta_inverse_batch(frame, pt)
+            closed = atilde_closed(frame, p)
+            over = inv.copy()
+            for k, v in closed.items():
+                over[0, k - 1] = v
+            for atilde, atil in ((None, inv), (closed, over)):
+                want = _per_node_sigma(frame, _xi_batch(frame, pt), dp[None], atil)[0]
+                got = sigma_direct(frame, p, dp, atilde=atilde)
+                assert list(got) == list(range(1, spec.n + 1))
+                tol = 1e-13 * (1 + np.max(np.abs(want)))
+                assert np.max(np.abs(np.array(list(got.values())) - want)) <= tol, spec.name
 
 
 def test_sigma_semisimple_empty(bundles):

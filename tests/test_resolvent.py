@@ -277,3 +277,30 @@ def test_pole_scale_is_the_norm_expression_bit_for_bit():
             batches += [pts, np.asfortranarray(pts), pts[::-1], pts.reshape(1, n, 3)]
     for pts in batches:
         assert _pole_scale(pts) == norm_scale(pts), pts.shape
+
+
+def test_power_factors_are_no_less_accurate_than_pow():
+    # the expansion's factors c_k / x^k, x^k by repeated multiplication,
+    # against an extended-precision reference; x ** -k is what they replace
+    from monalg.resolvent import _power_factors
+
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("np.longdouble is no wider than float here")
+    rng = np.random.default_rng(53)
+    x = 10 ** rng.uniform(-3, 3, 20000) * np.exp(2j * np.pi * rng.random(20000))
+    plain = _power_factors(x, 6)
+    alternating = _power_factors(x, 6, alternate=True)
+    xk = np.ones(len(x), dtype=np.clongdouble)
+    for k in range(1, 7):
+        xk = xk * x.astype(np.clongdouble)
+        ref = 1 / xk
+
+        def err(vals):
+            return float(np.max(np.abs((vals - ref) / ref)))
+
+        if k == 1:  # 1/x, the factor the expansion has always used
+            assert np.array_equal(plain[0], 1.0 / x)
+        else:
+            assert err(plain[k - 1]) <= err(x ** -k), k
+        assert err(plain[k - 1]) < 1e-15, k
+        assert np.array_equal(alternating[k - 1], plain[k - 1] if k % 2 else -plain[k - 1])
