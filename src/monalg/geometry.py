@@ -92,15 +92,23 @@ def make_frame(spec: AlgebraSpec, a, b, check: bool = True) -> E3Frame:
     return frame
 
 
+def _batch_view(rows: np.ndarray) -> np.ndarray:
+    """Rows (k, ...) as the batch-major (..., k) array they stand for, a view.
+
+    The batch kernels hold a batch coefficient-major, one contiguous row per
+    coefficient, so that each arithmetic step runs over the points, not over
+    k <= n.  .T serves no batch axis or one (and costs next to nothing on
+    the single-point path); more batch axes move the row axis last.
+    """
+    return rows.T if rows.ndim <= 2 else np.moveaxis(rows, 0, -1)
+
+
 def _zeta_coeffs(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
-    """Batch zeta: pts (..., 3) -> coefficient arrays (..., n)."""
+    """Batch zeta: pts (..., 3) -> coefficient arrays (..., n), a view of rows."""
     pts = np.asarray(pts, dtype=float)
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    return (
-        x[..., None] * frame.spec.unit_coeffs
-        + y[..., None] * frame.a
-        + z[..., None] * frame.b
-    )
+    col = (slice(None),) + (None,) * x.ndim  # coefficients as a column: one row each
+    return _batch_view(x * frame.spec.unit_coeffs[col] + y * frame.a[col] + z * frame.b[col])
 
 
 def make_zeta(frame: E3Frame, p) -> AlgElement:
@@ -109,11 +117,13 @@ def make_zeta(frame: E3Frame, p) -> AlgElement:
 
 
 def _xi_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
-    """Batch xi_u = x + y a_u + z b_u: pts (..., 3) -> (..., m)."""
+    """Batch xi_u = x + y a_u + z b_u: pts (..., 3) -> (..., m), a view of
+    rows, so that each xi[..., u] is contiguous."""
     pts = np.asarray(pts, dtype=float)
     m = frame.spec.m
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    return x[..., None] + y[..., None] * frame.a[:m] + z[..., None] * frame.b[:m]
+    col = (slice(m),) + (None,) * x.ndim
+    return _batch_view(x + y * frame.a[col] + z * frame.b[col])
 
 
 def xi_values(frame: E3Frame, p) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
+    AlgebraError,
     AlgebraSpec,
     AlgElement,
     NonInvertibleError,
@@ -58,7 +59,9 @@ class EmbraceError(Exception):
 
 
 def winding_number(frame: E3Frame, curve: Curve3, u: int, around: complex = 0.0) -> int:
-    """Discrete winding of t -> xi_u(curve(t)) - around about zero."""
+    """Discrete winding of t -> xi_u(curve(t)) - around about zero, u in 1..m."""
+    if not 1 <= u <= frame.spec.m:
+        raise AlgebraError(f"functional index {u} outside 1..{frame.spec.m}")
     return _winding(_xi_batch(frame, curve.points)[:, u - 1], u, around)
 
 
@@ -125,7 +128,8 @@ def _lambda_numeric(frame: E3Frame, circle: Curve3,
     if not circle.closed:
         raise EmbraceError("lambda requires a closed curve")
     # one xi per node serves the embrace margin, the winding numbers and the
-    # zeta^{-1} recurrence; the sigma forms need no per-node pass of their own
+    # zeta^{-1} recurrence; the sigma forms need no per-node pass of their own.
+    # xi is a view of rows, so each xi[:, u] is contiguous
     xi = _xi_batch(frame, circle.points)
     margin = float(np.min(np.abs(xi)))
     if margin < 1e-12 * (1 + float(np.max(np.abs(circle.points)))):
@@ -144,8 +148,12 @@ def _lambda_numeric(frame: E3Frame, circle: Curve3,
     lam = _assemble(frame, *S)
     total = _sigma_forms(frame, S)
     sig = {k: complex(total[k - 1]) for k in range(spec.m + 1, spec.n + 1)}
-    centroid = circle.points[:-1].mean(axis=0)
-    radius = float(np.mean(np.linalg.norm(circle.points[:-1] - centroid, axis=1)))
+    # the mean of np.linalg.norm(pts - centroid, axis=1), bit for bit: the
+    # squares are summed in norm's order, by columns rather than over rows of 3
+    pts = circle.points[:-1]
+    centroid = pts.mean(axis=0)
+    dx, dy, dz = (pts[:, i] - centroid[i] for i in range(3))
+    radius = float(np.mean(np.sqrt(dx * dx + dy * dy + dz * dz)))
     tol = tol if tol is not None else 1e-6 * (1 + norm_euclid(lam))
     dev = norm_euclid(lam - (2j * np.pi) * unit_element(spec))
     return LambdaResult(

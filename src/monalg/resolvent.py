@@ -21,6 +21,16 @@ not identically zero, and the orders the expansion reads.  _recurrences and
 _expand walk that plan and do only array arithmetic; all-zero couplings
 share one zero array.  The plan keeps the scan's order of operations, so
 results are bit for bit those of scanning every gamma(r, k, s).
+
+Inside the kernels a batch is coefficient-major: xi_u, T_s, every B and Q,
+every power factor and every row of the expansion is one contiguous array
+over the points.  Each arithmetic step then runs numpy's inner loop over the
+N points, not over k <= n as on node-major (N, k) arrays, whose columns are
+strided slices.  The shapes callers see stay (..., m), (..., n - m) and
+(..., n): _xi_batch, _t_batch and _expand return views of their (k, ...)
+rows (geometry._batch_view).  The layout changes no bit of any result.  A
+bare (3,) point is computed on 0-d arrays; the public single-point
+functions pass a batch of one (_one), so they give their row of any batch.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, AlgElement, NonInvertibleError
-from .geometry import E3Frame, _xi_batch
+from .geometry import E3Frame, _batch_view, _xi_batch
 
 __all__ = [
     "SingularityError",
@@ -52,17 +62,20 @@ class SingularityError(Exception):
 
 
 def _t_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
-    """T_s = y a_s + z b_s for nilpotent s: pts (..., 3) -> (..., n-m)."""
+    """T_s = y a_s + z b_s for nilpotent s: pts (..., 3) -> (..., n-m), a view of rows."""
     pts = np.asarray(pts, dtype=float)
     m = frame.spec.m
     y, z = pts[..., 1], pts[..., 2]
-    return y[..., None] * frame.a[m:] + z[..., None] * frame.b[m:]
+    col = (slice(m, None),) + (None,) * y.ndim
+    return _batch_view(y * frame.a[col] + z * frame.b[col])
 
 
 def _recurrences(frame: E3Frame, pts: np.ndarray, xi: np.ndarray | None = None):
     """xi, T, B, Q at a batch of points, from the spec's coupling plan.
 
-    B[(r, s)] and Q[(k, s)] hold arrays of the batch shape, with Q defined for
+    xi (..., m) and T (..., n-m) are views of coefficient rows (_xi_batch,
+    _t_batch), so each xi[..., u] and T[..., i] is contiguous.  B[(r, s)] and
+    Q[(k, s)] hold contiguous arrays of the batch shape, with Q defined for
     k in 2..s-m+1 only; entries that are identically zero share one zero array.
     A caller that already holds xi = _xi_batch(frame, pts) passes it in.
     """
@@ -114,17 +127,19 @@ def _expand(spec: AlgebraSpec, Q, W) -> np.ndarray:
     k = 1..spec.plan.orders[u-1]: powers (t - xi_u)^{-k} give the resolvent,
     (-1)^{k+1} xi_u^{-k} give zeta^{-1}, contour moments give the monogenic
     representation.  Terms whose Q_{k,s} is identically zero are skipped.
+    The coefficients fill an (n, ...) buffer row by row; the result (..., n)
+    is its view (geometry._batch_view), not C-contiguous for a batch.
     """
-    out = np.zeros(np.shape(W[0][0]) + (spec.n,), dtype=complex)
+    out = np.empty((spec.n,) + np.shape(W[0][0]), dtype=complex)
     for u in range(spec.m):
-        out[..., u] = W[u][0]
+        out[u, ...] = W[u][0]
     for s, u, ks in spec.plan.expand:
         w = W[u - 1]
         acc = 0.0
         for k in ks:
             acc = acc + Q[(k, s)] * w[k - 1]
-        out[..., s - 1] = acc
-    return out
+        out[s - 1, ...] = acc
+    return _batch_view(out)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from monalg import (
+    AlgebraError,
     AlgebraSpec,
     Curve3,
     EmbraceError,
@@ -20,6 +21,7 @@ from monalg import (
     sigma_closed,
     sigma_direct,
     theorem8_products,
+    triangle_curve,
     unit_element,
     validate_algebra,
     winding_number,
@@ -103,6 +105,33 @@ def test_winding_numbers(bundles):
     assert winding_number(frame, off, 1) == 0
     with pytest.raises(EmbraceError):
         winding_number(frame, circle, 1, around=1.0)  # xi passes through 1
+
+
+def test_winding_number_rejects_functional_indices_outside_1_to_m(bundles):
+    # u = 0 once read xi_m through index -1 (C2: the winding of xi_2), and
+    # u = m + 1 raised a bare IndexError
+    circle = circle_curve(nodes=256)
+    for name in ("C2", "A5"):
+        frame = bundles[name].default_frame
+        m = frame.spec.m
+        for u in (0, m + 1, -1):
+            with pytest.raises(AlgebraError, match=rf"functional index {u} outside 1\.\.{m}"):
+                winding_number(frame, circle, u)
+        assert [winding_number(frame, circle, u) for u in range(1, m + 1)] == [1] * m
+
+
+def test_lambda_radius_is_the_norm_expression_bit_for_bit(bundles):
+    # the radius is summed by coordinate columns; it must keep the bits of
+    # the mean of np.linalg.norm over the centred nodes
+    curves = [circle_curve(center=(0.1, -0.05, 0.2), radius=1.3, nodes=nodes)
+              for nodes in (1024, 4096, 16384)]
+    curves.append(triangle_curve((-1.0, -1.0, 0.1), (2.0, -0.5, 0.0), (-0.3, 2.0, -0.1), 2048))
+    for name in ("A5", "C2"):
+        frame = bundles[name].default_frame
+        for curve in curves:
+            pts = curve.points[:-1]
+            want = np.mean(np.linalg.norm(pts - pts.mean(axis=0), axis=1))
+            assert lambda_numeric(frame, curve).radius == want, (name, len(pts))
 
 
 def test_lambda_evaluates_xi_once(bundles, monkeypatch):

@@ -237,6 +237,51 @@ def test_plan_matches_the_gamma_scan(bundles):
                     assert all(_same_bytes(g[key], w[key]) for key in w)
 
 
+def test_every_batch_shape_keeps_its_layout(bundles):
+    # inside the kernels a batch is one row per coefficient; whatever the
+    # batch shape, each result is the flat batch's reshaped, bit for bit
+    from monalg import HoloFunction, MonogenicSpec
+    from monalg.monogenic import _rep_batch
+    from monalg.resolvent import _recurrences, _resolvent_batch, _zeta_inverse_batch
+
+    rng = np.random.default_rng(59)
+    poly = HoloFunction("polynomial", (0.5, 1.0, -0.3j))
+    for bundle in bundles.values():
+        for frame in bundle.frames.values():
+            n, m = frame.spec.n, frame.spec.m
+            pts = random_safe_points(frame, rng, 32)
+            pts[:, 2] = np.sign(pts[:, 2]) * np.maximum(np.abs(pts[:, 2]), 0.4)  # m > 1 contours
+            mspec = MonogenicSpec(F=(poly,) * m, G={n: poly} if n > m else {})
+            kernels = [lambda b: _zeta_inverse_batch(frame, b),
+                       lambda b: _resolvent_batch(frame, b, 3.1 + 0.8j),
+                       lambda b: _rep_batch(mspec, frame, b, 64)]
+            flat = [f(pts) for f in kernels]
+            xi, T, B, Q = _recurrences(frame, pts)
+            for shape in ((4, 8), (32,), (1,)):
+                count = int(np.prod(shape))
+                batch = pts[:count].reshape(shape + (3,))
+                for f, want in zip(kernels, flat):
+                    assert _same_bytes(f(batch), want[:count].reshape(shape + (n,))), shape
+                got = _recurrences(frame, batch)
+                assert _same_bytes(got[0], xi[:count].reshape(shape + (m,)))
+                assert _same_bytes(got[1], T[:count].reshape(shape + (n - m,)))
+                for g, w in zip(got[2:], (B, Q)):
+                    assert list(g) == list(w)
+                    assert all(_same_bytes(g[key], w[key][:count].reshape(shape)) for key in w)
+            # a bare point keeps the shapes it had; its values are the row's
+            # up to rounding, since numpy computes 0-d arrays as scalars
+            for f, want in zip(kernels, flat):
+                got = f(pts[0])
+                assert got.shape == (n,)
+                assert np.allclose(got, want[0], rtol=1e-14, atol=0)
+            got = _recurrences(frame, pts[0])
+            assert got[0].shape == (m,) and got[1].shape == (n - m,)
+            for g, w in zip(got[2:], (B, Q)):
+                assert list(g) == list(w)
+                assert all(np.shape(g[key]) == () and np.isclose(g[key], w[key][0], rtol=1e-14, atol=0)
+                           for key in w)
+
+
 def test_evaluation_never_scans_gamma(bundles, monkeypatch):
     from monalg import (AlgebraSpec, HoloFunction, MonogenicSpec, atilde_closed,
                         eval_representation, sigma_closed, sigma_direct)
