@@ -123,9 +123,18 @@ def test_winding_number_rejects_functional_indices_outside_1_to_m(bundles):
 def test_lambda_radius_is_the_norm_expression_bit_for_bit(bundles):
     # the radius is summed by coordinate columns; it must keep the bits of
     # the mean of np.linalg.norm over the centred nodes
-    curves = [circle_curve(center=(0.1, -0.05, 0.2), radius=1.3, nodes=nodes)
-              for nodes in (1024, 4096, 16384)]
+    curves = [make(nodes) for nodes in (1024, 4096, 16384)
+              for make in (lambda k: circle_curve(center=(0.1, -0.05, 0.2), radius=1.3, nodes=k),
+                           tilted_loop)]  # the tilted loop moves in all three coordinates
     curves.append(triangle_curve((-1.0, -1.0, 0.1), (2.0, -0.5, 0.0), (-0.3, 2.0, -0.1), 2048))
+    # on 3 or 6 nodes a last-bit change in one node's distance reaches the mean
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        angle = 2 * np.pi * (np.arange(3) / 3 + rng.uniform(-0.05, 0.05, 3))
+        r = rng.uniform(0.5, 2.0, 3)
+        verts = np.stack([r * np.cos(angle), r * np.sin(angle), np.zeros(3)], axis=1)
+        verts += rng.uniform(-0.1, 0.1, (3, 3)) * [1.0, 1.0, 2.0]
+        curves += [triangle_curve(*verts, per_edge=k) for k in (1, 2)]
     for name in ("A5", "C2"):
         frame = bundles[name].default_frame
         for curve in curves:
