@@ -53,6 +53,7 @@ from .lambda_const import (
     _atilde_batch,
     _formula_loop,
     _formula_residual,
+    _formula_weights,
     _lambda_numeric,
     exactness_conditions,
     lambda_numeric,
@@ -248,18 +249,19 @@ def _cmd_verify_cauchy(cfg: RunConfig):
 
 def _formula_residuals(frame: E3Frame, p0, curve: Curve3, loop: Curve3) -> dict[str, float]:
     """cauchy_formula_residual at p0 of the standard functions on curve, whose
-    translate by -p0 is loop.  They share the lambda, the (zeta - zeta_0)^{-1}
-    at the nodes and the recurrences at the nodes and at p0."""
+    translate by -p0 is loop.  They share the lambda, the node weights built
+    from (zeta - zeta_0)^{-1} at the nodes, and the recurrences at the nodes
+    and at p0."""
     p0 = np.asarray(p0, dtype=float)
     res, inv = _lambda_numeric(frame, loop, None)
+    weights = _formula_weights(curve, inv)
     xi, _, _, Q = _recurrences(frame, curve.points)
     xi0, _, _, Q0 = _recurrences(frame, p0[None])
-    steps = _node_steps(curve)
     out = {}
     for name, ms in _standard_mspecs(frame.spec).items():
         phi0 = _rep_values(ms, frame, xi0, Q0, 512)[0]
         out[name] = _formula_residual(frame, res.lambda_, phi0, _rep_values(ms, frame, xi, Q, 512),
-                                      inv, steps)
+                                      weights)
     return out
 
 

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .algebra import AlgebraSpec, AlgElement, _mul_coeffs, mult_matrix, norm_euclid
 from .geometry import E3Frame, _real_frame_matrix, _zeta_coeffs
-from .resolvent import _zeta_inverse_batch
+from .resolvent import _pole_scale, _zeta_inverse_batch
 
 __all__ = [
     "Curve3",
@@ -63,6 +64,10 @@ class Curve3:
     at the end.  When tangents (dp/dt at each sample, same shape) and the
     uniform parameter step dt are present, integrals use the parameter
     trapezoid rule instead of the polygon rule.
+
+    The points are held as a read-only view, and the scalar descriptors below
+    (mean_radius, coord_scale, pole_scale) are computed from them on first
+    use and kept.  Only O(1) values are kept, no per-node array.
     """
 
     points: np.ndarray
@@ -71,12 +76,13 @@ class Curve3:
     dt: float | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        # a read-only view: the cached descriptors stay those of the points
+        pts = np.asarray(self.points, dtype=float).view()
+        pts.flags.writeable = False
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
             raise ValueError("curve needs an (N, 3) array with N >= 2")
         object.__setattr__(self, "points", pts)
-        if self.closed and (np.max(np.abs(pts[0] - pts[-1]))
-                            > _CLOSE_TOL * (1 + np.max(np.abs(pts)))):
+        if self.closed and np.max(np.abs(pts[0] - pts[-1])) > _CLOSE_TOL * self.coord_scale:
             raise ValueError("closed curve must end where it starts")
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         if np.any(seg == 0.0):
@@ -88,6 +94,32 @@ class Curve3:
             if self.dt is None:
                 raise ValueError("tangent-carrying curves need the parameter step dt")
             object.__setattr__(self, "tangents", tg)
+
+    @cached_property
+    def mean_radius(self) -> float:
+        """Mean distance of the nodes from their centroid (a closed curve's
+        repeated last point left out).
+
+        Bit for bit the mean of np.linalg.norm(nodes - centroid, axis=1): the
+        squares are summed in norm's order, by columns rather than over rows
+        of 3.
+        """
+        pts = self.points[:-1] if self.closed else self.points
+        centroid = pts.mean(axis=0)
+        dx, dy, dz = (pts[:, i] - centroid[i] for i in range(3))
+        return float(np.mean(np.sqrt(dx * dx + dy * dy + dz * dz)))
+
+    @cached_property
+    def coord_scale(self) -> float:
+        """1 + the largest |coordinate|: the scale of the closure and embrace
+        tolerances."""
+        return float(1 + np.max(np.abs(self.points)))
+
+    @cached_property
+    def pole_scale(self) -> float:
+        """1 + the largest |p| over the points: the scale of the zeta^{-1} pole
+        check (resolvent._pole_scale)."""
+        return float(_pole_scale(self.points))
 
     def reversed(self) -> "Curve3":
         tg = None if self.tangents is None else -self.tangents[::-1]

@@ -19,7 +19,6 @@ from .algebra import (
     AlgebraSpec,
     AlgElement,
     NonInvertibleError,
-    _mul_coeffs,
     multiply,
     norm_euclid,
     unit_element,
@@ -29,7 +28,6 @@ from .integration import (
     Curve3,
     _assemble,
     _eval_field,
-    _integrate_values,
     _node_steps,
     _weighted_sums,
     curvilinear_integral,
@@ -59,9 +57,12 @@ class EmbraceError(Exception):
 
 
 def winding_number(frame: E3Frame, curve: Curve3, u: int, around: complex = 0.0) -> int:
-    """Discrete winding of t -> xi_u(curve(t)) - around about zero, u in 1..m."""
+    """Discrete winding of t -> xi_u(curve(t)) - around about zero, u in 1..m,
+    around a closed curve (an open arc has no winding number)."""
     if not 1 <= u <= frame.spec.m:
         raise AlgebraError(f"functional index {u} outside 1..{frame.spec.m}")
+    if not curve.closed:
+        raise EmbraceError("a winding number requires a closed curve")
     return _winding(_xi_batch(frame, curve.points)[:, u - 1], u, around)
 
 
@@ -132,7 +133,7 @@ def _lambda_numeric(frame: E3Frame, circle: Curve3,
     # xi is a view of rows, so each xi[:, u] is contiguous
     xi = _xi_batch(frame, circle.points)
     margin = float(np.min(np.abs(xi)))
-    if margin < 1e-12 * (1 + float(np.max(np.abs(circle.points)))):
+    if margin < 1e-12 * circle.coord_scale:
         u = int(np.argmin(np.min(np.abs(xi), axis=0))) + 1
         raise NonInvertibleError(f"curve node on or near line L_{u}", u=u)
     winding = {}
@@ -141,25 +142,19 @@ def _lambda_numeric(frame: E3Frame, circle: Curve3,
         winding[u] = wu
         if wu != 1:
             raise EmbraceError(f"curve does not embrace once: winding of xi_{u} is {wu}")
-    inv = _zeta_inverse_batch(frame, circle.points, xi)
+    inv = _zeta_inverse_batch(frame, circle.points, xi, circle.pole_scale)
     # S = sum over nodes of step (x) zeta^{-1}: lambda is e1 S_x + e2 S_y + e3 S_z
     # by the table product, the sigma integrals the same sums by the plan's triples
     S = _weighted_sums(_node_steps(circle), inv)
     lam = _assemble(frame, *S)
     total = _sigma_forms(frame, S)
     sig = {k: complex(total[k - 1]) for k in range(spec.m + 1, spec.n + 1)}
-    # the mean of np.linalg.norm(pts - centroid, axis=1), bit for bit: the
-    # squares are summed in norm's order, by columns rather than over rows of 3
-    pts = circle.points[:-1]
-    centroid = pts.mean(axis=0)
-    dx, dy, dz = (pts[:, i] - centroid[i] for i in range(3))
-    radius = float(np.mean(np.sqrt(dx * dx + dy * dy + dz * dz)))
     tol = tol if tol is not None else 1e-6 * (1 + norm_euclid(lam))
     dev = norm_euclid(lam - (2j * np.pi) * unit_element(spec))
     return LambdaResult(
         lambda_=lam,
         sigma_integrals=sig,
-        radius=radius,
+        radius=circle.mean_radius,
         node_count=len(circle.points) - 1,
         is_2pi_i=bool(dev <= tol),
         tol=tol,
@@ -497,7 +492,7 @@ def cauchy_formula_residual(phi, frame: E3Frame, p0, curve: Curve3, *,
     res, inv = _lambda_numeric(frame, _formula_loop(curve, p0), None)
     phi0 = np.asarray(field_fn(p0[None, :]), dtype=complex)[0]
     vals = _eval_field(field_fn, curve.points, "curve")
-    return _formula_residual(frame, res.lambda_, phi0, vals, inv, _node_steps(curve))
+    return _formula_residual(frame, res.lambda_, phi0, vals, _formula_weights(curve, inv))
 
 
 def _formula_loop(curve: Curve3, p0: np.ndarray) -> Curve3:
@@ -506,10 +501,32 @@ def _formula_loop(curve: Curve3, p0: np.ndarray) -> Curve3:
     return Curve3(curve.points - p0, curve.closed, curve.tangents, curve.dt)
 
 
+def _formula_weights(curve: Curve3, inv: np.ndarray) -> np.ndarray:
+    """Node weights d_i (x) (zeta - zeta_0)^{-1}_i, (3n, N), from the curve's
+    steps d (_node_steps) and the inverse (N, n) at its nodes: row d*n + k
+    holds step component d times coefficient k.  Every integrand of the
+    formula on this curve and p0 contracts against the same weights."""
+    steps = _node_steps(curve)
+    # one row of inverse coefficients times one step column at a time: a
+    # single broadcast product over the strided steps.T is about 10x slower
+    weights = np.empty((3,) + inv.T.shape, dtype=complex)
+    for d in range(3):
+        np.multiply(inv.T, steps[:, d], out=weights[d])
+    return weights.reshape(-1, len(steps))
+
+
 def _formula_residual(frame: E3Frame, lam: AlgElement, phi0: np.ndarray, vals: np.ndarray,
-                      inv: np.ndarray, steps: np.ndarray) -> float:
-    """cauchy_formula_residual from node data: Phi(zeta_0) (n,), Phi (N, n) and
-    (zeta - zeta_0)^{-1} (N, n) at the curve's nodes, and their steps (_node_steps)."""
+                      weights: np.ndarray) -> float:
+    """cauchy_formula_residual from node data: Phi(zeta_0) (n,), Phi (N, n) at
+    the curve's nodes and the weights of _formula_weights.
+
+    The integrand's steps sum to sum_i d_i Phi_i (zeta - zeta_0)^{-1}_i, which
+    is bilinear in the two factors: one GEMM gives the sums
+    sum_i d_i (zeta - zeta_0)^{-1}_{i,k} Phi_{i,j}, (3, n, n), and the table
+    multiplies each (k, j) pair once, instead of once per node.
+    """
     spec = frame.spec
-    rhs = _integrate_values(frame, _mul_coeffs(spec, vals, inv), steps)
-    return norm_euclid(multiply(lam, AlgElement(spec, phi0)) - rhs)
+    n = spec.n
+    sums = (weights @ vals).reshape(3, n * n)  # row d, column k*n + j
+    S = sums @ spec.table.transpose(1, 0, 2).reshape(n * n, n)  # I_{j+1} I_{k+1}, summed
+    return norm_euclid(multiply(lam, AlgElement(spec, phi0)) - _assemble(frame, *S))

@@ -205,13 +205,17 @@ def _pole_scale(pts: np.ndarray) -> float:
     return 1 + np.sqrt(np.max(x * x + y * y + z * z))
 
 
-def _zeta_inverse_batch(frame: E3Frame, pts: np.ndarray,
-                        xi: np.ndarray | None = None) -> np.ndarray:
-    """zeta^{-1} at a batch of points (..., 3) -> (..., n); xi as in _recurrences."""
+def _zeta_inverse_batch(frame: E3Frame, pts: np.ndarray, xi: np.ndarray | None = None,
+                        scale: float | None = None) -> np.ndarray:
+    """zeta^{-1} at a batch of points (..., 3) -> (..., n); xi as in _recurrences.
+
+    A caller that already holds _pole_scale(pts), such as a curve's
+    pole_scale, passes it in as scale.
+    """
     spec = frame.spec
     pts = np.asarray(pts, dtype=float)
     xi, _, _, Q = _recurrences(frame, pts, xi)
-    bad = np.abs(xi) < _POLE_TOL * _pole_scale(pts)
+    bad = np.abs(xi) < _POLE_TOL * (_pole_scale(pts) if scale is None else scale)
     if np.any(bad):
         u = int(np.argwhere(bad)[0][-1]) + 1
         raise NonInvertibleError(f"point lies on line L_{u} (xi_{u} = 0)", u=u)

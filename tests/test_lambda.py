@@ -1,9 +1,12 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
 from monalg import (
     AlgebraError,
     AlgebraSpec,
+    AlgElement,
     Curve3,
     EmbraceError,
     HoloFunction,
@@ -17,7 +20,10 @@ from monalg import (
     invert_direct,
     lambda_numeric,
     make_frame,
+    multiply,
     norm_euclid,
+    polyline_curve,
+    representation_field,
     sigma_closed,
     sigma_direct,
     theorem8_products,
@@ -31,6 +37,10 @@ from monalg import (
     zeta_field,
     zeta_power_field,
 )
+
+from monalg.algebra import _mul_coeffs
+from monalg.integration import _integrate_values, _node_steps
+from monalg.lambda_const import _formula_loop, _formula_residual, _formula_weights, _lambda_numeric
 
 from conftest import random_safe_points
 
@@ -120,6 +130,16 @@ def test_winding_number_rejects_functional_indices_outside_1_to_m(bundles):
         assert [winding_number(frame, circle, u) for u in range(1, m + 1)] == [1] * m
 
 
+def test_winding_number_rejects_open_curves(bundles):
+    # an open arc, about 0.8 of the way round, once read winding 1 on A5
+    frame = bundles["A5"].default_frame
+    arc = polyline_curve(circle_curve(nodes=4096).points[:3300])
+    with pytest.raises(EmbraceError, match="closed curve"):
+        winding_number(frame, arc, 1)
+    with pytest.raises(EmbraceError, match="closed curve"):
+        lambda_numeric(frame, arc)
+
+
 def test_lambda_radius_is_the_norm_expression_bit_for_bit(bundles):
     # the radius is summed by coordinate columns; it must keep the bits of
     # the mean of np.linalg.norm over the centred nodes
@@ -135,12 +155,62 @@ def test_lambda_radius_is_the_norm_expression_bit_for_bit(bundles):
         verts = np.stack([r * np.cos(angle), r * np.sin(angle), np.zeros(3)], axis=1)
         verts += rng.uniform(-0.1, 0.1, (3, 3)) * [1.0, 1.0, 2.0]
         curves += [triangle_curve(*verts, per_edge=k) for k in (1, 2)]
-    for name in ("A5", "C2"):
-        frame = bundles[name].default_frame
-        for curve in curves:
-            pts = curve.points[:-1]
-            want = np.mean(np.linalg.norm(pts - pts.mean(axis=0), axis=1))
-            assert lambda_numeric(frame, curve).radius == want, (name, len(pts))
+    # the radius belongs to the curve: lambda on one curve gives the same
+    # bits on every frame; the circles and tilted loops (the first 6 curves)
+    # embrace the lines of every fixture frame
+    every_frame = [frame for bundle in bundles.values() for frame in bundle.frames.values()]
+    two = [bundles[name].default_frame for name in ("A5", "C2")]
+    for i, curve in enumerate(curves):
+        pts = curve.points[:-1]
+        want = np.mean(np.linalg.norm(pts - pts.mean(axis=0), axis=1))
+        for frame in every_frame if i < 6 else two:
+            assert lambda_numeric(frame, curve).radius == want, (frame.spec.name, len(pts))
+
+
+def _spy_curve_geometry(monkeypatch) -> dict[str, list]:
+    """Replace each cached descriptor of Curve3 by a counting copy; returns,
+    per descriptor, the curves it was computed for, in order."""
+    calls = {}
+    for name in ("mean_radius", "coord_scale", "pole_scale"):
+        real = Curve3.__dict__[name].func
+        seen = calls[name] = []
+
+        def counting(curve, real=real, seen=seen):
+            seen.append(curve)
+            return real(curve)
+
+        spy = cached_property(counting)
+        spy.__set_name__(Curve3, name)
+        monkeypatch.setattr(Curve3, name, spy)
+    return calls
+
+
+def test_curve_geometry_is_computed_once_per_curve(bundles, monkeypatch):
+    calls = _spy_curve_geometry(monkeypatch)
+    p0 = np.array([0.31, 0.17, -0.23])
+    circle = circle_curve(center=p0, radius=0.9, nodes=1024)
+    loop = _formula_loop(circle, p0)
+    frames = [frame for bundle in bundles.values() for frame in bundle.frames.values()]
+    for frame in frames:
+        lambda_numeric(frame, loop)
+        lambda_numeric(frame, loop.reversed().reversed())
+    rev = loop.reversed()
+    # every descriptor once per curve, however many frames read it
+    for name, seen in calls.items():
+        assert len(seen) == len({id(c) for c in seen}), name
+        assert sum(c is loop for c in seen) == 1, name
+    assert len(calls["mean_radius"]) == 1 + len(frames)
+    # a reversed or translated curve computes its own values from its points
+    for curve in (circle, loop, rev):
+        nodes = curve.points[:-1]
+        assert curve.mean_radius == np.mean(np.linalg.norm(nodes - nodes.mean(axis=0), axis=1))
+        assert curve.coord_scale == 1 + np.max(np.abs(curve.points))
+        assert curve.pole_scale == np.linalg.norm(curve.points, axis=-1).max() + 1
+        assert any(c is curve for c in calls["pole_scale"])
+    assert circle.pole_scale != loop.pole_scale
+    # the points the values describe cannot change under them
+    with pytest.raises(ValueError, match="read-only"):
+        loop.points[0, 0] = 5.0
 
 
 def test_lambda_evaluates_xi_once(bundles, monkeypatch):
@@ -574,3 +644,45 @@ def test_cauchy_formula_square_on_a5(bundles):
     p0 = (0.5, -0.2, 0.6)
     curve = circle_curve(center=p0, radius=1.0, nodes=2048)
     assert cauchy_formula_residual(ms, frame, p0, curve, nodes=512) <= 1e-6
+
+
+def _per_node_formula_sum(frame, vals, inv, steps):
+    """The loop sum of the Cauchy formula as first written: the product
+    Phi_i (zeta - zeta_0)^{-1}_i at every node, then the quadrature."""
+    return _integrate_values(frame, _mul_coeffs(frame.spec, vals, inv), steps).coeffs
+
+
+def test_formula_contraction_matches_the_per_node_product(bundles):
+    # the residual contracts the node weights with Phi before multiplying;
+    # a circle (parameter trapezoid) and a polyline triangle (per-segment
+    # rule) exercise both step rules, on every fixture frame and the
+    # hand-made algebras
+    p0 = np.array([0.31, 0.17, -0.23])
+    tri = np.array([(1.2, -0.7, 0.3), (0.1, 1.3, 0.1), (-0.9, -0.8, -0.2)])
+    curves = (circle_curve(center=p0, radius=0.9, nodes=1024),
+              triangle_curve(*(tri + p0), per_edge=256))
+    frames = [frame for bundle in bundles.values() for frame in bundle.frames.values()]
+    frames += [frame for _, frame in handmade_cases()]
+    rng = np.random.default_rng(83)
+    for frame in frames:
+        spec = frame.spec
+        exp = MonogenicSpec(F=(HoloFunction.exp_series(14),) * spec.m)
+        field = representation_field(exp, frame, 512)
+        phi0 = field(p0[None])[0]
+        for curve in curves:
+            res, inv = _lambda_numeric(frame, _formula_loop(curve, p0), None)
+            steps = _node_steps(curve)
+            weights = _formula_weights(curve, inv)
+            shape = (len(steps), spec.n)
+            noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            # lambda = 1 and Phi(zeta_0) = the per-node sum leave their distance
+            for vals in (field(curve.points), noise):
+                want = _per_node_formula_sum(frame, vals, inv, steps)
+                got = _formula_residual(frame, unit_element(spec), want, vals, weights)
+                assert got <= 1e-13 * (1 + np.linalg.norm(want)), spec.name
+            # the public residual against the per-node rule, end to end
+            rhs = _per_node_formula_sum(frame, field(curve.points), inv, steps)
+            want = norm_euclid(multiply(res.lambda_, AlgElement(spec, phi0))
+                               - AlgElement(spec, rhs))
+            got = cauchy_formula_residual(exp, frame, p0, curve, nodes=512)
+            assert abs(got - want) <= 1e-13 * (1 + np.linalg.norm(rhs)), spec.name
