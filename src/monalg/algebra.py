@@ -262,12 +262,11 @@ def _mul_coeffs(spec: AlgebraSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (b[..., None, :] @ _mult_rows(spec, a))[..., 0, :]
 
 
-def multiply(a: AlgElement, b: AlgElement, spec: AlgebraSpec | None = None) -> AlgElement:
+def multiply(a: AlgElement, b: AlgElement) -> AlgElement:
     """Bilinear extension of the basis multiplication table."""
-    if spec is None:
-        spec = a.spec
-        if b.spec is not spec and b.spec != spec:
-            raise AlgebraError("factors belong to different algebras")
+    spec = a.spec
+    if b.spec is not spec and b.spec != spec:
+        raise AlgebraError("factors belong to different algebras")
     if a.coeffs.shape != b.coeffs.shape:
         raise AlgebraError("dimension mismatch between factors")
     return AlgElement(spec, _mul_coeffs(spec, a.coeffs, b.coeffs))
@@ -323,10 +322,9 @@ def _invert_direct_batch(spec: AlgebraSpec, coeffs: np.ndarray) -> np.ndarray:
         raise NonInvertibleError(str(exc)) from exc
 
 
-def invert_direct(a: AlgElement, spec: AlgebraSpec | None = None) -> AlgElement:
+def invert_direct(a: AlgElement) -> AlgElement:
     """Inverse by dense linear solve; the oracle all closed forms are tested against."""
-    spec = spec or a.spec
-    return AlgElement(spec, _invert_direct_batch(spec, a.coeffs[None])[0])
+    return AlgElement(a.spec, _invert_direct_batch(a.spec, a.coeffs[None])[0])
 
 
 @dataclass

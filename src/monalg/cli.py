@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from .integration import (
 )
 from .lambda_const import (
     EmbraceError,
+    ExactnessReport,
     LambdaResult,
     _atilde_batch,
     _formula_loop,
@@ -60,6 +64,52 @@ from .lambda_const import (
 )
 from .monogenic import HoloFunction, MonogenicSpec, _rep_values
 from .resolvent import _recurrences, _resolvent_batch, _zeta_inverse_batch, zeta_inverse_closed
+
+
+class Check(NamedTuple):
+    """A bound on one report value: it holds when `value op bound`, and a dict
+    of values holds when each of its values does, so a NaN never holds."""
+
+    op: str  # "<=", ">=" or "=="
+    bound: float | bool | list
+    command: str | None = "verify-all"  # whose report holds the value
+
+
+# Every bound the CLI asserts, named by the report value it bounds.  The
+# verify-all rows are checked on each fixture's record; verify-cauchy,
+# verify-formula and invert take their default --tol from their rows.
+CHECKS = {
+    "validation": Check("==", []),
+    "oracle.zeta_inverse_max_rel": Check("<=", 1e-9),
+    "oracle.resolvent_max_rel": Check("<=", 1e-9),
+    "oracle.atilde_max_rel": Check("<=", 1e-10),
+    "lambda.radius_agreement_rel": Check("<=", 1e-8),
+    "prediction_sound": Check("==", True),
+    "cauchy_theorem": Check("<=", 1e-7),
+    "cauchy_formula": Check("<=", 1e-6),
+    "morera.monogenic_zeta": Check("<=", 1e-8),
+    "morera.non_monogenic": Check(">=", 1e-2),
+    "lemma1.violations": Check("==", 0),
+    # no report holds it: a Lemma-1 pair violates when lhs > rhs * (1 + slack)
+    "lemma1.slack": Check("<=", 1e-12, None),
+    "relative_mismatch": Check("<=", 1e-9, "invert"),
+    "product_residual": Check("<=", 1e-9, "invert"),  # times 1 + |linear_solve|
+}
+
+_OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
+
+
+def _failures(rec: dict):
+    """Yield one line per value of a verify-all fixture record that misses its row of CHECKS."""
+    for key, check in CHECKS.items():
+        if check.command != "verify-all":
+            continue
+        value = reduce(dict.__getitem__, key.split("."), rec)
+        values = ({f"{key}.{k}": v for k, v in value.items()} if isinstance(value, dict)
+                  else {key: value})
+        for name, v in values.items():
+            if not _OPS[check.op](v, check.bound):
+                yield f"{name} = {v}, bound {check.op} {check.bound}"
 
 
 @dataclass
@@ -94,20 +144,23 @@ def _elem_json(a: AlgElement) -> list[list[float]]:
 def _load_inputs(cfg: RunConfig) -> tuple[AlgebraSpec, E3Frame | None]:
     if cfg.fixture:
         bundle = load_fixture(cfg.fixture)
-        spec = bundle.algebra
-        if cfg.frame and cfg.frame in bundle.frames:
-            return spec, bundle.frames[cfg.frame]
-        if cfg.frame:
-            data = json.loads(Path(cfg.frame).read_text())
-            return spec, frame_from_json(data, spec)
-        return spec, bundle.frames.get("default")
-    if cfg.algebra_path:
-        spec = algebra_from_json(json.loads(Path(cfg.algebra_path).read_text()))
-        frame = None
-        if cfg.frame:
-            frame = frame_from_json(json.loads(Path(cfg.frame).read_text()), spec)
-        return spec, frame
-    raise ValueError("need --fixture or --algebra")
+        spec, frames = bundle.algebra, bundle.frames
+    elif cfg.algebra_path:
+        spec, frames = algebra_from_json(json.loads(Path(cfg.algebra_path).read_text())), {}
+    else:
+        raise ValueError("need --fixture or --algebra")
+    if not cfg.frame:
+        return spec, frames.get("default")
+    if cfg.frame in frames:
+        return spec, frames[cfg.frame]
+    return spec, frame_from_json(json.loads(Path(cfg.frame).read_text()), spec)
+
+
+def _load_frame(cfg: RunConfig) -> tuple[AlgebraSpec, E3Frame]:
+    spec, frame = _load_inputs(cfg)
+    if frame is None:
+        raise ValueError(f"{cfg.command} needs a frame")
+    return spec, frame
 
 
 def _standard_mspecs(spec: AlgebraSpec) -> dict[str, MonogenicSpec]:
@@ -120,38 +173,34 @@ def _standard_mspecs(spec: AlgebraSpec) -> dict[str, MonogenicSpec]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations; each returns (report dict, ok flag)
+# subcommand implementations; each returns (report fields, ok flag), and main
+# adds the command's name and the flag to the report
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(cfg: RunConfig):
     spec, _ = _load_inputs(cfg)
     report = validate_algebra(spec)
     props = check_propositions(spec)
-    ok = report.ok
     return {
-        "command": "validate",
         "algebra": spec.name,
         "violations": report.violations,
         "prop1_applies": props.prop1_applies,
         "prop2_applies": props.prop2_applies,
         "prop2_contradictions": props.prop2_contradictions,
-        "ok": ok,
-    }, ok
+    }, report.ok
 
 
 def _cmd_invert(cfg: RunConfig):
-    spec, frame = _load_inputs(cfg)
-    if frame is None:
-        raise ValueError("invert needs a frame")
-    tol = cfg.tol if cfg.tol is not None else 1e-9
+    spec, frame = _load_frame(cfg)
+    tol = cfg.tol if cfg.tol is not None else CHECKS["relative_mismatch"].bound
     z = make_zeta(frame, cfg.point)
     direct = invert_direct(z)
     closed = zeta_inverse_closed(frame, cfg.point)
     mismatch = norm_euclid(closed - direct) / norm_euclid(direct)
     prod_res = norm_euclid(multiply(z, closed) - unit_element(spec))
-    ok = mismatch <= tol and prod_res <= 1e-9 * (1 + norm_euclid(direct))
+    ok = (mismatch <= tol
+          and prod_res <= CHECKS["product_residual"].bound * (1 + norm_euclid(direct)))
     return {
-        "command": "invert",
         "algebra": spec.name,
         "point": list(cfg.point),
         "closed_form": _elem_json(closed),
@@ -159,7 +208,6 @@ def _cmd_invert(cfg: RunConfig):
         "relative_mismatch": mismatch,
         "product_residual": prod_res,
         "tol": tol,
-        "ok": ok,
     }, ok
 
 
@@ -177,25 +225,15 @@ def _lambda_record(res: LambdaResult, plane: str) -> dict:
 
 
 def _cmd_lambda(cfg: RunConfig):
-    spec, frame = _load_inputs(cfg)
-    if frame is None:
-        raise ValueError("lambda needs a frame")
+    spec, frame = _load_frame(cfg)
     curve = circle_curve(radius=cfg.radius, nodes=cfg.nodes, plane=cfg.plane)
     rec = _lambda_record(lambda_numeric(frame, curve, tol=cfg.tol), cfg.plane)
-    rec["command"] = "lambda"
     rec["algebra"] = spec.name
-    rec["ok"] = True  # lambda has no asserted tolerance on its own
-    return rec, True
+    return rec, True  # lambda has no asserted tolerance on its own
 
 
-def _cmd_classify(cfg: RunConfig):
-    spec, frame = _load_inputs(cfg)
-    if frame is None:
-        raise ValueError("classify needs a frame")
-    rep = exactness_conditions(frame)
+def _exactness_record(rep: ExactnessReport) -> dict:
     return {
-        "command": "classify",
-        "algebra": spec.name,
         "theorem5": rep.theorem5,
         "theorem6": rep.theorem6,
         "theorem7": rep.theorem7,
@@ -203,10 +241,18 @@ def _cmd_classify(cfg: RunConfig):
         "theorem8_violations": [[name, _c2pair(v)] for name, v in rep.theorem8_violations],
         "theorem9": rep.theorem9,
         "theorem10": rep.theorem10,
+        "predicted_2pi_i": rep.predicted_2pi_i,
+    }
+
+
+def _cmd_classify(cfg: RunConfig):
+    spec, frame = _load_frame(cfg)
+    rep = exactness_conditions(frame)
+    return {
+        "algebra": spec.name,
+        **_exactness_record(rep),
         "theorem10_condition1": rep.theorem10_condition1,
         "theorem10_condition2": rep.theorem10_condition2,
-        "predicted_2pi_i": rep.predicted_2pi_i,
-        "ok": True,
     }, True
 
 
@@ -232,19 +278,24 @@ def _cauchy_residuals(frame: E3Frame, curve: Curve3) -> dict[str, float]:
             for name, ms in _standard_mspecs(frame.spec).items()}
 
 
-def _cmd_verify_cauchy(cfg: RunConfig):
-    spec, frame = _load_inputs(cfg)
-    tol = cfg.tol if cfg.tol is not None else 1e-7
-    res = _cauchy_residuals(frame, _theorem_circle(cfg.nodes))
+def _residuals_report(cfg: RunConfig, key: str, residuals) -> tuple[dict, bool]:
+    """The report of a command that checks residuals(frame) against --tol,
+    which defaults to the bound of CHECKS[key]."""
+    spec, frame = _load_frame(cfg)
+    tol = cfg.tol if cfg.tol is not None else CHECKS[key].bound
+    res = residuals(frame)
     ok = all(v <= tol for v in res.values())
     return {
-        "command": "verify-cauchy",
         "algebra": spec.name,
         "residuals": res,
         "tol": tol,
         "node_count": cfg.nodes,
-        "ok": ok,
     }, ok
+
+
+def _cmd_verify_cauchy(cfg: RunConfig):
+    curve = _theorem_circle(cfg.nodes)
+    return _residuals_report(cfg, "cauchy_theorem", lambda frame: _cauchy_residuals(frame, curve))
 
 
 def _formula_residuals(frame: E3Frame, p0, curve: Curve3, loop: Curve3) -> dict[str, float]:
@@ -266,19 +317,10 @@ def _formula_residuals(frame: E3Frame, p0, curve: Curve3, loop: Curve3) -> dict[
 
 
 def _cmd_verify_formula(cfg: RunConfig):
-    spec, frame = _load_inputs(cfg)
-    tol = cfg.tol if cfg.tol is not None else 1e-6
     curve = _formula_circle(cfg.nodes)
-    res = _formula_residuals(frame, _FORMULA_P0, curve, _formula_loop(curve, _FORMULA_P0))
-    ok = all(v <= tol for v in res.values())
-    return {
-        "command": "verify-formula",
-        "algebra": spec.name,
-        "residuals": res,
-        "tol": tol,
-        "node_count": cfg.nodes,
-        "ok": ok,
-    }, ok
+    loop = _formula_loop(curve, _FORMULA_P0)
+    return _residuals_report(cfg, "cauchy_formula",
+                             lambda frame: _formula_residuals(frame, _FORMULA_P0, curve, loop))
 
 
 def _max_rel(rows: np.ndarray, refs: np.ndarray) -> float:
@@ -291,7 +333,7 @@ def _oracle_record(frame: E3Frame, rng: np.random.Generator) -> dict:
     """Closed forms against the dense-solve oracle on 100 seeded random points, all batched."""
     spec = frame.spec
     pts = random_safe_points(frame, rng, 100)
-    ts = np.array([complex(rng.uniform(2.5, 4.0), rng.uniform(0.5, 1.5)) for _ in pts])
+    ts = rng.uniform([2.5, 0.5], [4.0, 1.5], size=(len(pts), 2)).view(complex).ravel()
     zc = _zeta_coeffs(frame, pts)
     shifted = ts[:, None] * spec.unit_coeffs - zc
     closed = _zeta_inverse_batch(frame, pts)
@@ -351,15 +393,8 @@ def _verify_one_fixture(name: str, cfg: RunConfig, curves: _Curves) -> dict:
     frame = bundle.default_frame
     rng = np.random.default_rng(cfg.seed)
     rec: dict = {"algebra": name}
-    ok = True
-
-    validation = validate_algebra(spec)
-    rec["validation"] = validation.violations
-    ok &= validation.ok
-
-    oracle = rec["oracle"] = _oracle_record(frame, rng)
-    ok &= (oracle["zeta_inverse_max_rel"] <= 1e-9 and oracle["resolvent_max_rel"] <= 1e-9
-           and oracle["atilde_max_rel"] <= 1e-10)
+    rec["validation"] = validate_algebra(spec).violations
+    rec["oracle"] = _oracle_record(frame, rng)
 
     # one lambda per xy circle radius; the reported radius is usually 1.0
     lams = {r: lambda_numeric(frame, circle) for r, circle in curves.xy.items()}
@@ -370,7 +405,6 @@ def _verify_one_fixture(name: str, cfg: RunConfig, curves: _Curves) -> dict:
         norm_euclid(lams[2.0].lambda_ - lam_one.lambda_),
     ) / norm_euclid(lam_one.lambda_)
     rec["lambda"]["radius_agreement_rel"] = radius_dev
-    ok &= radius_dev <= 1e-8
 
     # plane choice is exposed rather than assumed equivalent: report the
     # observed variation on any other-plane circle that still embraces once
@@ -385,30 +419,16 @@ def _verify_one_fixture(name: str, cfg: RunConfig, curves: _Curves) -> dict:
     rec["lambda"]["plane_variation_rel"] = plane_var
 
     exact = exactness_conditions(frame)
-    rec["exactness"] = {
-        "theorem5": exact.theorem5,
-        "theorem6": exact.theorem6,
-        "theorem7": exact.theorem7,
-        "theorem8": exact.theorem8,
-        "theorem8_violations": [[nm, _c2pair(v)] for nm, v in exact.theorem8_violations],
-        "theorem9": exact.theorem9,
-        "theorem10": exact.theorem10,
-        "predicted_2pi_i": exact.predicted_2pi_i,
-    }
-    prediction_sound = (not exact.predicted_2pi_i) or lam_one.is_2pi_i
-    rec["prediction_sound"] = prediction_sound
-    ok &= prediction_sound
+    rec["exactness"] = _exactness_record(exact)
+    rec["prediction_sound"] = (not exact.predicted_2pi_i) or lam_one.is_2pi_i
 
     rec["cauchy_theorem"] = _cauchy_residuals(frame, curves.theorem)
-    ok &= all(v <= 1e-7 for v in rec["cauchy_theorem"].values())
     rec["cauchy_formula"] = _formula_residuals(frame, _FORMULA_P0, curves.formula,
                                                curves.formula_loop)
-    ok &= all(v <= 1e-6 for v in rec["cauchy_formula"].values())
 
     # the Morera functional on each triangle: the loop integral around its boundary
     mono = norm_euclid(curvilinear_integral(zeta_field(frame), curves.morera, frame))
     rec["morera"] = {"monogenic_zeta": mono}
-    ok &= mono <= 1e-8
 
     def non_mono(pts):
         out = np.zeros(pts.shape[:-1] + (spec.n,), dtype=complex)
@@ -418,10 +438,7 @@ def _verify_one_fixture(name: str, cfg: RunConfig, curves: _Curves) -> dict:
 
     rec["morera"]["non_monogenic"] = norm_euclid(
         curvilinear_integral(non_mono, curves.morera_unit, frame))
-    ok &= rec["morera"]["non_monogenic"] >= 1e-2
 
-    lemma_pairs = 0
-    lemma_viol = 0
     fields = {
         "const": constant_field(unit_element(spec)),
         "zeta": zeta_field(frame),
@@ -429,32 +446,26 @@ def _verify_one_fixture(name: str, cfg: RunConfig, curves: _Curves) -> dict:
         "non_monogenic": non_mono,
     }
     c = certified_lemma_constant(frame)
+    excess = []
     for curve in curves.lemma:
         steps = _node_steps(curve)
         dzeta = _zeta_tangent_norm(frame, steps)
         for fld in fields.values():
             lhs, rhs = _norm_inequality(fld, curve, frame, c, steps, dzeta)
-            lemma_pairs += 1
-            if lhs > rhs * (1 + 1e-12):
-                lemma_viol += 1
-    rec["lemma1"] = {"pairs": lemma_pairs, "violations": lemma_viol, "c": c}
-    ok &= lemma_viol == 0
-
-    rec["ok"] = bool(ok)
+            excess.append(lhs > rhs * (1 + CHECKS["lemma1.slack"].bound))
+    rec["lemma1"] = {"pairs": len(excess), "violations": sum(excess), "c": c}
+    rec["ok"] = not list(_failures(rec))
     return rec
 
 
 def _cmd_verify_all(cfg: RunConfig):
     curves = _Curves.build(cfg)
-    results = [_verify_one_fixture(nm, cfg, curves) for nm in CATALOG]
-    per_fixture = {rec["algebra"]: rec for rec in results}
-    ok = all(rec["ok"] for rec in results)
+    fixtures = {name: _verify_one_fixture(name, cfg, curves) for name in sorted(CATALOG)}
+    ok = all(rec["ok"] for rec in fixtures.values())
     return {
-        "command": "verify-all",
         "node_count": cfg.nodes,
         "seed": cfg.seed,
-        "fixtures": {name: per_fixture[name] for name in sorted(per_fixture)},
-        "ok": ok,
+        "fixtures": fixtures,
     }, ok
 
 
@@ -490,22 +501,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        point = tuple(float(v) for v in args.point.split(","))
-        if len(point) != 3:
+        args.point = tuple(float(v) for v in args.point.split(","))
+        if len(args.point) != 3:
             raise ValueError("--point needs x,y,z")
-        cfg = RunConfig(
-            command=args.command,
-            fixture=args.fixture,
-            algebra_path=args.algebra_path,
-            frame=args.frame,
-            point=point,
-            nodes=args.nodes,
-            radius=args.radius,
-            plane=args.plane,
-            tol=args.tol,
-            seed=args.seed,
-            out=args.out,
-        )
+        cfg = RunConfig(**vars(args))
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -513,12 +512,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report, ok = _COMMANDS[cfg.command](cfg)
+            fields, ok = _COMMANDS[cfg.command](cfg)
     except (FileNotFoundError, KeyError, ValueError, json.JSONDecodeError,
             AlgebraError, EmbraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    report = {"command": cfg.command, **fields, "ok": ok}
     Path(cfg.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     _print_summary(report)
     print(f"report written to {cfg.out}")
@@ -532,6 +532,8 @@ def _print_summary(report: dict) -> None:
     if cmd == "verify-all":
         for name, rec in report["fixtures"].items():
             print(f"{name}: {'ok' if rec['ok'] else 'FAIL'}")
+            for line in _failures(rec):
+                print("  " + line)
     elif cmd == "validate":
         n = len(report["violations"])
         print("valid" if n == 0 else f"{n} violation(s):")
@@ -541,11 +543,9 @@ def _print_summary(report: dict) -> None:
         lam = [complex(re, im) for re, im in report["lambda"]]
         print("lambda coefficients:", ", ".join(f"{v:.10g}" for v in lam))
         print("is_2pi_i:", report["is_2pi_i"])
-    elif "residuals" in report:
-        for k, v in report["residuals"].items():
-            print(f"{k}: residual {v:.3e}")
-        print("ok:", report["ok"])
     else:
+        for k, v in report.get("residuals", {}).items():
+            print(f"{k}: residual {v:.3e}")
         print("ok:", report["ok"])
 
 

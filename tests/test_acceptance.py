@@ -40,6 +40,7 @@ from monalg import (
     zeta_inverse_field,
     zeta_power_field,
 )
+from monalg.cli import CHECKS
 
 from conftest import random_safe_points
 from test_integration import non_monogenic_field
@@ -139,7 +140,9 @@ def test_criterion_04_oracle_equivalence(bundles):
                 diff = np.array([at[k] - closed.coeff(k) for k in sorted(at)])
                 base = np.linalg.norm([closed.coeff(k) for k in sorted(at)])
                 worst_at = max(worst_at, np.linalg.norm(diff) / max(base, 1e-30))
-    ok = worst_inv <= 1e-9 and worst_res <= 1e-9 and worst_at <= 1e-10
+    ok = (worst_inv <= CHECKS["oracle.zeta_inverse_max_rel"].bound
+          and worst_res <= CHECKS["oracle.resolvent_max_rel"].bound
+          and worst_at <= CHECKS["oracle.atilde_max_rel"].bound)
     report(4, ok, f"oracle equivalence: inverse {worst_inv:.2e}, resolvent {worst_res:.2e}, "
                   f"closed-coefficients {worst_at:.2e}")
     assert ok
@@ -161,7 +164,7 @@ def test_criterion_05_cauchy_theorem_with_order_check(bundles):
             r1 = norm_euclid(curvilinear_integral(field, circle_curve(center, 0.8, 4096), frame))
             r2 = norm_euclid(curvilinear_integral(field, circle_curve(center, 0.8, 8192), frame))
             order_ok = (r2 <= FLOOR) or (r1 / r2 >= 4.0)
-            ok &= (r1 <= 1e-7) and order_ok
+            ok &= (r1 <= CHECKS["cauchy_theorem"].bound) and order_ok
             details.append(f"{name}/{fname}: {r1:.1e}->{r2:.1e}")
     report(5, ok, "Cauchy theorem residuals with node-doubling check: " + ", ".join(details))
     assert ok
@@ -182,7 +185,7 @@ def test_criterion_06_cauchy_formula(bundles):
         ):
             r = cauchy_formula_residual(ms, frame, p0, curve, nodes=512)
             worst = max(worst, r)
-            ok &= r <= 1e-6
+            ok &= r <= CHECKS["cauchy_formula"].bound
     report(6, ok, f"Cauchy formula residuals on C2 and A5: worst = {worst:.3e}")
     assert ok
 
@@ -230,8 +233,8 @@ def test_criterion_08_stokes_and_morera(bundles):
         norm_euclid(morera_functional(non_monogenic_field(c2),
                                       [(0, 0, 0), (1, 0, 0), (0, 1, 0)], c2, per_edge=256)),
     ]
-    ok = (stokes <= 1e-8 and all(v <= 1e-8 for v in morera_vals)
-          and all(v >= 1e-2 for v in bad))
+    ok = (stokes <= 1e-8 and all(v <= CHECKS["morera.monogenic_zeta"].bound for v in morera_vals)
+          and all(v >= CHECKS["morera.non_monogenic"].bound for v in bad))
     report(8, ok, f"stokes {stokes:.1e}; morera monogenic max {max(morera_vals):.1e}; "
                   f"non-monogenic min {min(bad):.1e}")
     assert ok
@@ -263,7 +266,7 @@ def test_criterion_09_norm_inequality(bundles):
                         continue
                 lhs, rhs, _ = norm_inequality_check(field, curve, frame)
                 pairs += 1
-                if lhs > rhs * (1 + 1e-12):
+                if lhs > rhs * (1 + CHECKS["lemma1.slack"].bound):
                     violations += 1
     ok = violations == 0
     report(9, ok, f"norm inequality: {violations} violations across {pairs} field/curve pairs")
@@ -283,6 +286,6 @@ def test_criterion_10_radius_robustness(bundles):
             for r in (0.5, 1.0, 2.0)]
     for other in lams[1:]:
         worst = max(worst, norm_euclid(other - lams[0]) / norm_euclid(lams[0]))
-    ok = worst <= 1e-8
+    ok = worst <= CHECKS["lambda.radius_agreement_rel"].bound
     report(10, ok, f"lambda radius independence: worst relative deviation {worst:.3e}")
     assert ok

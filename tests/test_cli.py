@@ -70,7 +70,7 @@ def test_invert_command(tmp_path):
                   "--point", "0.5,0.3,-0.4", "--out", str(out), cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     report = json.loads(out.read_text())
-    assert report["relative_mismatch"] <= 1e-9
+    assert report["relative_mismatch"] <= cli.CHECKS["relative_mismatch"].bound
 
 
 def test_verify_cauchy_command(tmp_path):
@@ -79,7 +79,7 @@ def test_verify_cauchy_command(tmp_path):
                   "--out", str(out), cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     report = json.loads(out.read_text())
-    assert all(v <= 1e-7 for v in report["residuals"].values())
+    assert all(v <= cli.CHECKS["cauchy_theorem"].bound for v in report["residuals"].values())
 
 
 def test_verify_formula_command(tmp_path):
@@ -88,7 +88,7 @@ def test_verify_formula_command(tmp_path):
                   "--out", str(out), cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     report = json.loads(out.read_text())
-    assert all(v <= 1e-6 for v in report["residuals"].values())
+    assert all(v <= cli.CHECKS["cauchy_formula"].bound for v in report["residuals"].values())
 
 
 def test_bad_input_exit_codes(tmp_path):
@@ -246,10 +246,12 @@ def test_batched_oracle_matches_point_by_point_solves():
     for name in list_fixtures():
         frame = load_fixture(name).default_frame
         spec = frame.spec
-        got = cli._oracle_record(frame, np.random.default_rng(5))
+        batched = np.random.default_rng(5)
+        got = cli._oracle_record(frame, batched)
         rng = np.random.default_rng(5)
         pts = random_safe_points(frame, rng, 100)
         ts = [complex(rng.uniform(2.5, 4.0), rng.uniform(0.5, 1.5)) for _ in pts]
+        assert batched.bit_generator.state == rng.bit_generator.state, name
         worst = dict.fromkeys(("zeta_inverse_max_rel", "resolvent_max_rel", "atilde_max_rel"), 0.0)
         for p, t in zip(pts, ts):
             direct = invert_direct(make_zeta(frame, p))
@@ -269,3 +271,58 @@ def test_batched_oracle_matches_point_by_point_solves():
         assert got["trials"] == 100
         for key, want in worst.items():
             assert abs(got[key] - want) <= 1e-15, (name, key, got[key], want)
+
+
+def test_check_table_pins_every_bound():
+    # loosening a bound the CLI asserts must show up as an edit of this test
+    assert {key: tuple(check) for key, check in cli.CHECKS.items()} == {
+        "validation": ("==", [], "verify-all"),
+        "oracle.zeta_inverse_max_rel": ("<=", 1e-9, "verify-all"),
+        "oracle.resolvent_max_rel": ("<=", 1e-9, "verify-all"),
+        "oracle.atilde_max_rel": ("<=", 1e-10, "verify-all"),
+        "lambda.radius_agreement_rel": ("<=", 1e-8, "verify-all"),
+        "prediction_sound": ("==", True, "verify-all"),
+        "cauchy_theorem": ("<=", 1e-7, "verify-all"),
+        "cauchy_formula": ("<=", 1e-6, "verify-all"),
+        "morera.monogenic_zeta": ("<=", 1e-8, "verify-all"),
+        "morera.non_monogenic": (">=", 1e-2, "verify-all"),
+        "lemma1.violations": ("==", 0, "verify-all"),
+        "lemma1.slack": ("<=", 1e-12, None),
+        "relative_mismatch": ("<=", 1e-9, "invert"),
+        "product_residual": ("<=", 1e-9, "invert"),
+    }
+
+
+def test_verify_all_names_failing_rows(monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(cli.CHECKS, "morera.non_monogenic", cli.Check(">=", np.inf))
+    out = tmp_path / "all.json"
+    assert cli.main(["verify-all", "--nodes", "256", "--out", str(out)]) == 1
+    stdout = capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["ok"] is False
+    for name, rec in report["fixtures"].items():
+        value = rec["morera"]["non_monogenic"]
+        assert f"{name}: FAIL\n  morera.non_monogenic = {value}, bound >= inf\n" in stdout
+    assert stdout.count("bound") == len(report["fixtures"])
+    # a NaN fails its row
+    rec = report["fixtures"]["A5"]
+    rec["cauchy_theorem"]["exp"] = float("nan")
+    assert "cauchy_theorem.exp = nan, bound <= 1e-07" in list(cli._failures(rec))
+
+
+def test_residual_commands_load_frames_from_files(tmp_path, capsys):
+    from monalg import algebra_to_json, frame_to_json, load_fixture
+
+    bundle = load_fixture("A5")
+    algebra, frame = tmp_path / "a.json", tmp_path / "f.json"
+    algebra.write_text(json.dumps(algebra_to_json(bundle.algebra)))
+    frame.write_text(json.dumps(frame_to_json(bundle.default_frame)))
+    out = tmp_path / "r.json"
+    for command in ("verify-cauchy", "verify-formula"):
+        assert cli.main([command, "--algebra", str(algebra), "--out", str(out)]) == 2
+        assert f"{command} needs a frame" in capsys.readouterr().err
+    residuals = []
+    for source in (["--algebra", str(algebra), "--frame", str(frame)], ["--fixture", "A5"]):
+        assert cli.main(["verify-cauchy", *source, "--nodes", "256", "--out", str(out)]) == 0
+        residuals.append(json.loads(out.read_text())["residuals"])
+    assert residuals[0] == residuals[1]
