@@ -480,19 +480,26 @@ _COMMANDS = {
 }
 
 
+# the commands that read --tol; the others reject it, so that a bound asked
+# for is never silently left unchecked
+_TOL_COMMANDS = ("invert", "lambda", "verify-cauchy", "verify-formula")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="monalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--fixture", choices=CATALOG)
-        p.add_argument("--algebra", dest="algebra_path", help="path to an algebra JSON file")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--fixture", choices=CATALOG)
+        source.add_argument("--algebra", dest="algebra_path", help="path to an algebra JSON file")
         p.add_argument("--frame", help="bundled frame name or path to a frame JSON file")
         p.add_argument("--point", default="0.3,0.4,0.5", help="x,y,z for invert")
         p.add_argument("--nodes", type=int, default=4096)
         p.add_argument("--radius", type=float, default=1.0)
         p.add_argument("--plane", choices=("xy", "yz", "zx"), default="xy")
-        p.add_argument("--tol", type=float)
+        if name in _TOL_COMMANDS:
+            p.add_argument("--tol", type=float)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="monalg_report.json")
     return parser

@@ -66,13 +66,30 @@ def winding_number(frame: E3Frame, curve: Curve3, u: int, around: complex = 0.0)
     return _winding(_xi_batch(frame, curve.points)[:, u - 1], u, around)
 
 
-def _winding(xi_u: np.ndarray, u: int, around: complex) -> int:
-    """winding_number from the values of xi_u at the curve's nodes."""
-    w = xi_u - around
-    if np.min(np.abs(w)) < 1e-10 * (1 + abs(around)):
+def _winding(xi_u: np.ndarray, u: int, around: complex,
+             abs_w: np.ndarray | None = None) -> int:
+    """winding_number from the values of xi_u at the curve's nodes.
+
+    Counts the signed crossings of the ray from `around` along the positive
+    real axis by the closed polyline through w = xi_u - around: +1 where an
+    edge goes from Im w <= 0 to Im w > 0 with `around` on its left (cross
+    product Re w0 Im w1 - Im w0 Re w1 > 0), -1 where one goes back down with
+    `around` on its right.  That is the polyline's winding number, which the
+    sum of the principal angles of w[i+1] / w[i] also is: each edge misses
+    `around` and subtends less than pi.  A caller that holds |w| passes it
+    as abs_w.
+    """
+    w = xi_u - around if around != 0 else xi_u
+    if abs_w is None:
+        abs_w = np.abs(w)
+    if np.min(abs_w) < 1e-10 * (1 + abs(around)):
         raise EmbraceError(f"xi_{u} passes within 1e-10 of the winding point")
-    total = float(np.sum(np.angle(w[1:] / w[:-1])))
-    return int(np.rint(total / (2 * np.pi)))
+    below = w.imag <= 0
+    idx = np.flatnonzero(below[:-1] != below[1:])
+    w0, w1 = w[idx], w[idx + 1]
+    cross = w0.real * w1.imag - w0.imag * w1.real
+    up = below[idx]
+    return int(np.count_nonzero(up & (cross > 0)) - np.count_nonzero(~up & (cross < 0)))
 
 
 def _sigma_forms(frame: E3Frame, S: np.ndarray) -> np.ndarray:
@@ -128,21 +145,23 @@ def _lambda_numeric(frame: E3Frame, circle: Curve3,
     spec = frame.spec
     if not circle.closed:
         raise EmbraceError("lambda requires a closed curve")
-    # one xi per node serves the embrace margin, the winding numbers and the
-    # zeta^{-1} recurrence; the sigma forms need no per-node pass of their own.
-    # xi is a view of rows, so each xi[:, u] is contiguous
+    # one xi and one |xi| per node serve the embrace margin, the winding
+    # numbers and the zeta^{-1} recurrence and its pole check; the sigma forms
+    # need no per-node pass of their own.  xi is a view of rows and |xi| keeps
+    # its layout, so each xi[:, u] and abs_xi[:, u] is contiguous
     xi = _xi_batch(frame, circle.points)
-    margin = float(np.min(np.abs(xi)))
+    abs_xi = np.abs(xi)
+    margin = float(np.min(abs_xi))
     if margin < 1e-12 * circle.coord_scale:
-        u = int(np.argmin(np.min(np.abs(xi), axis=0))) + 1
+        u = int(np.argmin(np.min(abs_xi, axis=0))) + 1
         raise NonInvertibleError(f"curve node on or near line L_{u}", u=u)
     winding = {}
     for u in range(1, spec.m + 1):
-        wu = _winding(xi[:, u - 1], u, 0.0)
+        wu = _winding(xi[:, u - 1], u, 0.0, abs_xi[:, u - 1])
         winding[u] = wu
         if wu != 1:
             raise EmbraceError(f"curve does not embrace once: winding of xi_{u} is {wu}")
-    inv = _zeta_inverse_batch(frame, circle.points, xi, circle.pole_scale)
+    inv = _zeta_inverse_batch(frame, circle.points, xi, circle.pole_scale, abs_xi)
     # S = sum over nodes of step (x) zeta^{-1}: lambda is e1 S_x + e2 S_y + e3 S_z
     # by the table product, the sigma integrals the same sums by the plan's triples
     S = _weighted_sums(_node_steps(circle), inv)

@@ -19,8 +19,9 @@ not rediscovered per call: AlgebraSpec builds a CouplingPlan once, listing
 the nonzero terms of each B_{r,s}, the products of the Q recurrence that are
 not identically zero, and the orders the expansion reads.  _recurrences and
 _expand walk that plan and do only array arithmetic; all-zero couplings
-share one zero array.  The plan keeps the scan's order of operations, so
-results are bit for bit those of scanning every gamma(r, k, s).
+share one zero array, and a coupling that is one T_k with gamma = 1 takes
+one pass.  The plan keeps the scan's order of operations, so results are
+bit for bit those of scanning every gamma(r, k, s).
 
 Inside the kernels a batch is coefficient-major: xi_u, T_s, every B and Q,
 every power factor and every row of the expansion is one contiguous array
@@ -88,6 +89,10 @@ def _recurrences(frame: E3Frame, pts: np.ndarray, xi: np.ndarray | None = None):
 
     B: dict[tuple[int, int], np.ndarray] = {}
     for rs, terms in spec.plan.B:
+        if len(terms) == 1 and terms[0][1] == 1:
+            # one pass for 0.0 + T_k * 1, bit for bit, its zeros made +0.0 alike
+            B[rs] = T[..., terms[0][0] - m - 1] + 0.0
+            continue
         acc = 0.0
         for k, g in terms:
             acc = acc + T[..., k - m - 1] * g
@@ -127,14 +132,24 @@ def _expand(spec: AlgebraSpec, Q, W) -> np.ndarray:
     k = 1..spec.plan.orders[u-1]: powers (t - xi_u)^{-k} give the resolvent,
     (-1)^{k+1} xi_u^{-k} give zeta^{-1}, contour moments give the monogenic
     representation.  Terms whose Q_{k,s} is identically zero are skipped.
-    The coefficients fill an (n, ...) buffer row by row; the result (..., n)
-    is its view (geometry._batch_view), not C-contiguous for a batch.
+    The coefficients fill an (n, ...) buffer row by row, each row of a batch
+    summed in place; the result (..., n) is its view (geometry._batch_view),
+    not C-contiguous for a batch.
     """
     out = np.empty((spec.n,) + np.shape(W[0][0]), dtype=complex)
     for u in range(spec.m):
         out[u, ...] = W[u][0]
+    batch = out[0].size > 1
     for s, u, ks in spec.plan.expand:
         w = W[u - 1]
+        if batch:
+            # summed where the row lies, 0.0 + the first term and then each
+            # further term, with no temporary of the batch's size per sum;
+            # on one point the in-place calls cost more than they save
+            row = np.add(Q[(ks[0], s)] * w[ks[0] - 1], 0.0, out[s - 1, ...])
+            for k in ks[1:]:
+                row += Q[(k, s)] * w[k - 1]
+            continue
         acc = 0.0
         for k in ks:
             acc = acc + Q[(k, s)] * w[k - 1]
@@ -206,16 +221,20 @@ def _pole_scale(pts: np.ndarray) -> float:
 
 
 def _zeta_inverse_batch(frame: E3Frame, pts: np.ndarray, xi: np.ndarray | None = None,
-                        scale: float | None = None) -> np.ndarray:
+                        scale: float | None = None,
+                        abs_xi: np.ndarray | None = None) -> np.ndarray:
     """zeta^{-1} at a batch of points (..., 3) -> (..., n); xi as in _recurrences.
 
     A caller that already holds _pole_scale(pts), such as a curve's
-    pole_scale, passes it in as scale.
+    pole_scale, passes it in as scale, and one that holds np.abs(xi) passes
+    it as abs_xi.
     """
     spec = frame.spec
     pts = np.asarray(pts, dtype=float)
     xi, _, _, Q = _recurrences(frame, pts, xi)
-    bad = np.abs(xi) < _POLE_TOL * (_pole_scale(pts) if scale is None else scale)
+    if abs_xi is None:
+        abs_xi = np.abs(xi)
+    bad = abs_xi < _POLE_TOL * (_pole_scale(pts) if scale is None else scale)
     if np.any(bad):
         u = int(np.argwhere(bad)[0][-1]) + 1
         raise NonInvertibleError(f"point lies on line L_{u} (xi_{u} = 0)", u=u)

@@ -326,3 +326,30 @@ def test_residual_commands_load_frames_from_files(tmp_path, capsys):
         assert cli.main(["verify-cauchy", *source, "--nodes", "256", "--out", str(out)]) == 0
         residuals.append(json.loads(out.read_text())["residuals"])
     assert residuals[0] == residuals[1]
+
+
+@pytest.mark.parametrize("args", [
+    ["verify-all", "--nodes", "256"],
+    ["classify", "--fixture", "A5", "--plane", "yz"],
+    ["validate", "--fixture", "A5"],
+])
+def test_commands_with_fixed_bounds_reject_tol(args, tmp_path, capsys):
+    # these commands check fixed bounds only: a --tol would be ignored, so a
+    # user asking for a tighter bound must not be told that every check passed
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*args, "--tol", "1e-30", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-30" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fixture_and_algebra_are_mutually_exclusive(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", "--fixture", "A5", "--algebra", str(tmp_path / "none.json"),
+                  "--out", str(out)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["validate", "--fixture", "A5", "--out", str(out)]) == 0

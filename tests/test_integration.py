@@ -417,3 +417,31 @@ def test_long_loop_matches_node_by_node_sum(bundles):
             + multiply(frame.e3, AlgElement(spec, sums[2])))
     got = curvilinear_integral(zeta_inverse_field(frame), curve, frame)
     assert norm_euclid(got - want) <= 1e-13 * norm_euclid(want)
+
+
+@pytest.mark.parametrize("N", [1, 2, 513, 4097, 16385])
+@pytest.mark.parametrize("k", [1, 3])
+def test_weighted_sums_contract_coefficient_rows_in_place(N, k):
+    # the batch kernels return (N, n) values as the .T view of C-contiguous
+    # (n, N) rows; with several weight columns the contraction reads those
+    # rows where they lie, and must agree with the contiguous layout's GEMM
+    import tracemalloc
+
+    from monalg.integration import _weighted_sums
+
+    n = 5
+    rng = np.random.default_rng(1310 + N + k)
+    rows = rng.standard_normal((n, N)) + 1j * rng.standard_normal((n, N))
+    weights = rng.standard_normal((N, k))
+    vals = rows.T
+    want = _weighted_sums(weights, np.ascontiguousarray(vals))
+    tracemalloc.start()
+    try:
+        got = _weighted_sums(weights, vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == want.shape == (k, n)
+    np.testing.assert_allclose(got, want, rtol=1e-15)
+    if k > 1 and N >= 513:  # the row path makes no (N, n) copy of the values
+        assert peak < vals.nbytes // 2, peak

@@ -686,3 +686,72 @@ def test_formula_contraction_matches_the_per_node_product(bundles):
                                - AlgElement(spec, rhs))
             got = cauchy_formula_residual(exp, frame, p0, curve, nodes=512)
             assert abs(got - want) <= 1e-13 * (1 + np.linalg.norm(rhs)), spec.name
+
+
+def _angle_sum_winding(w):
+    """The reference winding number: the sum of the principal angles of
+    w[i+1] / w[i] over a closed polyline (last node = first), in turns."""
+    return int(np.rint(float(np.sum(np.angle(w[1:] / w[:-1]))) / (2 * np.pi)))
+
+
+def _closed(w):
+    return np.append(w, w[0])
+
+
+def test_crossing_count_matches_the_angle_sum_on_random_polygons():
+    from monalg.lambda_const import _winding
+
+    rng = np.random.default_rng(1301)
+    seen = set()
+    for trial in range(6000):
+        k = int(rng.integers(3, 13))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        w = scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+        if trial % 3 == 0:
+            # every other vertex (the last one neighbours the first) exactly
+            # on the real axis, with either sign of zero; no edge then runs
+            # along the axis, through 0
+            on_axis = np.arange(0, k - 1, 2)
+            w.imag[on_axis] = rng.choice([0.0, -0.0], len(on_axis))
+        w = _closed(w)
+        ref = _angle_sum_winding(w)
+        seen.add(ref)
+        assert _winding(w, 1, 0.0) == ref, (trial, w)
+        assert _winding(w, 1, 0.0, np.abs(w)) == ref
+    assert {-1, 0, 1} <= seen
+
+
+@pytest.mark.parametrize("turns", [-3, -2, 2, 3])
+def test_crossing_count_on_loops_that_wind_several_times(turns):
+    from monalg.lambda_const import _winding
+
+    rng = np.random.default_rng(1302 + turns)
+    for _ in range(200):
+        per_turn = int(rng.integers(4, 13))
+        k = per_turn * abs(turns)
+        # k vertices going round `turns` times, each step 0.5 to 1.5 times
+        # 2 pi / per_turn, so under pi, at radii over six decades
+        t = np.sign(turns) * (np.arange(k) + rng.uniform(-0.25, 0.25, k)) * 2 * np.pi / per_turn
+        r = 10.0 ** rng.uniform(-3, 3) * rng.uniform(0.5, 1.5, k)
+        w = _closed(r * np.exp(1j * t))
+        assert _angle_sum_winding(w) == turns
+        assert _winding(w, 1, 0.0) == turns
+
+
+def test_winding_number_about_a_nonzero_point_matches_the_angle_sum(bundles):
+    from monalg.geometry import _xi_batch
+
+    rng = np.random.default_rng(1303)
+    seen = set()
+    for name in ("A5", "C2", "J71"):
+        frame = bundles[name].frames["default"]
+        for plane in ("xy", "yz", "zx"):
+            circle = circle_curve(center=tuple(rng.uniform(-0.5, 0.5, 3)),
+                                  radius=rng.uniform(0.5, 2.0), nodes=512, plane=plane)
+            xi = _xi_batch(frame, circle.points)
+            for u in range(1, frame.spec.m + 1):
+                for around in rng.uniform(-1.5, 1.5, 4) + 1j * rng.uniform(-1.5, 1.5, 4):
+                    ref = _angle_sum_winding(xi[:, u - 1] - around)
+                    seen.add(ref)
+                    assert winding_number(frame, circle, u, around=around) == ref
+    assert seen == {-1, 0, 1}
