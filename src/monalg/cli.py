@@ -38,14 +38,10 @@ from .fixtures import CATALOG, load_fixture
 from .geometry import E3Frame, _zeta_coeffs, frame_from_json, make_zeta, random_safe_points
 from .integration import (
     Curve3,
-    _integrate_values,
-    _node_steps,
-    _norm_inequality,
-    _zeta_tangent_norm,
-    certified_lemma_constant,
     circle_curve,
     constant_field,
     curvilinear_integral,
+    norm_inequality_checks,
     triangle_curve,
     zeta_field,
     zeta_power_field,
@@ -55,15 +51,13 @@ from .lambda_const import (
     ExactnessReport,
     LambdaResult,
     _atilde_batch,
-    _formula_loop,
-    _formula_residual,
-    _formula_weights,
-    _lambda_numeric,
+    cauchy_formula_residuals,
+    cauchy_theorem_residuals,
     exactness_conditions,
     lambda_numeric,
 )
-from .monogenic import HoloFunction, MonogenicSpec, _rep_values
-from .resolvent import _recurrences, _resolvent_batch, _zeta_inverse_batch, zeta_inverse_closed
+from .monogenic import HoloFunction, MonogenicSpec
+from .resolvent import _resolvent_batch, _zeta_inverse_batch, zeta_inverse_closed
 
 
 class Check(NamedTuple):
@@ -269,21 +263,13 @@ def _formula_circle(nodes: int) -> Curve3:
     return circle_curve(center=_FORMULA_P0, radius=0.9, nodes=nodes)
 
 
-def _cauchy_residuals(frame: E3Frame, curve: Curve3) -> dict[str, float]:
-    """cauchy_theorem_residual of the standard functions on curve, which share
-    the recurrences at its nodes."""
-    xi, _, _, Q = _recurrences(frame, curve.points)
-    steps = _node_steps(curve)
-    return {name: norm_euclid(_integrate_values(frame, _rep_values(ms, frame, xi, Q, 512), steps))
-            for name, ms in _standard_mspecs(frame.spec).items()}
-
-
-def _residuals_report(cfg: RunConfig, key: str, residuals) -> tuple[dict, bool]:
-    """The report of a command that checks residuals(frame) against --tol,
-    which defaults to the bound of CHECKS[key]."""
+def _residuals_report(cfg: RunConfig, key: str, residuals, *where) -> tuple[dict, bool]:
+    """The report of a command that checks the residuals of the standard
+    functions, residuals(functions, frame, *where), against --tol, which
+    defaults to the bound of CHECKS[key]."""
     spec, frame = _load_frame(cfg)
     tol = cfg.tol if cfg.tol is not None else CHECKS[key].bound
-    res = residuals(frame)
+    res = residuals(_standard_mspecs(spec), frame, *where, nodes=512)
     ok = all(v <= tol for v in res.values())
     return {
         "algebra": spec.name,
@@ -294,33 +280,13 @@ def _residuals_report(cfg: RunConfig, key: str, residuals) -> tuple[dict, bool]:
 
 
 def _cmd_verify_cauchy(cfg: RunConfig):
-    curve = _theorem_circle(cfg.nodes)
-    return _residuals_report(cfg, "cauchy_theorem", lambda frame: _cauchy_residuals(frame, curve))
-
-
-def _formula_residuals(frame: E3Frame, p0, curve: Curve3, loop: Curve3) -> dict[str, float]:
-    """cauchy_formula_residual at p0 of the standard functions on curve, whose
-    translate by -p0 is loop.  They share the lambda, the node weights built
-    from (zeta - zeta_0)^{-1} at the nodes, and the recurrences at the nodes
-    and at p0."""
-    p0 = np.asarray(p0, dtype=float)
-    res, inv = _lambda_numeric(frame, loop, None)
-    weights = _formula_weights(curve, inv)
-    xi, _, _, Q = _recurrences(frame, curve.points)
-    xi0, _, _, Q0 = _recurrences(frame, p0[None])
-    out = {}
-    for name, ms in _standard_mspecs(frame.spec).items():
-        phi0 = _rep_values(ms, frame, xi0, Q0, 512)[0]
-        out[name] = _formula_residual(frame, res.lambda_, phi0, _rep_values(ms, frame, xi, Q, 512),
-                                      weights)
-    return out
+    return _residuals_report(cfg, "cauchy_theorem", cauchy_theorem_residuals,
+                             _theorem_circle(cfg.nodes))
 
 
 def _cmd_verify_formula(cfg: RunConfig):
-    curve = _formula_circle(cfg.nodes)
-    loop = _formula_loop(curve, _FORMULA_P0)
-    return _residuals_report(cfg, "cauchy_formula",
-                             lambda frame: _formula_residuals(frame, _FORMULA_P0, curve, loop))
+    return _residuals_report(cfg, "cauchy_formula", cauchy_formula_residuals,
+                             _FORMULA_P0, _formula_circle(cfg.nodes))
 
 
 def _max_rel(rows: np.ndarray, refs: np.ndarray) -> float:
@@ -359,7 +325,6 @@ class _Curves:
     off_plane: tuple[Curve3, ...]  # unit yz and zx circles, each followed by its reverse
     theorem: Curve3
     formula: Curve3
-    formula_loop: Curve3  # the formula circle translated by -_FORMULA_P0
     morera: Curve3  # boundary of _TRIANGLE
     morera_unit: Curve3  # boundary of the unit right triangle in the xy plane
     lemma: tuple[Curve3, ...]
@@ -370,13 +335,11 @@ class _Curves:
         for plane in ("yz", "zx"):
             circle = circle_curve(nodes=cfg.nodes, plane=plane)
             off_plane += [circle, circle.reversed()]
-        formula = _formula_circle(cfg.nodes)
         return cls(
             xy={r: circle_curve(radius=r, nodes=cfg.nodes) for r in {0.5, 1.0, 2.0, cfg.radius}},
             off_plane=tuple(off_plane),
             theorem=_theorem_circle(cfg.nodes),
-            formula=formula,
-            formula_loop=_formula_loop(formula, _FORMULA_P0),
+            formula=_formula_circle(cfg.nodes),
             morera=triangle_curve(*_TRIANGLE, per_edge=2048),
             morera_unit=triangle_curve((0, 0, 0), (1, 0, 0), (0, 1, 0), per_edge=512),
             lemma=(
@@ -422,9 +385,10 @@ def _verify_one_fixture(name: str, cfg: RunConfig, curves: _Curves) -> dict:
     rec["exactness"] = _exactness_record(exact)
     rec["prediction_sound"] = (not exact.predicted_2pi_i) or lam_one.is_2pi_i
 
-    rec["cauchy_theorem"] = _cauchy_residuals(frame, curves.theorem)
-    rec["cauchy_formula"] = _formula_residuals(frame, _FORMULA_P0, curves.formula,
-                                               curves.formula_loop)
+    mspecs = _standard_mspecs(spec)
+    rec["cauchy_theorem"] = cauchy_theorem_residuals(mspecs, frame, curves.theorem, nodes=512)
+    rec["cauchy_formula"] = cauchy_formula_residuals(mspecs, frame, _FORMULA_P0, curves.formula,
+                                                     nodes=512)
 
     # the Morera functional on each triangle: the loop integral around its boundary
     mono = norm_euclid(curvilinear_integral(zeta_field(frame), curves.morera, frame))
@@ -439,20 +403,10 @@ def _verify_one_fixture(name: str, cfg: RunConfig, curves: _Curves) -> dict:
     rec["morera"]["non_monogenic"] = norm_euclid(
         curvilinear_integral(non_mono, curves.morera_unit, frame))
 
-    fields = {
-        "const": constant_field(unit_element(spec)),
-        "zeta": zeta_field(frame),
-        "zeta_sq": zeta_power_field(frame, 2),
-        "non_monogenic": non_mono,
-    }
-    c = certified_lemma_constant(frame)
-    excess = []
-    for curve in curves.lemma:
-        steps = _node_steps(curve)
-        dzeta = _zeta_tangent_norm(frame, steps)
-        for fld in fields.values():
-            lhs, rhs = _norm_inequality(fld, curve, frame, c, steps, dzeta)
-            excess.append(lhs > rhs * (1 + CHECKS["lemma1.slack"].bound))
+    fields = (constant_field(unit_element(spec)), zeta_field(frame), zeta_power_field(frame, 2),
+              non_mono)
+    pairs, c = norm_inequality_checks(fields, curves.lemma, frame)
+    excess = [lhs > rhs * (1 + CHECKS["lemma1.slack"].bound) for lhs, rhs in pairs]
     rec["lemma1"] = {"pairs": len(excess), "violations": sum(excess), "c": c}
     rec["ok"] = not list(_failures(rec))
     return rec
@@ -469,49 +423,56 @@ def _cmd_verify_all(cfg: RunConfig):
     }, ok
 
 
+# Each command and the options it reads, "source" being --fixture or
+# --algebra.  A command rejects every other option (exit code 2), so that an
+# option given is never silently ignored; one not given takes its RunConfig
+# default.
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "invert": _cmd_invert,
-    "lambda": _cmd_lambda,
-    "classify": _cmd_classify,
-    "verify-cauchy": _cmd_verify_cauchy,
-    "verify-formula": _cmd_verify_formula,
-    "verify-all": _cmd_verify_all,
+    "validate": (_cmd_validate, ("source", "out")),
+    "invert": (_cmd_invert, ("source", "frame", "point", "tol", "out")),
+    "lambda": (_cmd_lambda, ("source", "frame", "nodes", "radius", "plane", "tol", "out")),
+    "classify": (_cmd_classify, ("source", "frame", "out")),
+    "verify-cauchy": (_cmd_verify_cauchy, ("source", "frame", "nodes", "tol", "out")),
+    "verify-formula": (_cmd_verify_formula, ("source", "frame", "nodes", "tol", "out")),
+    "verify-all": (_cmd_verify_all, ("nodes", "radius", "seed", "out")),
 }
 
-
-# the commands that read --tol; the others reject it, so that a bound asked
-# for is never silently left unchecked
-_TOL_COMMANDS = ("invert", "lambda", "verify-cauchy", "verify-formula")
+_OPTIONS = {
+    "frame": {"help": "bundled frame name or path to a frame JSON file"},
+    "point": {"help": "x,y,z"},
+    "nodes": {"type": int},
+    "radius": {"type": float},
+    "plane": {"choices": ("xy", "yz", "zx")},
+    "tol": {"type": float},
+    "seed": {"type": int},
+    "out": {},
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="monalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        source = p.add_mutually_exclusive_group()
-        source.add_argument("--fixture", choices=CATALOG)
-        source.add_argument("--algebra", dest="algebra_path", help="path to an algebra JSON file")
-        p.add_argument("--frame", help="bundled frame name or path to a frame JSON file")
-        p.add_argument("--point", default="0.3,0.4,0.5", help="x,y,z for invert")
-        p.add_argument("--nodes", type=int, default=4096)
-        p.add_argument("--radius", type=float, default=1.0)
-        p.add_argument("--plane", choices=("xy", "yz", "zx"), default="xy")
-        if name in _TOL_COMMANDS:
-            p.add_argument("--tol", type=float)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default="monalg_report.json")
+    for name, (_, options) in _COMMANDS.items():
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for option in options:
+            if option == "source":
+                source = p.add_mutually_exclusive_group()
+                source.add_argument("--fixture", choices=CATALOG)
+                source.add_argument("--algebra", dest="algebra_path",
+                                    help="path to an algebra JSON file")
+            else:
+                p.add_argument(f"--{option}", **_OPTIONS[option])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
     try:
-        args.point = tuple(float(v) for v in args.point.split(","))
-        if len(args.point) != 3:
-            raise ValueError("--point needs x,y,z")
-        cfg = RunConfig(**vars(args))
+        if "point" in args:
+            args["point"] = tuple(float(v) for v in args["point"].split(","))
+            if len(args["point"]) != 3:
+                raise ValueError("--point needs x,y,z")
+        cfg = RunConfig(**args)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -519,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fields, ok = _COMMANDS[cfg.command](cfg)
+            fields, ok = _COMMANDS[cfg.command][0](cfg)
     except (FileNotFoundError, KeyError, ValueError, json.JSONDecodeError,
             AlgebraError, EmbraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,6 +44,7 @@ __all__ = [
     "morera_functional",
     "morera_scan",
     "norm_inequality_check",
+    "norm_inequality_checks",
     "certified_lemma_constant",
 ]
 
@@ -439,20 +440,24 @@ def certified_lemma_constant(frame: E3Frame) -> float:
 
 def norm_inequality_check(psi: Field, curve: Curve3, frame: E3Frame) -> tuple[float, float, float]:
     """(lhs, rhs, c): norm of the integral vs c * integral of ||Psi|| ||d zeta||."""
+    (pair,), c = norm_inequality_checks([psi], [curve], frame)
+    return (*pair, c)
+
+
+def norm_inequality_checks(psis, curves, frame: E3Frame) -> tuple[list[tuple[float, float]], float]:
+    """norm_inequality_check of every field of the sequence psis on every curve:
+    the (lhs, rhs) pairs, curve by curve and on each curve field by field, and
+    c.  The frame's c is computed once, and each curve's steps and ||d zeta|| once."""
     c = certified_lemma_constant(frame)
-    steps = _node_steps(curve)
-    return (*_norm_inequality(psi, curve, frame, c, steps, _zeta_tangent_norm(frame, steps)), c)
-
-
-def _norm_inequality(psi: Field, curve: Curve3, frame: E3Frame, c: float, steps: np.ndarray,
-                     dzeta: np.ndarray) -> tuple[float, float]:
-    """(lhs, rhs) of norm_inequality_check from the frame's constant c, the
-    curve's steps (_node_steps) and dzeta = _zeta_tangent_norm(frame, steps):
-    checks of many fields on one frame and curve compute those once."""
-    vals = _eval_field(psi, curve.points, "curve")
-    lhs = norm_euclid(_integrate_values(frame, vals, steps))
-    rhs = c * float(np.sum(np.linalg.norm(vals, axis=1) * dzeta))
-    return lhs, rhs
+    pairs = []
+    for curve in curves:
+        steps = _node_steps(curve)
+        dzeta = _zeta_tangent_norm(frame, steps)
+        for psi in psis:
+            vals = _eval_field(psi, curve.points, "curve")
+            lhs = norm_euclid(_integrate_values(frame, vals, steps))
+            pairs.append((lhs, c * float(np.sum(np.linalg.norm(vals, axis=1) * dzeta))))
+    return pairs, c
 
 
 def _zeta_tangent_norm(frame: E3Frame, d: np.ndarray) -> np.ndarray:

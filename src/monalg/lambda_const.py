@@ -28,12 +28,12 @@ from .integration import (
     Curve3,
     _assemble,
     _eval_field,
+    _integrate_values,
     _node_steps,
     _weighted_sums,
-    curvilinear_integral,
 )
-from .monogenic import MonogenicSpec, representation_field
-from .resolvent import _t_batch, _zeta_inverse_batch
+from .monogenic import MonogenicSpec, _rep_values
+from .resolvent import _recurrences, _t_batch, _zeta_inverse_batch
 
 __all__ = [
     "EmbraceError",
@@ -48,7 +48,9 @@ __all__ = [
     "exactness_conditions",
     "theorem8_products",
     "cauchy_theorem_residual",
+    "cauchy_theorem_residuals",
     "cauchy_formula_residual",
+    "cauchy_formula_residuals",
 ]
 
 
@@ -491,27 +493,54 @@ def exactness_conditions(frame: E3Frame) -> ExactnessReport:
 # Cauchy theorem and formula residuals
 # ---------------------------------------------------------------------------
 
-def _as_field(phi, frame: E3Frame, nodes: int):
-    if isinstance(phi, MonogenicSpec):
-        return representation_field(phi, frame, nodes)
-    return phi
+def _values(phis: dict, frame: E3Frame, pts: np.ndarray, nodes: int, where: str):
+    """Yield (key, values at pts) for each function of phis, a field or a
+    MonogenicSpec, one at a time, so that a caller is done with each batch
+    before the next is made.  The MonogenicSpecs share one _recurrences of the
+    points.  A failure raises FieldEvaluationError naming `where`."""
+    rec = None
+    for key, phi in phis.items():
+        if isinstance(phi, MonogenicSpec):
+            rec = rec or _recurrences(frame, pts)
+            yield key, _eval_field(lambda _, ms=phi: _rep_values(ms, frame, rec[0], rec[3], nodes),
+                                   pts, where)
+        else:
+            yield key, _eval_field(phi, pts, where)
 
 
 def cauchy_theorem_residual(phi, frame: E3Frame, curve: Curve3, *, nodes: int = 1024) -> float:
     """norm of the loop integral of a monogenic function (zero in exact arithmetic)."""
-    field_fn = _as_field(phi, frame, nodes)
-    return norm_euclid(curvilinear_integral(field_fn, curve, frame))
+    return cauchy_theorem_residuals({0: phi}, frame, curve, nodes=nodes)[0]
+
+
+def cauchy_theorem_residuals(phis: dict, frame: E3Frame, curve: Curve3, *,
+                             nodes: int = 1024) -> dict:
+    """cauchy_theorem_residual of each function of phis on one curve, keyed
+    alike: they share the curve's steps, and the MonogenicSpecs among them one
+    _recurrences of its nodes."""
+    steps = _node_steps(curve)
+    return {key: norm_euclid(_integrate_values(frame, vals, steps))
+            for key, vals in _values(phis, frame, curve.points, nodes, "curve")}
 
 
 def cauchy_formula_residual(phi, frame: E3Frame, p0, curve: Curve3, *,
                             nodes: int = 1024) -> float:
     """norm(lambda * Phi(zeta_0) - loop integral of Phi(zeta)(zeta - zeta_0)^{-1} d zeta)."""
+    return cauchy_formula_residuals({0: phi}, frame, p0, curve, nodes=nodes)[0]
+
+
+def cauchy_formula_residuals(phis: dict, frame: E3Frame, p0, curve: Curve3, *,
+                             nodes: int = 1024) -> dict:
+    """cauchy_formula_residual at p0 of each function of phis on one curve,
+    keyed alike.  They share one lambda on the curve's translate by -p0, the
+    node weights built from the (zeta - zeta_0)^{-1} it integrated, and the
+    MonogenicSpecs among them one _recurrences of the nodes and one of p0."""
     p0 = np.asarray(p0, dtype=float)
-    field_fn = _as_field(phi, frame, nodes)
     res, inv = _lambda_numeric(frame, _formula_loop(curve, p0), None)
-    phi0 = np.asarray(field_fn(p0[None, :]), dtype=complex)[0]
-    vals = _eval_field(field_fn, curve.points, "curve")
-    return _formula_residual(frame, res.lambda_, phi0, vals, _formula_weights(curve, inv))
+    weights = _formula_weights(curve, inv)
+    phi0 = dict(_values(phis, frame, p0[None], nodes, "p0"))
+    return {key: _formula_residual(frame, res.lambda_, phi0[key][0], vals, weights)
+            for key, vals in _values(phis, frame, curve.points, nodes, "curve")}
 
 
 def _formula_loop(curve: Curve3, p0: np.ndarray) -> Curve3:

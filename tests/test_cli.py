@@ -33,7 +33,7 @@ def test_lambda_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):
         res = run_cli("lambda", "--fixture", "J71", "--nodes", "1024",
-                      "--seed", "7", "--out", str(out), cwd=tmp_path)
+                      "--out", str(out), cwd=tmp_path)
         assert res.returncode == 0, res.stderr
     assert a.read_bytes() == b.read_bytes()
 
@@ -137,35 +137,46 @@ def test_verify_all_plane_loop_propagates_unexpected_errors(monkeypatch):
 
 def test_formula_residuals_compute_lambda_once(monkeypatch):
     # the three monogenic functions share the curve, so they share its lambda
-    from monalg import cauchy_formula_residual, circle_curve, load_fixture
-    from monalg.lambda_const import _formula_loop
+    from monalg import cauchy_formula_residuals, circle_curve, lambda_const, load_fixture
 
     frame = load_fixture("A5").default_frame
     calls = []
-    real = cli._lambda_numeric
+    real = lambda_const._lambda_numeric
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_lambda_numeric", counting)
+    monkeypatch.setattr(lambda_const, "_lambda_numeric", counting)
     p0 = np.array([0.31, 0.17, -0.23])
     curve = circle_curve(center=p0, radius=0.9, nodes=256)
-    got = cli._formula_residuals(frame, p0, curve, _formula_loop(curve, p0))
+    got = cauchy_formula_residuals(cli._standard_mspecs(frame.spec), frame, p0, curve, nodes=512)
+    assert len(got) == 3
     assert len(calls) == 1
-    for name, ms in cli._standard_mspecs(frame.spec).items():
-        assert got[name] == cauchy_formula_residual(ms, frame, p0, curve, nodes=512)
 
 
 def test_cauchy_residuals_are_cauchy_theorem_residual():
-    from monalg import cauchy_theorem_residual, list_fixtures, load_fixture
+    # each entry of a check of many functions is the check of that function
+    # alone, bit for bit, with fields and MonogenicSpecs mixed
+    from monalg import (cauchy_formula_residual, cauchy_formula_residuals,
+                        cauchy_theorem_residual, cauchy_theorem_residuals, curvilinear_integral,
+                        list_fixtures, load_fixture, norm_euclid, representation_field,
+                        zeta_field)
 
-    curve = cli._theorem_circle(256)
+    theorem, formula, p0 = cli._theorem_circle(256), cli._formula_circle(256), cli._FORMULA_P0
     for fixture in list_fixtures():
         frame = load_fixture(fixture).default_frame
-        got = cli._cauchy_residuals(frame, curve)
-        for name, ms in cli._standard_mspecs(frame.spec).items():
-            assert got[name] == cauchy_theorem_residual(ms, frame, curve, nodes=512), fixture
+        phis = {"zeta": zeta_field(frame), **cli._standard_mspecs(frame.spec)}
+        got = cauchy_theorem_residuals(phis, frame, theorem, nodes=512)
+        got_formula = cauchy_formula_residuals(phis, frame, p0, formula, nodes=512)
+        assert list(got) == list(got_formula) == list(phis)
+        for name, phi in phis.items():
+            assert got[name] == cauchy_theorem_residual(phi, frame, theorem, nodes=512), fixture
+            assert got_formula[name] == cauchy_formula_residual(phi, frame, p0, formula,
+                                                                nodes=512), fixture
+            if name != "zeta":  # and the representation's field, integrated alone
+                field = representation_field(phi, frame, 512)
+                assert got[name] == norm_euclid(curvilinear_integral(field, theorem, frame))
 
 
 def _spy(monkeypatch, module, name: str, record) -> None:
@@ -194,26 +205,29 @@ def test_verify_all_builds_each_curve_once(monkeypatch):
 
 
 def test_verify_all_shares_work_on_each_curve(monkeypatch):
-    from monalg import resolvent
+    from monalg import integration, resolvent
 
     cfg = cli.RunConfig("verify-all", nodes=256)
     curves = cli._Curves.build(cfg)
     recurrences, inverses, constants = [], [], []
     _spy(monkeypatch, resolvent, "_recurrences", lambda args, _: recurrences.append(args[1]))
     _spy(monkeypatch, resolvent, "_zeta_inverse_batch", lambda args, _: inverses.append(args[1]))
-    _spy(monkeypatch, cli, "certified_lemma_constant", lambda args, _: constants.append(args))
+    _spy(monkeypatch, integration, "certified_lemma_constant",
+         lambda args, _: constants.append(args))
+    formula_loop = curves.formula.points - cli._FORMULA_P0
 
-    def runs_on(seen, curve):
-        return sum(np.array_equal(pts, curve.points) for pts in seen)
+    def runs_on(seen, pts):
+        return sum(np.array_equal(p, pts) for p in seen)
 
     for fixture in ("A5", "J71", "C2"):
         for seen in (recurrences, inverses, constants):
             seen.clear()
         assert cli._verify_one_fixture(fixture, cfg, curves)["ok"]
-        assert runs_on(recurrences, curves.theorem) == 1, fixture
-        assert runs_on(recurrences, curves.formula) == 1, fixture
-        assert runs_on(recurrences, curves.formula_loop) == 1, fixture
-        assert runs_on(inverses, curves.formula_loop) == 1, fixture
+        assert runs_on(recurrences, curves.theorem.points) == 1, fixture
+        assert runs_on(recurrences, curves.formula.points) == 1, fixture
+        assert runs_on(recurrences, [cli._FORMULA_P0]) == 1, fixture
+        assert runs_on(recurrences, formula_loop) == 1, fixture
+        assert runs_on(inverses, formula_loop) == 1, fixture
         assert len(constants) == 1, fixture
 
 
@@ -330,17 +344,22 @@ def test_residual_commands_load_frames_from_files(tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [
     ["verify-all", "--nodes", "256"],
-    ["classify", "--fixture", "A5", "--plane", "yz"],
+    ["classify", "--fixture", "A5"],
     ["validate", "--fixture", "A5"],
+    ["verify-all", "--nodes", "256", "--fixture", "A5"],
+    ["validate", "--fixture", "A5", "--nodes", "99999", "--point", "1,2,3"],
 ])
 def test_commands_with_fixed_bounds_reject_tol(args, tmp_path, capsys):
     # these commands check fixed bounds only: a --tol would be ignored, so a
-    # user asking for a tighter bound must not be told that every check passed
+    # user asking for a tighter bound must not be told that every check passed.
+    # Each case is a valid three-word call, then options its command does not
+    # read either, which are rejected alike.
     out = tmp_path / "r.json"
     with pytest.raises(SystemExit) as exc:
         cli.main([*args, "--tol", "1e-30", "--out", str(out)])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --tol 1e-30" in capsys.readouterr().err
+    unread = " ".join([*args[3:], "--tol", "1e-30"])
+    assert f"unrecognized arguments: {unread}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -315,7 +315,8 @@ def test_near_singular_loop_decays_fast(bundles):
 
 
 def test_field_evaluation_error_carries_context(bundles):
-    from monalg import FieldEvaluationError
+    from monalg import (FieldEvaluationError, HoloFunction, MonogenicSpec,
+                        cauchy_formula_residual, cauchy_theorem_residual)
 
     frame = bundles["A5"].default_frame
 
@@ -324,6 +325,16 @@ def test_field_evaluation_error_carries_context(bundles):
 
     with pytest.raises(FieldEvaluationError, match="curve"):
         curvilinear_integral(broken, circle_curve(nodes=64), frame)
+
+    # two F_u on A5 (m = 1) fail wherever they are evaluated; both Cauchy
+    # checks name the place
+    bad = MonogenicSpec(F=(HoloFunction("polynomial", (0, 1)),) * 2)
+    p0 = (0.31, 0.17, -0.23)
+    curve = circle_curve(center=p0, radius=0.9, nodes=64)
+    with pytest.raises(FieldEvaluationError, match="on curve: need one F_u"):
+        cauchy_theorem_residual(bad, frame, curve)
+    with pytest.raises(FieldEvaluationError, match="on p0: need one F_u"):
+        cauchy_formula_residual(bad, frame, p0, curve)
 
 
 def test_polyline_rule_matches_per_segment_trapezoid(bundles):
