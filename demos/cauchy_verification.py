@@ -54,7 +54,7 @@ print("|rep(t^2) - zeta^2|    =", norm_euclid(eval_representation(square, frame,
 # ---------------------------------------------------------------------------
 loop = circle_curve(center=(0.05, -0.04, 0.35), radius=0.8, nodes=4096)
 for name, ms in (("t", identity), ("t^2", square), ("exp series", exp_like)):
-    r = cauchy_theorem_residual(ms, frame, loop, nodes=256)
+    r = cauchy_theorem_residual(ms, frame, loop)
     print(f"Cauchy theorem residual, F = {name:10s}: {r:.2e}")
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ for name, ms in (("t", identity), ("t^2", square), ("exp series", exp_like)):
 p0 = (0.31, 0.17, 0.45)
 curve = circle_curve(center=p0, radius=0.9, nodes=4096)
 for name, ms in (("t", identity), ("t^2", square), ("exp series", exp_like)):
-    r = cauchy_formula_residual(ms, frame, p0, curve, nodes=512)
+    r = cauchy_formula_residual(ms, frame, p0, curve)
     print(f"Cauchy formula residual, F = {name:10s}: {r:.2e}")
 
 # ---------------------------------------------------------------------------

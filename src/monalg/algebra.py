@@ -53,6 +53,15 @@ class NonInvertibleError(AlgebraError):
         self.u = u
 
 
+# The ten shorthands of the closed forms at indices m+1..m+4, each the
+# structure constant gamma(m+i, m+j, m+k) at the offsets (i, j, k) given here.
+_SHORTHAND_OFFSETS = {
+    "A": (1, 1, 2), "B2": (1, 1, 3), "C": (1, 2, 3), "D": (2, 2, 3),
+    "E": (1, 1, 4), "F": (1, 2, 4), "G": (1, 3, 4), "H": (2, 2, 4),
+    "J": (2, 3, 4), "K": (3, 3, 4),
+}
+
+
 @dataclass(frozen=True)
 class CouplingPlan:
     """The fixed sums over the structure constants that the closed forms read.
@@ -71,7 +80,8 @@ class CouplingPlan:
     orders: per u, the largest s - m + 1 over nilpotents with u_s = u, else 1.
     sigma: (k, u_k, ((r, s, gamma(r, s, k)), ...)) for k in m+1..n.
     shorthands: the ten constants A, B2, C, D, E, F, G, H, J, K of the
-        closed forms at indices m+1..m+4 (0.0 where the index exceeds n).
+        closed forms at indices m+1..m+4 (_SHORTHAND_OFFSETS; 0.0 where the
+        index exceeds n).
     """
 
     B: tuple
@@ -166,16 +176,8 @@ class AlgebraSpec:
         sigma = tuple((k, self.u_map[k], tuple((r, s, g(r, s, k)) for r in range(m + 1, k)
                                                for s in range(m + 1, k) if g(r, s, k) != 0))
                       for k in range(m + 1, n + 1))
-        p, q, r, w = m + 1, m + 2, m + 3, m + 4
-
-        def safe(i, j, k):
-            return g(i, j, k) if k <= n else 0.0
-
-        shorthands = {
-            "A": safe(p, p, q), "B2": safe(p, p, r), "C": safe(p, q, r), "D": safe(q, q, r),
-            "E": safe(p, p, w), "F": safe(p, q, w), "G": safe(p, r, w), "H": safe(q, q, w),
-            "J": safe(q, r, w), "K": safe(r, r, w),
-        }
+        shorthands = {name: g(m + i, m + j, m + k) if m + k <= n else 0.0
+                      for name, (i, j, k) in _SHORTHAND_OFFSETS.items()}
         return CouplingPlan(B, tuple(Q), expand, tuple(orders), sigma, shorthands)
 
     @property
@@ -197,10 +199,6 @@ class AlgebraSpec:
         c = np.zeros(self.n, dtype=complex)
         c[: self.m] = 1.0
         return c
-
-    def u_of(self, s: int) -> int:
-        """Idempotent index attached to basis index s (s itself when s <= m)."""
-        return s if s <= self.m else self.u_map[s]
 
 
 @dataclass(frozen=True)

@@ -269,7 +269,7 @@ def _residuals_report(cfg: RunConfig, key: str, residuals, *where) -> tuple[dict
     defaults to the bound of CHECKS[key]."""
     spec, frame = _load_frame(cfg)
     tol = cfg.tol if cfg.tol is not None else CHECKS[key].bound
-    res = residuals(_standard_mspecs(spec), frame, *where, nodes=512)
+    res = residuals(_standard_mspecs(spec), frame, *where)
     ok = all(v <= tol for v in res.values())
     return {
         "algebra": spec.name,
@@ -386,9 +386,8 @@ def _verify_one_fixture(name: str, cfg: RunConfig, curves: _Curves) -> dict:
     rec["prediction_sound"] = (not exact.predicted_2pi_i) or lam_one.is_2pi_i
 
     mspecs = _standard_mspecs(spec)
-    rec["cauchy_theorem"] = cauchy_theorem_residuals(mspecs, frame, curves.theorem, nodes=512)
-    rec["cauchy_formula"] = cauchy_formula_residuals(mspecs, frame, _FORMULA_P0, curves.formula,
-                                                     nodes=512)
+    rec["cauchy_theorem"] = cauchy_theorem_residuals(mspecs, frame, curves.theorem)
+    rec["cauchy_formula"] = cauchy_formula_residuals(mspecs, frame, _FORMULA_P0, curves.formula)
 
     # the Morera functional on each triangle: the loop integral around its boundary
     mono = norm_euclid(curvilinear_integral(zeta_field(frame), curves.morera, frame))

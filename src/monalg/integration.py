@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec, AlgElement, _mul_coeffs, mult_matrix, norm_euclid
 from .geometry import E3Frame, _real_frame_matrix, _zeta_coeffs
-from .resolvent import _pole_scale, _zeta_inverse_batch
+from .resolvent import _zeta_inverse_batch
 
 __all__ = [
     "Curve3",
@@ -67,8 +67,8 @@ class Curve3:
     trapezoid rule instead of the polygon rule.
 
     The points are held as a read-only view, and the scalar descriptors below
-    (mean_radius, coord_scale, pole_scale) are computed from them on first
-    use and kept.  Only O(1) values are kept, no per-node array.
+    (mean_radius, coord_scale) are computed from them on first use and kept.
+    Only O(1) values are kept, no per-node array.
     """
 
     points: np.ndarray
@@ -85,8 +85,10 @@ class Curve3:
         object.__setattr__(self, "points", pts)
         if self.closed and np.max(np.abs(pts[0] - pts[-1])) > _CLOSE_TOL * self.coord_scale:
             raise ValueError("closed curve must end where it starts")
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        if np.any(seg == 0.0):
+        # zero exactly where np.linalg.norm of the difference is: the same
+        # squares summed in the same order, by columns rather than rows of 3
+        dx, dy, dz = (np.diff(pts[:, i]) for i in range(3))
+        if np.any(dx * dx + dy * dy + dz * dz == 0.0):
             raise ValueError("consecutive samples must be distinct")
         if self.tangents is not None:
             tg = np.asarray(self.tangents, dtype=float)
@@ -115,12 +117,6 @@ class Curve3:
         """1 + the largest |coordinate|: the scale of the closure and embrace
         tolerances."""
         return float(1 + np.max(np.abs(self.points)))
-
-    @cached_property
-    def pole_scale(self) -> float:
-        """1 + the largest |p| over the points: the scale of the zeta^{-1} pole
-        check (resolvent._pole_scale)."""
-        return float(_pole_scale(self.points))
 
     def reversed(self) -> "Curve3":
         tg = None if self.tangents is None else -self.tangents[::-1]

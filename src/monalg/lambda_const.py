@@ -19,6 +19,7 @@ from .algebra import (
     AlgebraSpec,
     AlgElement,
     NonInvertibleError,
+    _SHORTHAND_OFFSETS,
     multiply,
     norm_euclid,
     unit_element,
@@ -33,7 +34,7 @@ from .integration import (
     _weighted_sums,
 )
 from .monogenic import MonogenicSpec, _rep_values
-from .resolvent import _recurrences, _t_batch, _zeta_inverse_batch
+from .resolvent import _inverse_expansion, _recurrences, _t_batch, _zeta_inverse_batch
 
 __all__ = [
     "EmbraceError",
@@ -138,32 +139,10 @@ class LambdaResult:
 
 def lambda_numeric(frame: E3Frame, circle: Curve3, *, tol: float | None = None) -> LambdaResult:
     """Loop integral of zeta^{-1} d zeta with embrace and invertibility preconditions."""
-    return _lambda_numeric(frame, circle, tol)[0]
-
-
-def _lambda_numeric(frame: E3Frame, circle: Curve3,
-                    tol: float | None) -> tuple[LambdaResult, np.ndarray]:
-    """lambda_numeric, and the zeta^{-1} at the curve's nodes that it integrated."""
     spec = frame.spec
     if not circle.closed:
         raise EmbraceError("lambda requires a closed curve")
-    # one xi and one |xi| per node serve the embrace margin, the winding
-    # numbers and the zeta^{-1} recurrence and its pole check; the sigma forms
-    # need no per-node pass of their own.  xi is a view of rows and |xi| keeps
-    # its layout, so each xi[:, u] and abs_xi[:, u] is contiguous
-    xi = _xi_batch(frame, circle.points)
-    abs_xi = np.abs(xi)
-    margin = float(np.min(abs_xi))
-    if margin < 1e-12 * circle.coord_scale:
-        u = int(np.argmin(np.min(abs_xi, axis=0))) + 1
-        raise NonInvertibleError(f"curve node on or near line L_{u}", u=u)
-    winding = {}
-    for u in range(1, spec.m + 1):
-        wu = _winding(xi[:, u - 1], u, 0.0, abs_xi[:, u - 1])
-        winding[u] = wu
-        if wu != 1:
-            raise EmbraceError(f"curve does not embrace once: winding of xi_{u} is {wu}")
-    inv = _zeta_inverse_batch(frame, circle.points, xi, circle.pole_scale, abs_xi)
+    winding, inv = _loop_inverse(frame, circle.points, circle.coord_scale)
     # S = sum over nodes of step (x) zeta^{-1}: lambda is e1 S_x + e2 S_y + e3 S_z
     # by the table product, the sigma integrals the same sums by the plan's triples
     S = _weighted_sums(_node_steps(circle), inv)
@@ -180,7 +159,31 @@ def _lambda_numeric(frame: E3Frame, circle: Curve3,
         is_2pi_i=bool(dev <= tol),
         tol=tol,
         winding=winding,
-    ), inv
+    )
+
+
+def _loop_inverse(frame: E3Frame, pts: np.ndarray,
+                  scale: float) -> tuple[dict[int, int], np.ndarray]:
+    """The winding numbers {u: 1} and zeta^{-1} (N, n) at the nodes pts of a
+    closed loop whose 1 + max |coordinate| is scale, after lambda's checks:
+    every |xi_u| >= 1e-12 scale (NonInvertibleError), every xi_u winds once
+    (EmbraceError).  That margin implies _zeta_inverse_batch's pole test,
+    1e-13 (1 + max |p|) <= 1e-13 (1 + sqrt(3) (scale - 1)) < 1e-12 scale, so
+    the inverse is expanded unchecked.  One xi (a view of rows) and one |xi|
+    serve all three, each column contiguous."""
+    xi = _xi_batch(frame, pts)
+    abs_xi = np.abs(xi)
+    if np.min(abs_xi) < 1e-12 * scale:
+        u = int(np.argmin(np.min(abs_xi, axis=0))) + 1
+        raise NonInvertibleError(f"curve node on or near line L_{u}", u=u)
+    winding = {}
+    for u in range(1, frame.spec.m + 1):
+        wu = _winding(xi[:, u - 1], u, 0.0, abs_xi[:, u - 1])
+        winding[u] = wu
+        if wu != 1:
+            raise EmbraceError(f"curve does not embrace once: winding of xi_{u} is {wu}")
+    _, _, _, Q = _recurrences(frame, pts, xi)
+    return winding, _inverse_expansion(frame.spec, xi, Q)
 
 
 # ---------------------------------------------------------------------------
@@ -407,29 +410,12 @@ class ExactnessReport:
         )
 
 
+# the fourteen products of theorem 8, each a tuple of shorthand names
 _PRODUCT_DEFS = [
-    # factors as (i-offset, j-offset, k-offset) triples of gamma arguments
-    (("A", "D"),),
-    (("A", "H"),),
-    (("B2", "J"),),
-    (("B2", "K"),),
-    (("C", "G"),),
-    (("C", "J"),),
-    (("C", "K"),),
-    (("A", "C", "J"),),
-    (("A", "C", "K"),),
-    (("D", "G"),),
-    (("D", "K"),),
-    (("D", "A", "G"),),
-    (("D", "A", "J"),),
-    (("D", "A", "K"),),
+    ("A", "D"), ("A", "H"), ("B2", "J"), ("B2", "K"), ("C", "G"), ("C", "J"), ("C", "K"),
+    ("A", "C", "J"), ("A", "C", "K"), ("D", "G"), ("D", "K"),
+    ("D", "A", "G"), ("D", "A", "J"), ("D", "A", "K"),
 ]
-
-_GAMMA_ARGS = {
-    "A": (1, 1, 2), "B2": (1, 1, 3), "C": (1, 2, 3), "D": (2, 2, 3),
-    "E": (1, 1, 4), "F": (1, 2, 4), "G": (1, 3, 4), "H": (2, 2, 4),
-    "J": (2, 3, 4), "K": (3, 3, 4),
-}
 
 
 def theorem8_products(spec: AlgebraSpec) -> list[tuple[str, complex]]:
@@ -438,12 +424,12 @@ def theorem8_products(spec: AlgebraSpec) -> list[tuple[str, complex]]:
     c = spec.plan.shorthands
     m = spec.m
     out = []
-    for (factors,) in _PRODUCT_DEFS:
+    for factors in _PRODUCT_DEFS:
         value = 1.0 + 0j
         names = []
         for fac in factors:
             value *= c[fac]
-            i, j, k = _GAMMA_ARGS[fac]
+            i, j, k = _SHORTHAND_OFFSETS[fac]
             names.append(f"gamma({m + i},{m + j},{m + k})")
         out.append(("*".join(names), complex(value)))
     return out
@@ -493,68 +479,68 @@ def exactness_conditions(frame: E3Frame) -> ExactnessReport:
 # Cauchy theorem and formula residuals
 # ---------------------------------------------------------------------------
 
-def _values(phis: dict, frame: E3Frame, pts: np.ndarray, nodes: int, where: str):
+def _values(phis: dict, frame: E3Frame, pts: np.ndarray, where: str):
     """Yield (key, values at pts) for each function of phis, a field or a
     MonogenicSpec, one at a time, so that a caller is done with each batch
     before the next is made.  The MonogenicSpecs share one _recurrences of the
-    points.  A failure raises FieldEvaluationError naming `where`."""
+    points and use the representation's default contour rule; a failure
+    raises FieldEvaluationError naming `where`."""
     rec = None
     for key, phi in phis.items():
         if isinstance(phi, MonogenicSpec):
             rec = rec or _recurrences(frame, pts)
-            yield key, _eval_field(lambda _, ms=phi: _rep_values(ms, frame, rec[0], rec[3], nodes),
+            yield key, _eval_field(lambda _, ms=phi: _rep_values(ms, frame, rec[0], rec[3]),
                                    pts, where)
         else:
             yield key, _eval_field(phi, pts, where)
 
 
-def cauchy_theorem_residual(phi, frame: E3Frame, curve: Curve3, *, nodes: int = 1024) -> float:
-    """norm of the loop integral of a monogenic function (zero in exact arithmetic)."""
-    return cauchy_theorem_residuals({0: phi}, frame, curve, nodes=nodes)[0]
+def cauchy_theorem_residual(phi, frame: E3Frame, curve: Curve3) -> float:
+    """norm of the loop integral of a monogenic function (zero in exact arithmetic).
+    A MonogenicSpec uses the representation's default contour rule, read only
+    by callable data; for another, pass representation_field(phi, frame, nodes)."""
+    return cauchy_theorem_residuals({0: phi}, frame, curve)[0]
 
 
-def cauchy_theorem_residuals(phis: dict, frame: E3Frame, curve: Curve3, *,
-                             nodes: int = 1024) -> dict:
+def cauchy_theorem_residuals(phis: dict, frame: E3Frame, curve: Curve3) -> dict:
     """cauchy_theorem_residual of each function of phis on one curve, keyed
     alike: they share the curve's steps, and the MonogenicSpecs among them one
     _recurrences of its nodes."""
     steps = _node_steps(curve)
     return {key: norm_euclid(_integrate_values(frame, vals, steps))
-            for key, vals in _values(phis, frame, curve.points, nodes, "curve")}
+            for key, vals in _values(phis, frame, curve.points, "curve")}
 
 
-def cauchy_formula_residual(phi, frame: E3Frame, p0, curve: Curve3, *,
-                            nodes: int = 1024) -> float:
-    """norm(lambda * Phi(zeta_0) - loop integral of Phi(zeta)(zeta - zeta_0)^{-1} d zeta)."""
-    return cauchy_formula_residuals({0: phi}, frame, p0, curve, nodes=nodes)[0]
+def cauchy_formula_residual(phi, frame: E3Frame, p0, curve: Curve3) -> float:
+    """norm(lambda * Phi(zeta_0) - loop integral of Phi(zeta)(zeta - zeta_0)^{-1} d zeta);
+    a MonogenicSpec is evaluated as in cauchy_theorem_residual."""
+    return cauchy_formula_residuals({0: phi}, frame, p0, curve)[0]
 
 
-def cauchy_formula_residuals(phis: dict, frame: E3Frame, p0, curve: Curve3, *,
-                             nodes: int = 1024) -> dict:
+def cauchy_formula_residuals(phis: dict, frame: E3Frame, p0, curve: Curve3) -> dict:
     """cauchy_formula_residual at p0 of each function of phis on one curve,
-    keyed alike.  They share one lambda on the curve's translate by -p0, the
-    node weights built from the (zeta - zeta_0)^{-1} it integrated, and the
+    keyed alike.  They share one lambda, the loop integral of
+    (zeta - zeta_0)^{-1} on the curve's steps under lambda_numeric's checks,
+    the node weights built from the same steps and inverse, and the
     MonogenicSpecs among them one _recurrences of the nodes and one of p0."""
+    if not curve.closed:
+        raise EmbraceError("lambda requires a closed curve")
     p0 = np.asarray(p0, dtype=float)
-    res, inv = _lambda_numeric(frame, _formula_loop(curve, p0), None)
-    weights = _formula_weights(curve, inv)
-    phi0 = dict(_values(phis, frame, p0[None], nodes, "p0"))
-    return {key: _formula_residual(frame, res.lambda_, phi0[key][0], vals, weights)
-            for key, vals in _values(phis, frame, curve.points, nodes, "curve")}
+    loop = curve.points - p0
+    _, inv = _loop_inverse(frame, loop, float(1 + np.max(np.abs(loop))))
+    steps = _node_steps(curve)
+    lam = _integrate_values(frame, inv, steps)
+    weights = _formula_weights(steps, inv)
+    phi0 = dict(_values(phis, frame, p0[None], "p0"))
+    return {key: _formula_residual(frame, lam, phi0[key][0], vals, weights)
+            for key, vals in _values(phis, frame, curve.points, "curve")}
 
 
-def _formula_loop(curve: Curve3, p0: np.ndarray) -> Curve3:
-    """The curve translated by -p0: zeta - zeta_0 runs over it, and the lambda
-    of the Cauchy formula at p0 is lambda_numeric on it."""
-    return Curve3(curve.points - p0, curve.closed, curve.tangents, curve.dt)
-
-
-def _formula_weights(curve: Curve3, inv: np.ndarray) -> np.ndarray:
-    """Node weights d_i (x) (zeta - zeta_0)^{-1}_i, (3n, N), from the curve's
+def _formula_weights(steps: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Node weights d_i (x) (zeta - zeta_0)^{-1}_i, (3n, N), from a curve's
     steps d (_node_steps) and the inverse (N, n) at its nodes: row d*n + k
     holds step component d times coefficient k.  Every integrand of the
     formula on this curve and p0 contracts against the same weights."""
-    steps = _node_steps(curve)
     # one row of inverse coefficients times one step column at a time: a
     # single broadcast product over the strided steps.T is about 10x slower
     weights = np.empty((3,) + inv.T.shape, dtype=complex)

@@ -240,16 +240,19 @@ def _rep_batch(mspec: MonogenicSpec, frame: E3Frame, pts: np.ndarray,
 
 
 def _rep_values(mspec: MonogenicSpec, frame: E3Frame, xi: np.ndarray, Q,
-                nodes: int) -> np.ndarray:
+                nodes: int = 1024) -> np.ndarray:
     """The representation at a batch of points given their xi and Q from
-    _recurrences, which functions evaluated at the same points can share."""
+    _recurrences, which functions evaluated at the same points can share.
+    Only given contours are checked for enclosure: an automatic one, centred
+    at xi_u with 0.4 times a gap _auto_contours keeps from 0, encloses xi_u alone."""
     spec = frame.spec
     m = spec.m
     if len(mspec.F) != m:
         raise ValueError(f"need one F_u per idempotent ({m}), got {len(mspec.F)}")
     centers, radii = _auto_contours(xi, m, mspec.contours)
     for u in range(1, m + 1):
-        _check_enclosure(xi, u, centers[u - 1], radii[u - 1])
+        if u in mspec.contours:
+            _check_enclosure(xi, u, centers[u - 1], radii[u - 1])
     kmax = spec.plan.orders
 
     # idempotent terms: F_u integrated over Gamma_u only touches I_u and its nilpotents

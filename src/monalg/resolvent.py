@@ -220,28 +220,24 @@ def _pole_scale(pts: np.ndarray) -> float:
     return 1 + np.sqrt(np.max(x * x + y * y + z * z))
 
 
-def _zeta_inverse_batch(frame: E3Frame, pts: np.ndarray, xi: np.ndarray | None = None,
-                        scale: float | None = None,
-                        abs_xi: np.ndarray | None = None) -> np.ndarray:
-    """zeta^{-1} at a batch of points (..., 3) -> (..., n); xi as in _recurrences.
-
-    A caller that already holds _pole_scale(pts), such as a curve's
-    pole_scale, passes it in as scale, and one that holds np.abs(xi) passes
-    it as abs_xi.
-    """
-    spec = frame.spec
-    pts = np.asarray(pts, dtype=float)
-    xi, _, _, Q = _recurrences(frame, pts, xi)
-    if abs_xi is None:
-        abs_xi = np.abs(xi)
-    bad = abs_xi < _POLE_TOL * (_pole_scale(pts) if scale is None else scale)
-    if np.any(bad):
-        u = int(np.argwhere(bad)[0][-1]) + 1
-        raise NonInvertibleError(f"point lies on line L_{u} (xi_{u} = 0)", u=u)
-    # minus the resolvent at t = 0: the factors are (-1)^{k+1} xi_u^{-k}
+def _inverse_expansion(spec: AlgebraSpec, xi: np.ndarray, Q) -> np.ndarray:
+    """zeta^{-1} from xi and Q of _recurrences, with no pole check: minus the
+    resolvent at t = 0, whose factors are (-1)^{k+1} xi_u^{-k}."""
     W = [_power_factors(xi[..., u], kmax, alternate=True)
          for u, kmax in enumerate(spec.plan.orders)]
     return _expand(spec, Q, W)
+
+
+def _zeta_inverse_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
+    """zeta^{-1} at a batch of points (..., 3) -> (..., n); a point with some
+    |xi_u| below 1e-13 (1 + the batch's largest |p|) raises NonInvertibleError."""
+    pts = np.asarray(pts, dtype=float)
+    xi, _, _, Q = _recurrences(frame, pts)
+    bad = np.abs(xi) < _POLE_TOL * _pole_scale(pts)
+    if np.any(bad):
+        u = int(np.argwhere(bad)[0][-1]) + 1
+        raise NonInvertibleError(f"point lies on line L_{u} (xi_{u} = 0)", u=u)
+    return _inverse_expansion(frame.spec, xi, Q)
 
 
 def zeta_inverse_closed(frame: E3Frame, p) -> AlgElement:

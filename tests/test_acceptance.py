@@ -183,7 +183,7 @@ def test_criterion_06_cauchy_formula(bundles):
             MonogenicSpec(F=tuple(HoloFunction("polynomial", (0, 0, 1)) for _ in range(spec.m))),
             exp_mspec(spec),
         ):
-            r = cauchy_formula_residual(ms, frame, p0, curve, nodes=512)
+            r = cauchy_formula_residual(ms, frame, p0, curve)
             worst = max(worst, r)
             ok &= r <= CHECKS["cauchy_formula"].bound
     report(6, ok, f"Cauchy formula residuals on C2 and A5: worst = {worst:.3e}")

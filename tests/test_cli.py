@@ -141,16 +141,16 @@ def test_formula_residuals_compute_lambda_once(monkeypatch):
 
     frame = load_fixture("A5").default_frame
     calls = []
-    real = lambda_const._lambda_numeric
+    real = lambda_const._loop_inverse
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(lambda_const, "_lambda_numeric", counting)
+    monkeypatch.setattr(lambda_const, "_loop_inverse", counting)
     p0 = np.array([0.31, 0.17, -0.23])
     curve = circle_curve(center=p0, radius=0.9, nodes=256)
-    got = cauchy_formula_residuals(cli._standard_mspecs(frame.spec), frame, p0, curve, nodes=512)
+    got = cauchy_formula_residuals(cli._standard_mspecs(frame.spec), frame, p0, curve)
     assert len(got) == 3
     assert len(calls) == 1
 
@@ -167,13 +167,12 @@ def test_cauchy_residuals_are_cauchy_theorem_residual():
     for fixture in list_fixtures():
         frame = load_fixture(fixture).default_frame
         phis = {"zeta": zeta_field(frame), **cli._standard_mspecs(frame.spec)}
-        got = cauchy_theorem_residuals(phis, frame, theorem, nodes=512)
-        got_formula = cauchy_formula_residuals(phis, frame, p0, formula, nodes=512)
+        got = cauchy_theorem_residuals(phis, frame, theorem)
+        got_formula = cauchy_formula_residuals(phis, frame, p0, formula)
         assert list(got) == list(got_formula) == list(phis)
         for name, phi in phis.items():
-            assert got[name] == cauchy_theorem_residual(phi, frame, theorem, nodes=512), fixture
-            assert got_formula[name] == cauchy_formula_residual(phi, frame, p0, formula,
-                                                                nodes=512), fixture
+            assert got[name] == cauchy_theorem_residual(phi, frame, theorem), fixture
+            assert got_formula[name] == cauchy_formula_residual(phi, frame, p0, formula), fixture
             if name != "zeta":  # and the representation's field, integrated alone
                 field = representation_field(phi, frame, 512)
                 assert got[name] == norm_euclid(curvilinear_integral(field, theorem, frame))
@@ -205,13 +204,13 @@ def test_verify_all_builds_each_curve_once(monkeypatch):
 
 
 def test_verify_all_shares_work_on_each_curve(monkeypatch):
-    from monalg import integration, resolvent
+    from monalg import integration, lambda_const, resolvent
 
     cfg = cli.RunConfig("verify-all", nodes=256)
     curves = cli._Curves.build(cfg)
     recurrences, inverses, constants = [], [], []
     _spy(monkeypatch, resolvent, "_recurrences", lambda args, _: recurrences.append(args[1]))
-    _spy(monkeypatch, resolvent, "_zeta_inverse_batch", lambda args, _: inverses.append(args[1]))
+    _spy(monkeypatch, lambda_const, "_loop_inverse", lambda args, _: inverses.append(args[1]))
     _spy(monkeypatch, integration, "certified_lemma_constant",
          lambda args, _: constants.append(args))
     formula_loop = curves.formula.points - cli._FORMULA_P0

@@ -363,20 +363,33 @@ def test_triangle_lambda_nilpotents_equal_sigma_integrals(bundles):
             assert abs(res.lambda_.coeffs[k - 1] - sig) <= 1e-13
 
 
+def test_curve_rejects_repeated_consecutive_samples():
+    square = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0)]
+    repeated = square[:2] + square[1:]  # the interior sample (1, 0, 0) twice
+    for closed, pts in ((True, repeated), (False, repeated[:-1])):
+        with pytest.raises(ValueError, match="consecutive samples must be distinct"):
+            Curve3(np.array(pts), closed=closed)
+        # one ulp apart in one coordinate is distinct
+        near = np.array(pts)
+        near[2, 0] = np.nextafter(1.0, 2.0)
+        assert len(Curve3(near, closed=closed).points) == len(pts)
+
+
 def test_lambda_numeric_inverts_zeta_once(bundles, monkeypatch):
-    import monalg.integration
     import monalg.lambda_const
-    from monalg.resolvent import _zeta_inverse_batch
+    import monalg.resolvent
+    from monalg.resolvent import _inverse_expansion
 
     calls = []
 
-    def counting(frame, pts, *xi):
-        calls.append(len(pts))
-        return _zeta_inverse_batch(frame, pts, *xi)
+    def counting(spec, xi, Q):
+        calls.append(len(xi))
+        return _inverse_expansion(spec, xi, Q)
 
-    # both modules that can invert zeta on a loop's nodes
-    monkeypatch.setattr(monalg.lambda_const, "_zeta_inverse_batch", counting)
-    monkeypatch.setattr(monalg.integration, "_zeta_inverse_batch", counting)
+    # both modules that can invert zeta on a loop's nodes: lambda_const's
+    # loop path and resolvent's checked batch, which integration's fields use
+    monkeypatch.setattr(monalg.lambda_const, "_inverse_expansion", counting)
+    monkeypatch.setattr(monalg.resolvent, "_inverse_expansion", counting)
     for curve in (circle_curve(nodes=256), triangle_curve((1.2, -0.6, 0.1), (0.1, 1.3, -0.2),
                                                           (-1.1, -0.7, 0.15), per_edge=64)):
         calls.clear()

@@ -40,7 +40,7 @@ from monalg import (
 
 from monalg.algebra import _mul_coeffs
 from monalg.integration import _integrate_values, _node_steps
-from monalg.lambda_const import _formula_loop, _formula_residual, _formula_weights, _lambda_numeric
+from monalg.lambda_const import _formula_residual, _formula_weights, _loop_inverse
 
 from conftest import random_safe_points
 
@@ -167,11 +167,16 @@ def test_lambda_radius_is_the_norm_expression_bit_for_bit(bundles):
             assert lambda_numeric(frame, curve).radius == want, (frame.spec.name, len(pts))
 
 
+def _translate(curve: Curve3, p0) -> Curve3:
+    """The curve moved by -p0, its tangents kept: zeta - zeta_0 runs over it."""
+    return Curve3(curve.points - p0, curve.closed, curve.tangents, curve.dt)
+
+
 def _spy_curve_geometry(monkeypatch) -> dict[str, list]:
     """Replace each cached descriptor of Curve3 by a counting copy; returns,
     per descriptor, the curves it was computed for, in order."""
     calls = {}
-    for name in ("mean_radius", "coord_scale", "pole_scale"):
+    for name in ("mean_radius", "coord_scale"):
         real = Curve3.__dict__[name].func
         seen = calls[name] = []
 
@@ -189,7 +194,7 @@ def test_curve_geometry_is_computed_once_per_curve(bundles, monkeypatch):
     calls = _spy_curve_geometry(monkeypatch)
     p0 = np.array([0.31, 0.17, -0.23])
     circle = circle_curve(center=p0, radius=0.9, nodes=1024)
-    loop = _formula_loop(circle, p0)
+    loop = _translate(circle, p0)
     frames = [frame for bundle in bundles.values() for frame in bundle.frames.values()]
     for frame in frames:
         lambda_numeric(frame, loop)
@@ -205,9 +210,6 @@ def test_curve_geometry_is_computed_once_per_curve(bundles, monkeypatch):
         nodes = curve.points[:-1]
         assert curve.mean_radius == np.mean(np.linalg.norm(nodes - nodes.mean(axis=0), axis=1))
         assert curve.coord_scale == 1 + np.max(np.abs(curve.points))
-        assert curve.pole_scale == np.linalg.norm(curve.points, axis=-1).max() + 1
-        assert any(c is curve for c in calls["pole_scale"])
-    assert circle.pole_scale != loop.pole_scale
     # the points the values describe cannot change under them
     with pytest.raises(ValueError, match="read-only"):
         loop.points[0, 0] = 5.0
@@ -607,9 +609,9 @@ def test_cauchy_theorem_rational_representation(bundles):
     frame = bundles["A5"].frames["harmonic"]
     ms = MonogenicSpec(F=(HoloFunction("rational", num=(1.0,), den=(2.0, 1.0)),))  # pole at -2
     loop = circle_curve(center=(1.4, 0.2, -0.1), radius=0.5, nodes=1024)
-    r1 = cauchy_theorem_residual(ms, frame, loop, nodes=512)
+    r1 = cauchy_theorem_residual(ms, frame, loop)
     loop2 = circle_curve(center=(1.4, 0.2, -0.1), radius=0.5, nodes=2048)
-    r2 = cauchy_theorem_residual(ms, frame, loop2, nodes=512)
+    r2 = cauchy_theorem_residual(ms, frame, loop2)
     assert r1 <= 1e-7 and r2 <= 1e-7
 
 
@@ -627,7 +629,7 @@ def test_cauchy_formula_constant(bundles):
     ms = MonogenicSpec(F=(HoloFunction("polynomial", (1.0,)),))
     p0 = (0.3, 0.2, -0.4)
     curve = circle_curve(center=p0, radius=0.8, nodes=2048)
-    assert cauchy_formula_residual(ms, frame, p0, curve, nodes=512) <= 1e-8
+    assert cauchy_formula_residual(ms, frame, p0, curve) <= 1e-8
 
 
 def test_cauchy_formula_zeta_on_c2(bundles):
@@ -635,7 +637,7 @@ def test_cauchy_formula_zeta_on_c2(bundles):
     ms = MonogenicSpec(F=(HoloFunction("polynomial", (0, 1)),) * 2)
     p0 = (0.31, 0.17, -0.23)
     curve = circle_curve(center=p0, radius=0.9, nodes=2048)
-    assert cauchy_formula_residual(ms, frame, p0, curve, nodes=512) <= 1e-7
+    assert cauchy_formula_residual(ms, frame, p0, curve) <= 1e-7
 
 
 def test_cauchy_formula_square_on_a5(bundles):
@@ -643,7 +645,7 @@ def test_cauchy_formula_square_on_a5(bundles):
     ms = MonogenicSpec(F=(HoloFunction("polynomial", (0, 0, 1)),))
     p0 = (0.5, -0.2, 0.6)
     curve = circle_curve(center=p0, radius=1.0, nodes=2048)
-    assert cauchy_formula_residual(ms, frame, p0, curve, nodes=512) <= 1e-6
+    assert cauchy_formula_residual(ms, frame, p0, curve) <= 1e-6
 
 
 def _per_node_formula_sum(frame, vals, inv, steps):
@@ -670,9 +672,11 @@ def test_formula_contraction_matches_the_per_node_product(bundles):
         field = representation_field(exp, frame, 512)
         phi0 = field(p0[None])[0]
         for curve in curves:
-            res, inv = _lambda_numeric(frame, _formula_loop(curve, p0), None)
+            loop = _translate(curve, p0)
+            _, inv = _loop_inverse(frame, loop.points, loop.coord_scale)
+            res = lambda_numeric(frame, loop)
             steps = _node_steps(curve)
-            weights = _formula_weights(curve, inv)
+            weights = _formula_weights(steps, inv)
             shape = (len(steps), spec.n)
             noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             # lambda = 1 and Phi(zeta_0) = the per-node sum leave their distance
@@ -684,8 +688,78 @@ def test_formula_contraction_matches_the_per_node_product(bundles):
             rhs = _per_node_formula_sum(frame, field(curve.points), inv, steps)
             want = norm_euclid(multiply(res.lambda_, AlgElement(spec, phi0))
                                - AlgElement(spec, rhs))
-            got = cauchy_formula_residual(exp, frame, p0, curve, nodes=512)
+            got = cauchy_formula_residual(exp, frame, p0, curve)
             assert abs(got - want) <= 1e-13 * (1 + np.linalg.norm(rhs)), spec.name
+
+
+def test_formula_lambda_is_lambda_numeric_on_the_translate(bundles, monkeypatch):
+    # the formula integrates (zeta - zeta_0)^{-1} on the curve's own steps; a
+    # circle's translate by -p0 keeps its tangents, so there its lambda is
+    # lambda_numeric's on the translate bit for bit, and on a polyline, whose
+    # steps are differences of the moved points, to rounding
+    import monalg.lambda_const
+
+    seen = []
+    real = monalg.lambda_const._formula_residual
+
+    def spy(frame, lam, *rest):
+        seen.append(lam)
+        return real(frame, lam, *rest)
+
+    monkeypatch.setattr(monalg.lambda_const, "_formula_residual", spy)
+    p0 = np.array([0.31, 0.17, -0.23])
+    tri = np.array([(1.2, -0.7, 0.3), (0.1, 1.3, 0.1), (-0.9, -0.8, -0.2)])
+    circles = (circle_curve(center=p0, radius=0.9, nodes=1024),
+               circle_curve(center=p0, radius=1.4, nodes=4096))
+    triangle = triangle_curve(*(tri + p0), per_edge=1024)
+    frames = [frame for bundle in bundles.values() for frame in bundle.frames.values()]
+    frames += [frame for _, frame in handmade_cases()]
+    for frame in frames:
+        for curve in circles + (triangle,):
+            seen.clear()
+            cauchy_formula_residual(zeta_field(frame), frame, p0, curve)
+            (got,) = seen
+            want = lambda_numeric(frame, _translate(curve, p0)).lambda_
+            if curve is triangle:
+                assert norm_euclid(got - want) <= 1e-14 * norm_euclid(want), frame.spec.name
+            else:
+                assert np.array_equal(got.coeffs, want.coeffs), frame.spec.name
+
+
+def test_formula_checks_lambdas_preconditions(bundles):
+    # lambda's margin and winding checks guard the formula's loop too: the
+    # lines L_u + p0 play the part of the lines L_u (see test_lambda_errors)
+    p0 = np.array([0.31, 0.17, -0.23])
+    shift = np.array([1.0, 0.0, 0.0])
+    for bundle in bundles.values():
+        frame = bundle.default_frame
+        on_lines = circle_curve(center=p0 + shift, radius=1.0, nodes=256)  # through p0
+        with pytest.raises(NonInvertibleError):
+            cauchy_formula_residual(zeta_field(frame), frame, p0, on_lines)
+        beside = circle_curve(center=p0 + 3 * shift, radius=0.5, nodes=256)
+        around = circle_curve(center=p0, radius=0.9, nodes=256)
+        for loop in (beside, around.reversed()):  # windings 0 and -1
+            with pytest.raises(EmbraceError, match="does not embrace once"):
+                cauchy_formula_residual(zeta_field(frame), frame, p0, loop)
+        arc = polyline_curve(around.points[:200])
+        with pytest.raises(EmbraceError, match="closed curve"):
+            cauchy_formula_residual(zeta_field(frame), frame, p0, arc)
+
+
+def test_theorem8_products_read_the_shorthand_table(bundles):
+    # each product is named by its gamma arguments, which must be the
+    # structure constants it multiplies (0 where an index exceeds n)
+    specs = [bundle.algebra for bundle in bundles.values()]
+    specs += [spec for spec, _ in handmade_cases()]
+    for spec in specs:
+        products = theorem8_products(spec)
+        assert len(products) == 14
+        for name, value in products:
+            want = 1.0 + 0j
+            for factor in name.split("*"):
+                r, s, k = (int(i) for i in factor[len("gamma("):-1].split(","))
+                want *= spec.gamma_coeff(r, s, k) if k <= spec.n else 0.0
+            assert value == want, (spec.name, name)
 
 
 def _angle_sum_winding(w):

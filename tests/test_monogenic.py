@@ -138,12 +138,29 @@ def test_enclosure_violation(bundles):
     frame = bundles["C2"].default_frame
     p = (0.4, 0.1, 0.3)
     xi = xi_values(frame, p)
-    ms = MonogenicSpec(
-        F=(HoloFunction("polynomial", (1,)), HoloFunction("polynomial", (1,))),
-        contours={1: (complex(xi[0]), 10.0)},  # swallows xi_2 as well
-    )
-    with pytest.raises(ContourError):
+    F = (HoloFunction("polynomial", (1,)), HoloFunction("polynomial", (1,)))
+    ms = MonogenicSpec(F=F, contours={1: (complex(xi[0]), 10.0)})  # swallows xi_2 as well
+    with pytest.raises(ContourError, match="also encloses xi_2"):
         eval_representation(ms, frame, p)
+    ms = MonogenicSpec(F=F, contours={1: (complex(xi[0]) + 1.0, 0.5)})  # misses xi_1
+    with pytest.raises(ContourError, match="fails to enclose xi_1"):
+        eval_representation(ms, frame, p)
+
+
+def test_automatic_contours_enclose_by_construction(bundles):
+    # the representation checks only given contours: an automatic one is
+    # centred at xi_u with 0.4 times the gap to the other xi as its radius
+    from monalg.geometry import _xi_batch
+    from monalg.monogenic import _auto_contours, _check_enclosure
+
+    rng = np.random.default_rng(29)
+    for bundle in bundles.values():
+        for frame in bundle.frames.values():
+            m = frame.spec.m
+            xi = _xi_batch(frame, rng.uniform(-2.0, 2.0, size=(1000, 3)))
+            centers, radii = _auto_contours(xi, m, {})
+            for u in range(1, m + 1):
+                _check_enclosure(xi, u, centers[u - 1], radii[u - 1])
 
 
 def test_rational_pole_on_contour(bundles):
