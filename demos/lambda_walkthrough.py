@@ -18,6 +18,7 @@ from monalg import (
     circle_curve,
     exactness_conditions,
     lambda_numeric,
+    list_fixtures,
     load_fixture,
     norm_euclid,
     sigma_closed,
@@ -31,7 +32,7 @@ np.set_printoptions(precision=6, suppress=True)
 # lambda across the catalog (default frames, unit circle in the xy plane)
 # ---------------------------------------------------------------------------
 print("lambda on the unit circle, per fixture:")
-for name in ("C2", "A2_radical", "A3", "A5", "J69", "A12_plus_A01sq", "A12_plus_A12", "J71"):
+for name in list_fixtures():
     bundle = load_fixture(name)
     res = lambda_numeric(bundle.default_frame, circle_curve(nodes=2048))
     dev = norm_euclid(res.lambda_ - 2j * np.pi * unit_element(bundle.algebra))

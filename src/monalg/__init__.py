@@ -1,99 +1,16 @@
 """Numerical calculus of monogenic functions on three-dimensional subspaces
-of finite-dimensional commutative associative algebras over C."""
+of finite-dimensional commutative associative algebras over C.
 
-from .algebra import (
-    AlgebraError,
-    AlgebraSpec,
-    AlgElement,
-    NonInvertibleError,
-    PropositionReport,
-    StructuralError,
-    ValidationReport,
-    algebra_from_json,
-    algebra_to_json,
-    basis_element,
-    check_propositions,
-    functional_f,
-    invert_direct,
-    mult_matrix,
-    multiply,
-    norm_euclid,
-    unit_element,
-    validate_algebra,
-)
-from .geometry import (
-    E3Frame,
-    FrameWarning,
-    Line3,
-    check_surjectivity,
-    frame_from_json,
-    frame_to_json,
-    make_frame,
-    make_zeta,
-    noninvertibility_lines,
-    point_invertible,
-    xi_values,
-)
-from .resolvent import (
-    ResolventCoeffs,
-    SingularityError,
-    compute_coeffs,
-    resolvent_at,
-    zeta_inverse_closed,
-)
-from .integration import (
-    Curve3,
-    FieldEvaluationError,
-    Surface3,
-    certified_lemma_constant,
-    circle_curve,
-    constant_field,
-    curve_from_json,
-    curve_to_json,
-    curvilinear_integral,
-    morera_functional,
-    morera_scan,
-    norm_inequality_check,
-    norm_inequality_checks,
-    polyline_curve,
-    rectangle_surface,
-    shifted_zeta_inverse_field,
-    stokes_residual,
-    surface_integral,
-    triangle_curve,
-    validate_surface,
-    zeta_field,
-    zeta_inverse_field,
-    zeta_power_field,
-)
-from .monogenic import (
-    ContourError,
-    HoloFunction,
-    MonogenicSpec,
-    cauchy_riemann_residual,
-    eval_representation,
-    gateaux_derivative_fd,
-    mspec_from_json,
-    mspec_to_json,
-    representation_field,
-)
-from .lambda_const import (
-    EmbraceError,
-    ExactnessReport,
-    LambdaResult,
-    SigmaForms,
-    atilde_closed,
-    cauchy_formula_residual,
-    cauchy_formula_residuals,
-    cauchy_theorem_residual,
-    cauchy_theorem_residuals,
-    exactness_conditions,
-    lambda_numeric,
-    sigma_closed,
-    sigma_direct,
-    theorem8_products,
-    winding_number,
-)
-from .fixtures import FixtureBundle, list_fixtures, load_fixture
+Each module's __all__ is the one list of its public names; the package
+re-exports them all.
+"""
+
+from .algebra import *
+from .geometry import *
+from .resolvent import *
+from .integration import *
+from .monogenic import *
+from .lambda_const import *
+from .fixtures import *
 
 __version__ = "0.1.0"

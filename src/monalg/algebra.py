@@ -38,7 +38,7 @@ __all__ = [
 
 
 class AlgebraError(Exception):
-    """Base class for algebra-level failures."""
+    """Base class of every monalg error."""
 
 
 class StructuralError(AlgebraError):

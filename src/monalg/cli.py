@@ -480,8 +480,7 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fields, ok = _COMMANDS[cfg.command][0](cfg)
-    except (FileNotFoundError, KeyError, ValueError, json.JSONDecodeError,
-            AlgebraError, EmbraceError) as exc:
+    except (OSError, KeyError, ValueError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import AlgebraSpec, AlgElement, _mul_coeffs, mult_matrix, norm_euclid
+from .algebra import AlgebraError, AlgebraSpec, AlgElement, _mul_coeffs, mult_matrix, norm_euclid
 from .geometry import E3Frame, _real_frame_matrix, _zeta_coeffs
 from .resolvent import _zeta_inverse_batch
 
@@ -53,7 +53,7 @@ Field = Callable[[np.ndarray], np.ndarray]
 _CLOSE_TOL = 1e-14  # relative: times 1 + the largest coordinate magnitude
 
 
-class FieldEvaluationError(Exception):
+class FieldEvaluationError(AlgebraError):
     """Field evaluation failed somewhere on the given geometry."""
 
 
@@ -313,7 +313,7 @@ def rectangle_surface(origin, v1, v2, nx: int = 8, ny: int = 8,
     return Surface3(np.array(tris), Curve3(pts, closed=True))
 
 
-def validate_surface(surf: Surface3, tol: float = 1e-12) -> list[str]:
+def validate_surface(surf: Surface3) -> list[str]:
     """Directed-edge parity check: interior edges pair up in opposite directions,
     the unpaired ones must lie on the boundary polyline with matching orientation."""
     problems = []
@@ -348,9 +348,10 @@ def validate_surface(surf: Surface3, tol: float = 1e-12) -> list[str]:
 _FORMS = {"dxdy": (0, 1), "dydz": (1, 2), "dzdx": (2, 0)}
 
 
-def surface_integral(psi: Field, surf: Surface3, form: str, spec: AlgebraSpec) -> AlgElement:
-    """Midpoint-rule surface integral of Psi against one projected area form."""
-    i, j = _FORMS[form]
+def _midpoint_rule(surf: Surface3) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The surface's midpoint rule: the centroids of its non-degenerate
+    triangles and, for each _FORMS entry, their signed projected areas.
+    Zero-area triangles are skipped with a warning."""
     tri = surf.triangles
     e1 = tri[:, 1] - tri[:, 0]
     e2 = tri[:, 2] - tri[:, 0]
@@ -358,10 +359,16 @@ def surface_integral(psi: Field, surf: Surface3, form: str, spec: AlgebraSpec) -
     good = area3d > 0
     if not np.all(good):
         warnings.warn(f"skipping {np.count_nonzero(~good)} degenerate (zero-area) triangles")
-    signed = 0.5 * (e1[:, i] * e2[:, j] - e1[:, j] * e2[:, i])
-    centroids = tri.mean(axis=1)
-    vals = _eval_field(psi, centroids[good], "surface")
-    return AlgElement(spec, _weighted_sums(signed[good], vals))
+    areas = {form: 0.5 * (e1[good, i] * e2[good, j] - e1[good, j] * e2[good, i])
+             for form, (i, j) in _FORMS.items()}
+    return tri.mean(axis=1)[good], areas
+
+
+def surface_integral(psi: Field, surf: Surface3, form: str, spec: AlgebraSpec) -> AlgElement:
+    """Midpoint-rule surface integral of Psi against one projected area form."""
+    centroids, areas = _midpoint_rule(surf)
+    vals = _eval_field(psi, centroids, "surface")
+    return AlgElement(spec, _weighted_sums(areas[form], vals))
 
 
 def _central_diff(psi: Field, pts: np.ndarray, axis: int, h: np.ndarray) -> np.ndarray:
@@ -378,7 +385,7 @@ def stokes_residual(phi: Field, surf: Surface3, frame: E3Frame,
     spec = frame.spec
     lhs = curvilinear_integral(phi, surf.boundary, frame).coeffs
 
-    centroids = surf.triangles.mean(axis=1)
+    centroids, areas = _midpoint_rule(surf)
     h = fd_step if fd_step is not None else 1e-5 * (1 + np.linalg.norm(centroids, axis=1))
     h = np.broadcast_to(np.asarray(h, dtype=float), (len(centroids),)).copy()
     dx = _central_diff(phi, centroids, 0, h)
@@ -389,16 +396,9 @@ def stokes_residual(phi: Field, surf: Surface3, frame: E3Frame,
     byz = _mul_coeffs(spec, dy, frame.b[None, :]) - _mul_coeffs(spec, dz, frame.a[None, :])
     bzx = dz - _mul_coeffs(spec, dx, frame.b[None, :])
 
-    tri = surf.triangles
-    e1 = tri[:, 1] - tri[:, 0]
-    e2 = tri[:, 2] - tri[:, 0]
-
-    def signed(i, j):
-        return 0.5 * (e1[:, i] * e2[:, j] - e1[:, j] * e2[:, i])
-
-    rhs = (_weighted_sums(signed(0, 1), bxy)
-           + _weighted_sums(signed(1, 2), byz)
-           + _weighted_sums(signed(2, 0), bzx))
+    rhs = (_weighted_sums(areas["dxdy"], bxy)
+           + _weighted_sums(areas["dydz"], byz)
+           + _weighted_sums(areas["dzdx"], bzx))
     return float(np.linalg.norm(lhs - rhs))
 
 
@@ -458,6 +458,4 @@ def norm_inequality_checks(psis, curves, frame: E3Frame) -> tuple[list[tuple[flo
 
 def _zeta_tangent_norm(frame: E3Frame, d: np.ndarray) -> np.ndarray:
     """||d zeta|| at each node for tangent data d (N, 3)."""
-    alg = (d[:, 0, None] * frame.spec.unit_coeffs
-           + d[:, 1, None] * frame.a + d[:, 2, None] * frame.b)
-    return np.linalg.norm(alg, axis=1)
+    return np.linalg.norm(_zeta_coeffs(frame, d), axis=1)

@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 
-class EmbraceError(Exception):
+class EmbraceError(AlgebraError):
     """The curve does not embrace the non-invertibility set exactly once."""
 
 
@@ -336,9 +336,8 @@ def sigma_closed(frame: E3Frame, p, dp) -> SigmaForms:
     n, m = spec.n, spec.m
     pt = np.asarray(p, dtype=float)
     d = np.asarray(dp, dtype=float)
-    xi_all = _xi_batch(frame, pt)
-    T = _t_batch(frame, pt)
-    dT = d[1] * frame.a[m:] + d[2] * frame.b[m:]
+    xi_all, dxi_all = _xi_batch(frame, pt), _xi_batch(frame, d)
+    T, dT = _t_batch(frame, pt), _t_batch(frame, d)
     c = spec.plan.shorthands
     anti = _antiderivative_terms(c)
     rem = _remainder_terms(c)
@@ -349,8 +348,7 @@ def sigma_closed(frame: E3Frame, p, dp) -> SigmaForms:
     for off in range(1, min(4, n - m) + 1):
         k = m + off
         uk = spec.u_map[k]
-        xi = complex(xi_all[uk - 1])
-        dxi = complex(d[0] + d[1] * frame.a[uk - 1] + d[2] * frame.b[uk - 1])
+        xi, dxi = complex(xi_all[uk - 1]), complex(dxi_all[uk - 1])
         if xi == 0:
             raise NonInvertibleError(f"xi_{uk} = 0 at the evaluation point", u=uk)
         ex = 0.0

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgElement, _mul_coeffs, basis_element
+from .algebra import AlgebraError, AlgElement, _mul_coeffs, basis_element
 from .geometry import E3Frame, _xi_batch, _zeta_coeffs
+from .integration import _central_diff
 from .resolvent import SingularityError, _expand, _one, _recurrences
 
 __all__ = [
@@ -36,7 +37,7 @@ __all__ = [
 ]
 
 
-class ContourError(Exception):
+class ContourError(AlgebraError):
     """A contour fails the enclosure requirement or passes through a pole."""
 
 
@@ -85,21 +86,14 @@ class HoloFunction:
         w = t - self.center
         if self.kind == "rational":
             _check_poles(self, t, 0.0)
-            return _horner(self.num, w) / _horner(self.den, w)
-        return _horner(self.coeffs, w)
+            return _jet(self.num, w, 1)[0] / _jet(self.den, w, 1)[0]
+        return _jet(self.coeffs, w, 1)[0]
 
     @staticmethod
     def exp_series(degree: int = 14, scale: complex = 1.0) -> "HoloFunction":
         """Truncated Taylor series of exp(scale * t)."""
         fact = np.cumprod(np.concatenate([[1.0], np.arange(1, degree + 1)]))
         return HoloFunction("series", tuple((scale ** k) / fact[k] for k in range(degree + 1)))
-
-
-def _horner(coeffs, w):
-    out = np.zeros_like(w)
-    for c in reversed(coeffs or (0.0,)):
-        out = out * w + c
-    return out
 
 
 @dataclass(frozen=True)
@@ -307,14 +301,8 @@ def gateaux_derivative_fd(phi, frame: E3Frame, p, h_direction, eps: float,
 def cauchy_riemann_residual(phi, frame: E3Frame, p, h: float) -> tuple[float, float]:
     """Central-difference residuals of dPhi/dy = dPhi/dx e2 and dPhi/dz = dPhi/dx e3."""
     spec = frame.spec
-    p = np.asarray(p, dtype=float)
-    steps = np.array([
-        [h, 0, 0], [-h, 0, 0], [0, h, 0], [0, -h, 0], [0, 0, h], [0, 0, -h],
-    ])
-    vals = np.asarray(phi(p + steps), dtype=complex)
-    dx = (vals[0] - vals[1]) / (2 * h)
-    dy = (vals[2] - vals[3]) / (2 * h)
-    dz = (vals[4] - vals[5]) / (2 * h)
+    pts, step = np.asarray(p, dtype=float)[None], np.array([h], dtype=float)
+    dx, dy, dz = (_central_diff(phi, pts, axis, step)[0] for axis in range(3))
     r2 = np.linalg.norm(dy - _mul_coeffs(spec, dx, frame.a))
     r3 = np.linalg.norm(dz - _mul_coeffs(spec, dx, frame.b))
     return float(r2), float(r3)

@@ -54,12 +54,9 @@ __all__ = [
 _POLE_TOL = 1e-13
 
 
-class SingularityError(Exception):
-    """Evaluation at (or too near) a pole; carries the functional index."""
-
-    def __init__(self, message: str, u: int | None = None):
-        super().__init__(message)
-        self.u = u
+class SingularityError(NonInvertibleError):
+    """Evaluation at (or too near) a pole, where t e1 - zeta is not
+    invertible; carries the functional index."""
 
 
 def _t_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:

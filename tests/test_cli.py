@@ -102,6 +102,15 @@ def test_bad_input_exit_codes(tmp_path):
     res = run_cli("invert", "--fixture", "A5", "--point", "1,2", cwd=tmp_path)
     assert res.returncode == 2, res.stderr
     assert "--point needs x,y,z" in res.stderr
+    # every monalg error is bad input: here xi_1 = xi_2 everywhere, so the
+    # representation's contours cannot separate them
+    frame = tmp_path / "coinciding.json"
+    frame.write_text(json.dumps({"algebra": "C2", "a": [[0.3, 1.0], [0.3, 1.0]],
+                                 "b": [[-0.5, 0.4], [-0.5, 0.4]]}))
+    for command in ("verify-cauchy", "verify-formula"):
+        res = run_cli(command, "--fixture", "C2", "--frame", str(frame), cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: field evaluation failed"), res.stderr
 
 
 def test_verify_all_command(tmp_path):

@@ -157,6 +157,13 @@ def test_surface_degenerate_triangle_warns(bundles):
     surf = Surface3(tris, triangle_curve((0, 0, 0), (1, 0, 0), (0, 1, 0), 4))
     with pytest.warns(UserWarning, match="degenerate"):
         surface_integral(constant_field(unit_element(spec)), surf, "dxdy", spec)
+    # the Stokes residual runs the same midpoint rule: the zero-area triangle
+    # is skipped with a warning, and the residual is the one without it
+    frame = bundles["C2"].default_frame
+    with pytest.warns(UserWarning, match="degenerate"):
+        got = stokes_residual(zeta_power_field(frame, 2), surf, frame)
+    good = Surface3(tris[:1], surf.boundary)
+    assert got == stokes_residual(zeta_power_field(frame, 2), good, frame)
 
 
 def test_validate_surface(bundles):
@@ -316,7 +323,8 @@ def test_near_singular_loop_decays_fast(bundles):
 
 def test_field_evaluation_error_carries_context(bundles):
     from monalg import (FieldEvaluationError, HoloFunction, MonogenicSpec,
-                        cauchy_formula_residual, cauchy_theorem_residual)
+                        cauchy_formula_residual, cauchy_riemann_residual,
+                        cauchy_theorem_residual)
 
     frame = bundles["A5"].default_frame
 
@@ -325,6 +333,8 @@ def test_field_evaluation_error_carries_context(bundles):
 
     with pytest.raises(FieldEvaluationError, match="curve"):
         curvilinear_integral(broken, circle_curve(nodes=64), frame)
+    with pytest.raises(FieldEvaluationError, match="difference stencil"):
+        cauchy_riemann_residual(broken, frame, (0.3, 0.2, 0.5), h=1e-4)
 
     # two F_u on A5 (m = 1) fail wherever they are evaluated; both Cauchy
     # checks name the place
