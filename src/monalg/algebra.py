@@ -234,9 +234,6 @@ class AlgElement:
         """Coefficient of I_k (1-based)."""
         return complex(self.coeffs[k - 1])
 
-    def norm(self) -> float:
-        return norm_euclid(self)
-
 
 def unit_element(spec: AlgebraSpec) -> AlgElement:
     """The unit, represented explicitly as sum of all idempotents."""
@@ -339,9 +336,11 @@ class ValidationReport:
         return self.ok
 
 
-def validate_algebra(spec: AlgebraSpec, tol: float = 1e-12) -> ValidationReport:
-    """Check every rule of the multiplication table; lists all violations, never fail-fast."""
+def validate_algebra(spec: AlgebraSpec) -> ValidationReport:
+    """Check every rule of the multiplication table; lists all violations, never fail-fast.
+    Products count as equal, or as zero, to within 1e-12."""
     n, m = spec.n, spec.m
+    tol = 1e-12
     tab = spec.table
     report = ValidationReport()
 

@@ -150,11 +150,11 @@ def _load_inputs(cfg: RunConfig) -> tuple[AlgebraSpec, E3Frame | None]:
     return spec, frame_from_json(json.loads(Path(cfg.frame).read_text()), spec)
 
 
-def _load_frame(cfg: RunConfig) -> tuple[AlgebraSpec, E3Frame]:
-    spec, frame = _load_inputs(cfg)
+def _load_frame(cfg: RunConfig) -> E3Frame:
+    _, frame = _load_inputs(cfg)
     if frame is None:
         raise ValueError(f"{cfg.command} needs a frame")
-    return spec, frame
+    return frame
 
 
 def _standard_mspecs(spec: AlgebraSpec) -> dict[str, MonogenicSpec]:
@@ -185,7 +185,8 @@ def _cmd_validate(cfg: RunConfig):
 
 
 def _cmd_invert(cfg: RunConfig):
-    spec, frame = _load_frame(cfg)
+    frame = _load_frame(cfg)
+    spec = frame.spec
     tol = cfg.tol if cfg.tol is not None else CHECKS["relative_mismatch"].bound
     z = make_zeta(frame, cfg.point)
     direct = invert_direct(z)
@@ -219,10 +220,10 @@ def _lambda_record(res: LambdaResult, plane: str) -> dict:
 
 
 def _cmd_lambda(cfg: RunConfig):
-    spec, frame = _load_frame(cfg)
+    frame = _load_frame(cfg)
     curve = circle_curve(radius=cfg.radius, nodes=cfg.nodes, plane=cfg.plane)
-    rec = _lambda_record(lambda_numeric(frame, curve, tol=cfg.tol), cfg.plane)
-    rec["algebra"] = spec.name
+    rec = _lambda_record(lambda_numeric(frame, curve), cfg.plane)
+    rec["algebra"] = frame.spec.name
     return rec, True  # lambda has no asserted tolerance on its own
 
 
@@ -240,10 +241,10 @@ def _exactness_record(rep: ExactnessReport) -> dict:
 
 
 def _cmd_classify(cfg: RunConfig):
-    spec, frame = _load_frame(cfg)
+    frame = _load_frame(cfg)
     rep = exactness_conditions(frame)
     return {
-        "algebra": spec.name,
+        "algebra": frame.spec.name,
         **_exactness_record(rep),
         "theorem10_condition1": rep.theorem10_condition1,
         "theorem10_condition2": rep.theorem10_condition2,
@@ -267,12 +268,12 @@ def _residuals_report(cfg: RunConfig, key: str, residuals, *where) -> tuple[dict
     """The report of a command that checks the residuals of the standard
     functions, residuals(functions, frame, *where), against --tol, which
     defaults to the bound of CHECKS[key]."""
-    spec, frame = _load_frame(cfg)
+    frame = _load_frame(cfg)
     tol = cfg.tol if cfg.tol is not None else CHECKS[key].bound
-    res = residuals(_standard_mspecs(spec), frame, *where)
+    res = residuals(_standard_mspecs(frame.spec), frame, *where)
     ok = all(v <= tol for v in res.values())
     return {
-        "algebra": spec.name,
+        "algebra": frame.spec.name,
         "residuals": res,
         "tol": tol,
         "node_count": cfg.nodes,
@@ -321,7 +322,7 @@ class _Curves:
     """The curves verify-all checks on every fixture.  None depends on the
     fixture, so a run builds them once and drops them when it ends."""
 
-    xy: dict[float, Curve3]  # lambda circles by radius: 0.5, 1, 2 and --radius
+    xy: dict[float, Curve3]  # lambda circles by radius: 0.5, 1 and 2
     off_plane: tuple[Curve3, ...]  # unit yz and zx circles, each followed by its reverse
     theorem: Curve3
     formula: Curve3
@@ -336,7 +337,7 @@ class _Curves:
             circle = circle_curve(nodes=cfg.nodes, plane=plane)
             off_plane += [circle, circle.reversed()]
         return cls(
-            xy={r: circle_curve(radius=r, nodes=cfg.nodes) for r in {0.5, 1.0, 2.0, cfg.radius}},
+            xy={r: circle_curve(radius=r, nodes=cfg.nodes) for r in (0.5, 1.0, 2.0)},
             off_plane=tuple(off_plane),
             theorem=_theorem_circle(cfg.nodes),
             formula=_formula_circle(cfg.nodes),
@@ -359,10 +360,10 @@ def _verify_one_fixture(name: str, cfg: RunConfig, curves: _Curves) -> dict:
     rec["validation"] = validate_algebra(spec).violations
     rec["oracle"] = _oracle_record(frame, rng)
 
-    # one lambda per xy circle radius; the reported radius is usually 1.0
+    # one lambda per xy circle radius; the unit circle's is reported
     lams = {r: lambda_numeric(frame, circle) for r, circle in curves.xy.items()}
-    rec["lambda"] = _lambda_record(lams[cfg.radius], "xy")
     lam_one = lams[1.0]
+    rec["lambda"] = _lambda_record(lam_one, "xy")
     radius_dev = max(
         norm_euclid(lams[0.5].lambda_ - lam_one.lambda_),
         norm_euclid(lams[2.0].lambda_ - lam_one.lambda_),
@@ -429,11 +430,11 @@ def _cmd_verify_all(cfg: RunConfig):
 _COMMANDS = {
     "validate": (_cmd_validate, ("source", "out")),
     "invert": (_cmd_invert, ("source", "frame", "point", "tol", "out")),
-    "lambda": (_cmd_lambda, ("source", "frame", "nodes", "radius", "plane", "tol", "out")),
+    "lambda": (_cmd_lambda, ("source", "frame", "nodes", "radius", "plane", "out")),
     "classify": (_cmd_classify, ("source", "frame", "out")),
     "verify-cauchy": (_cmd_verify_cauchy, ("source", "frame", "nodes", "tol", "out")),
     "verify-formula": (_cmd_verify_formula, ("source", "frame", "nodes", "tol", "out")),
-    "verify-all": (_cmd_verify_all, ("nodes", "radius", "seed", "out")),
+    "verify-all": (_cmd_verify_all, ("nodes", "seed", "out")),
 }
 
 _OPTIONS = {
@@ -480,12 +481,12 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fields, ok = _COMMANDS[cfg.command][0](cfg)
+        report = {"command": cfg.command, **fields, "ok": ok}
+        Path(cfg.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     except (OSError, KeyError, ValueError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    report = {"command": cfg.command, **fields, "ok": ok}
-    Path(cfg.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     _print_summary(report)
     print(f"report written to {cfg.out}")
     if cfg.command == "validate" and not ok:

@@ -73,22 +73,22 @@ def independence_ok(frame: E3Frame) -> bool:
     return bool(sv[-1] > _SV_TOL * sv[0])
 
 
-def make_frame(spec: AlgebraSpec, a, b, check: bool = True) -> E3Frame:
+def make_frame(spec: AlgebraSpec, a, b) -> E3Frame:
     """Construct a frame; independence and surjectivity violations warn, not raise.
 
     (Theorem-9-style frames inside the semisimple part deliberately violate
-    independence, so these are diagnostics rather than hard errors.)
+    independence, so these are diagnostics rather than hard errors.)  An
+    unchecked frame is E3Frame(spec, a, b).
     """
-    frame = E3Frame(spec, np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-    if check:
-        if not independence_ok(frame):
-            warnings.warn("1, e2, e3 are linearly dependent over R", FrameWarning, stacklevel=2)
-        flags = check_surjectivity(frame)
-        if not np.all(flags):
-            bad = [u + 1 for u in range(spec.m) if not flags[u]]
-            warnings.warn(
-                f"f_u(E3) != C for u in {bad} (a_u and b_u both real)", FrameWarning, stacklevel=2
-            )
+    frame = E3Frame(spec, a, b)
+    if not independence_ok(frame):
+        warnings.warn("1, e2, e3 are linearly dependent over R", FrameWarning, stacklevel=2)
+    flags = check_surjectivity(frame)
+    if not np.all(flags):
+        bad = [u + 1 for u in range(spec.m) if not flags[u]]
+        warnings.warn(
+            f"f_u(E3) != C for u in {bad} (a_u and b_u both real)", FrameWarning, stacklevel=2
+        )
     return frame
 
 

@@ -123,7 +123,7 @@ class Curve3:
         return Curve3(self.points[::-1].copy(), self.closed, tg, self.dt)
 
 
-_PLANE_AXES = {"xy": (0, 1), "yz": (1, 2), "zx": (2, 0), "xz": (0, 2), "yx": (1, 0), "zy": (2, 1)}
+_PLANE_AXES = {"xy": (0, 1), "yz": (1, 2), "zx": (2, 0)}
 
 
 def circle_curve(center=(0.0, 0.0, 0.0), radius: float = 1.0, nodes: int = 4096,
@@ -141,20 +141,19 @@ def circle_curve(center=(0.0, 0.0, 0.0), radius: float = 1.0, nodes: int = 4096,
     return Curve3(pts, closed=True, tangents=tg, dt=2 * np.pi / nodes)
 
 
-def _edge_points(p, q, k):
-    lam = np.linspace(0.0, 1.0, k + 1)[:-1, None]
-    return (1 - lam) * np.asarray(p, float) + lam * np.asarray(q, float)
+def _polygon_points(vertices, per_edge: int) -> np.ndarray:
+    """Nodes of the closed polygon through vertices, in order: per_edge evenly
+    spaced nodes on each edge from its first vertex on, then the first vertex
+    again."""
+    v = [np.asarray(p, dtype=float) for p in vertices]
+    lam = np.linspace(0.0, 1.0, per_edge + 1)[:-1, None]
+    edges = [(1 - lam) * p + lam * q for p, q in zip(v, v[1:] + v[:1])]
+    return np.vstack(edges + [v[0][None]])
 
 
 def triangle_curve(p1, p2, p3, per_edge: int = 1024) -> Curve3:
     """Closed triangle boundary as a refined polyline (positive orientation as given)."""
-    pts = np.vstack([
-        _edge_points(p1, p2, per_edge),
-        _edge_points(p2, p3, per_edge),
-        _edge_points(p3, p1, per_edge),
-        np.asarray(p1, float)[None],
-    ])
-    return Curve3(pts, closed=True)
+    return Curve3(_polygon_points((p1, p2, p3), per_edge), closed=True)
 
 
 def polyline_curve(points, closed: bool = False) -> Curve3:
@@ -301,16 +300,8 @@ def rectangle_surface(origin, v1, v2, nx: int = 8, ny: int = 8,
             p11 = origin + v1 * ((i + 1) / nx) + v2 * ((j + 1) / ny)
             tris.append([p00, p10, p11])
             tris.append([p00, p11, p01])
-    corners = [origin, origin + v1, origin + v1 + v2, origin + v2]
-    k = boundary_per_edge
-    pts = np.vstack([
-        _edge_points(corners[0], corners[1], k),
-        _edge_points(corners[1], corners[2], k),
-        _edge_points(corners[2], corners[3], k),
-        _edge_points(corners[3], corners[0], k),
-        corners[0][None],
-    ])
-    return Surface3(np.array(tris), Curve3(pts, closed=True))
+    corners = (origin, origin + v1, origin + v1 + v2, origin + v2)
+    return Surface3(np.array(tris), Curve3(_polygon_points(corners, boundary_per_edge), closed=True))
 
 
 def validate_surface(surf: Surface3) -> list[str]:
@@ -371,11 +362,15 @@ def surface_integral(psi: Field, surf: Surface3, form: str, spec: AlgebraSpec) -
     return AlgElement(spec, _weighted_sums(areas[form], vals))
 
 
-def _central_diff(psi: Field, pts: np.ndarray, axis: int, h: np.ndarray) -> np.ndarray:
-    step = np.zeros_like(pts)
-    step[:, axis] = h
-    return (_eval_field(psi, pts + step, "difference stencil")
-            - _eval_field(psi, pts - step, "difference stencil")) / (2 * h[:, None])
+def _central_diff(psi: Field, pts: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Central difference quotients of psi along x, y and z at pts (N, 3) with
+    steps h (N,), (3, N, n), from one field call on the 6N stencil points."""
+    step = np.zeros((3,) + pts.shape)
+    for axis in range(3):
+        step[axis, :, axis] = h
+    stencil = np.concatenate([pts + step, pts - step]).reshape(-1, 3)
+    vals = _eval_field(psi, stencil, "difference stencil").reshape(2, 3, len(pts), -1)
+    return (vals[0] - vals[1]) / (2 * h[:, None])
 
 
 def stokes_residual(phi: Field, surf: Surface3, frame: E3Frame,
@@ -388,9 +383,7 @@ def stokes_residual(phi: Field, surf: Surface3, frame: E3Frame,
     centroids, areas = _midpoint_rule(surf)
     h = fd_step if fd_step is not None else 1e-5 * (1 + np.linalg.norm(centroids, axis=1))
     h = np.broadcast_to(np.asarray(h, dtype=float), (len(centroids),)).copy()
-    dx = _central_diff(phi, centroids, 0, h)
-    dy = _central_diff(phi, centroids, 1, h)
-    dz = _central_diff(phi, centroids, 2, h)
+    dx, dy, dz = _central_diff(phi, centroids, h)
 
     bxy = _mul_coeffs(spec, dx, frame.a[None, :]) - dy
     byz = _mul_coeffs(spec, dy, frame.b[None, :]) - _mul_coeffs(spec, dz, frame.a[None, :])

@@ -59,34 +59,36 @@ class EmbraceError(AlgebraError):
     """The curve does not embrace the non-invertibility set exactly once."""
 
 
-def winding_number(frame: E3Frame, curve: Curve3, u: int, around: complex = 0.0) -> int:
-    """Discrete winding of t -> xi_u(curve(t)) - around about zero, u in 1..m,
-    around a closed curve (an open arc has no winding number)."""
+# lambda_numeric's is_2pi_i holds when |lambda - 2 pi i| <= this times 1 + |lambda|
+_IS_2PI_I_TOL = 1e-6
+
+
+def winding_number(frame: E3Frame, curve: Curve3, u: int) -> int:
+    """Discrete winding of t -> xi_u(curve(t)) about zero, u in 1..m, around
+    a closed curve (an open arc has no winding number)."""
     if not 1 <= u <= frame.spec.m:
         raise AlgebraError(f"functional index {u} outside 1..{frame.spec.m}")
     if not curve.closed:
         raise EmbraceError("a winding number requires a closed curve")
-    return _winding(_xi_batch(frame, curve.points)[:, u - 1], u, around)
+    return _winding(_xi_batch(frame, curve.points)[:, u - 1], u)
 
 
-def _winding(xi_u: np.ndarray, u: int, around: complex,
-             abs_w: np.ndarray | None = None) -> int:
-    """winding_number from the values of xi_u at the curve's nodes.
+def _winding(w: np.ndarray, u: int, abs_w: np.ndarray | None = None) -> int:
+    """winding_number from the values w of xi_u at the curve's nodes (the
+    winding about another point c is that of xi_u - c).
 
-    Counts the signed crossings of the ray from `around` along the positive
-    real axis by the closed polyline through w = xi_u - around: +1 where an
-    edge goes from Im w <= 0 to Im w > 0 with `around` on its left (cross
-    product Re w0 Im w1 - Im w0 Re w1 > 0), -1 where one goes back down with
-    `around` on its right.  That is the polyline's winding number, which the
-    sum of the principal angles of w[i+1] / w[i] also is: each edge misses
-    `around` and subtends less than pi.  A caller that holds |w| passes it
-    as abs_w.
+    EmbraceError if some |w| < 1e-10.  Otherwise counts the signed crossings
+    of the positive real axis by the closed polyline through w: +1 where an
+    edge goes from Im w <= 0 to Im w > 0 with 0 on its left (cross product
+    Re w0 Im w1 - Im w0 Re w1 > 0), -1 where one goes back down with 0 on
+    its right.  That is the polyline's winding number, which the sum of the
+    principal angles of w[i+1] / w[i] also is: each edge misses 0 and
+    subtends less than pi.  A caller that holds |w| passes it as abs_w.
     """
-    w = xi_u - around if around != 0 else xi_u
     if abs_w is None:
         abs_w = np.abs(w)
-    if np.min(abs_w) < 1e-10 * (1 + abs(around)):
-        raise EmbraceError(f"xi_{u} passes within 1e-10 of the winding point")
+    if np.min(abs_w) < 1e-10:
+        raise EmbraceError(f"xi_{u} passes within 1e-10 of 0")
     below = w.imag <= 0
     idx = np.flatnonzero(below[:-1] != below[1:])
     w0, w1 = w[idx], w[idx + 1]
@@ -137,8 +139,9 @@ class LambdaResult:
     winding: dict[int, int]
 
 
-def lambda_numeric(frame: E3Frame, circle: Curve3, *, tol: float | None = None) -> LambdaResult:
-    """Loop integral of zeta^{-1} d zeta with embrace and invertibility preconditions."""
+def lambda_numeric(frame: E3Frame, circle: Curve3) -> LambdaResult:
+    """Loop integral of zeta^{-1} d zeta with embrace and invertibility preconditions
+    (see _loop_inverse); tol is _IS_2PI_I_TOL (1 + |lambda|)."""
     spec = frame.spec
     if not circle.closed:
         raise EmbraceError("lambda requires a closed curve")
@@ -149,7 +152,7 @@ def lambda_numeric(frame: E3Frame, circle: Curve3, *, tol: float | None = None) 
     lam = _assemble(frame, *S)
     total = _sigma_forms(frame, S)
     sig = {k: complex(total[k - 1]) for k in range(spec.m + 1, spec.n + 1)}
-    tol = tol if tol is not None else 1e-6 * (1 + norm_euclid(lam))
+    tol = _IS_2PI_I_TOL * (1 + norm_euclid(lam))
     dev = norm_euclid(lam - (2j * np.pi) * unit_element(spec))
     return LambdaResult(
         lambda_=lam,
@@ -165,9 +168,11 @@ def lambda_numeric(frame: E3Frame, circle: Curve3, *, tol: float | None = None) 
 def _loop_inverse(frame: E3Frame, pts: np.ndarray,
                   scale: float) -> tuple[dict[int, int], np.ndarray]:
     """The winding numbers {u: 1} and zeta^{-1} (N, n) at the nodes pts of a
-    closed loop whose 1 + max |coordinate| is scale, after lambda's checks:
-    every |xi_u| >= 1e-12 scale (NonInvertibleError), every xi_u winds once
-    (EmbraceError).  That margin implies _zeta_inverse_batch's pole test,
+    closed loop whose 1 + max |coordinate| is scale, after lambda's checks,
+    in this order: every |xi_u| >= 1e-12 scale (NonInvertibleError), every
+    |xi_u| >= 1e-10 (_winding's guard, EmbraceError), every xi_u winds once
+    (EmbraceError).  So a node with 1e-12 scale <= |xi_u| < 1e-10 raises
+    EmbraceError.  The margin implies _zeta_inverse_batch's pole test,
     1e-13 (1 + max |p|) <= 1e-13 (1 + sqrt(3) (scale - 1)) < 1e-12 scale, so
     the inverse is expanded unchecked.  One xi (a view of rows) and one |xi|
     serve all three, each column contiguous."""
@@ -178,7 +183,7 @@ def _loop_inverse(frame: E3Frame, pts: np.ndarray,
         raise NonInvertibleError(f"curve node on or near line L_{u}", u=u)
     winding = {}
     for u in range(1, frame.spec.m + 1):
-        wu = _winding(xi[:, u - 1], u, 0.0, abs_xi[:, u - 1])
+        wu = _winding(xi[:, u - 1], u, abs_xi[:, u - 1])
         winding[u] = wu
         if wu != 1:
             raise EmbraceError(f"curve does not embrace once: winding of xi_{u} is {wu}")
@@ -370,16 +375,10 @@ def sigma_closed(frame: E3Frame, p, dp) -> SigmaForms:
     return SigmaForms(total=total, exact=exact, remainder=remainder)
 
 
-def sigma_direct(frame: E3Frame, p, dp,
-                 atilde: dict[int, complex] | None = None) -> dict[int, complex]:
-    """sigma_k assembled directly from the integrand decomposition, for every k.
-
-    With atilde given (e.g. from atilde_closed) the nilpotent coefficients come
-    from it; otherwise from the recurrence inverse.
-    """
+def sigma_direct(frame: E3Frame, p, dp) -> dict[int, complex]:
+    """sigma_k assembled directly from the integrand decomposition, for every
+    k: _sigma_forms of outer(dp, zeta^{-1}(p)), the inverse by the recurrence."""
     atil = _zeta_inverse_batch(frame, np.asarray(p, dtype=float)[None])[0]
-    for k, v in (atilde or {}).items():
-        atil[k - 1] = v
     vals = _sigma_forms(frame, np.outer(np.asarray(dp, dtype=float), atil))
     return {k: complex(v) for k, v in enumerate(vals, start=1)}
 

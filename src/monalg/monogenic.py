@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraError, AlgElement, _mul_coeffs, basis_element
-from .geometry import E3Frame, _xi_batch, _zeta_coeffs
+from .geometry import E3Frame
 from .integration import _central_diff
 from .resolvent import SingularityError, _expand, _one, _recurrences
 
@@ -80,14 +80,11 @@ class HoloFunction:
             object.__setattr__(self, "_poles", self.center + np.roots(self.den[::-1]))
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
-        if self.kind == "callable":
-            return np.asarray(self.fn(np.asarray(t, dtype=complex)), dtype=complex)
         t = np.asarray(t, dtype=complex)
-        w = t - self.center
-        if self.kind == "rational":
-            _check_poles(self, t, 0.0)
-            return _jet(self.num, w, 1)[0] / _jet(self.den, w, 1)[0]
-        return _jet(self.coeffs, w, 1)[0]
+        if self.kind == "callable":
+            return np.asarray(self.fn(t), dtype=complex)
+        # W_1 about xi_u = t is F(t); radius 0 has the pole rule check t itself
+        return _moments(self, t, 0.0, t, 1, 0)[0]
 
     @staticmethod
     def exp_series(degree: int = 14, scale: complex = 1.0) -> "HoloFunction":
@@ -278,31 +275,24 @@ def representation_field(mspec: MonogenicSpec, frame: E3Frame, nodes: int = 1024
     return lambda pts: _rep_batch(mspec, frame, pts, nodes)
 
 
-def gateaux_derivative_fd(phi, frame: E3Frame, p, h_direction, eps: float,
-                          recover: bool = False) -> AlgElement:
+def gateaux_derivative_fd(phi, frame: E3Frame, p, h_direction, eps: float) -> AlgElement:
     """One-sided difference quotient (Phi(zeta + eps h) - Phi(zeta)) / eps.
 
-    For monogenic phi this approximates h * Phi'(zeta); with recover=True the
-    quotient is divided by the (invertible) direction h to estimate Phi'.
+    For monogenic phi this approximates h * Phi'(zeta), h the zeta of the
+    direction; times the inverse of an invertible h it estimates Phi'.
     """
-    from .algebra import invert_direct, multiply
-
     p = np.asarray(p, dtype=float)
     d = np.asarray(h_direction, dtype=float)
     pts = np.stack([p + eps * d, p])
     vals = np.asarray(phi(pts), dtype=complex)
-    quot = AlgElement(frame.spec, (vals[0] - vals[1]) / eps)
-    if not recover:
-        return quot
-    h_alg = AlgElement(frame.spec, _zeta_coeffs(frame, d))
-    return multiply(quot, invert_direct(h_alg))
+    return AlgElement(frame.spec, (vals[0] - vals[1]) / eps)
 
 
 def cauchy_riemann_residual(phi, frame: E3Frame, p, h: float) -> tuple[float, float]:
     """Central-difference residuals of dPhi/dy = dPhi/dx e2 and dPhi/dz = dPhi/dx e3."""
     spec = frame.spec
     pts, step = np.asarray(p, dtype=float)[None], np.array([h], dtype=float)
-    dx, dy, dz = (_central_diff(phi, pts, axis, step)[0] for axis in range(3))
+    dx, dy, dz = _central_diff(phi, pts, step)[:, 0]
     r2 = np.linalg.norm(dy - _mul_coeffs(spec, dx, frame.a))
     r3 = np.linalg.norm(dz - _mul_coeffs(spec, dx, frame.b))
     return float(r2), float(r3)

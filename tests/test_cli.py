@@ -111,6 +111,12 @@ def test_bad_input_exit_codes(tmp_path):
         res = run_cli(command, "--fixture", "C2", "--frame", str(frame), cwd=tmp_path)
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("error: field evaluation failed"), res.stderr
+    # a report that cannot be written is bad input too, not a tolerance failure
+    out = tmp_path / "no_such_dir" / "x.json"
+    res = run_cli("validate", "--fixture", "C2", "--out", str(out), cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and "No such file or directory" in res.stderr
+    assert res.stderr.count("\n") == 1, res.stderr
 
 
 def test_verify_all_command(tmp_path):
@@ -206,8 +212,8 @@ def test_verify_all_builds_each_curve_once(monkeypatch):
     built = []
     _spy(monkeypatch, cli, "circle_curve", lambda args, kwargs: built.append((args, kwargs)))
     monkeypatch.setattr(cli, "CATALOG", cli.CATALOG[:3])
-    cli._cmd_verify_all(cli.RunConfig("verify-all", nodes=256, radius=1.5))
-    assert len(built) == 10
+    cli._cmd_verify_all(cli.RunConfig("verify-all", nodes=256))
+    assert len(built) == 9
     keys = [repr(args) for args in built]
     assert len(set(keys)) == len(keys)
 
@@ -356,6 +362,8 @@ def test_residual_commands_load_frames_from_files(tmp_path, capsys):
     ["validate", "--fixture", "A5"],
     ["verify-all", "--nodes", "256", "--fixture", "A5"],
     ["validate", "--fixture", "A5", "--nodes", "99999", "--point", "1,2,3"],
+    ["lambda", "--fixture", "A5"],
+    ["verify-all", "--nodes", "256", "--radius", "1.5"],
 ])
 def test_commands_with_fixed_bounds_reject_tol(args, tmp_path, capsys):
     # these commands check fixed bounds only: a --tol would be ignored, so a

@@ -291,6 +291,26 @@ def test_stokes_residual_decreases_under_refinement(bundles):
     assert residuals[-1] <= residuals[0] / 4
 
 
+def test_difference_stencils_make_one_field_call(bundles):
+    # the x, y and z quotients of a stencil come from one call on its 6N points
+    from monalg import cauchy_riemann_residual
+
+    frame = bundles["A5"].default_frame
+    calls = []
+
+    def spy(pts):
+        calls.append(len(pts))
+        return zeta_power_field(frame, 3)(pts)
+
+    surf = rectangle_surface((0.9, 1.1, 0.2), (0.3, 0, 0.1), (0, 0.4, -0.1), nx=3, ny=2,
+                             boundary_per_edge=64)
+    stokes_residual(spy, surf, frame)
+    assert calls == [len(surf.boundary.points), 6 * len(surf.triangles)]
+    calls.clear()
+    cauchy_riemann_residual(spy, frame, (0.3, 0.2, 0.5), h=1e-4)
+    assert calls == [6]
+
+
 def test_closed_polyline_loop_is_second_order(bundles):
     # genuine O(h^2) decay visible on a polygonal loop (circle loops converge
     # spectrally and sit at the rounding floor instead)

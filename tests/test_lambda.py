@@ -8,6 +8,7 @@ from monalg import (
     AlgebraSpec,
     AlgElement,
     Curve3,
+    E3Frame,
     EmbraceError,
     HoloFunction,
     MonogenicSpec,
@@ -40,7 +41,13 @@ from monalg import (
 
 from monalg.algebra import _mul_coeffs
 from monalg.integration import _integrate_values, _node_steps
-from monalg.lambda_const import _formula_residual, _formula_weights, _loop_inverse
+from monalg.lambda_const import (
+    _formula_residual,
+    _formula_weights,
+    _loop_inverse,
+    _sigma_forms,
+    _winding,
+)
 
 from conftest import random_safe_points
 
@@ -114,7 +121,7 @@ def test_winding_numbers(bundles):
     off = circle_curve(center=(3.0, 0, 0), radius=0.5, nodes=512)
     assert winding_number(frame, off, 1) == 0
     with pytest.raises(EmbraceError):
-        winding_number(frame, circle, 1, around=1.0)  # xi passes through 1
+        _winding(xi_values(frame, circle.points)[:, 0] - 1.0, 1)  # xi passes through 1
 
 
 def test_winding_number_rejects_functional_indices_outside_1_to_m(bundles):
@@ -138,6 +145,23 @@ def test_winding_number_rejects_open_curves(bundles):
         winding_number(frame, arc, 1)
     with pytest.raises(EmbraceError, match="closed curve"):
         lambda_numeric(frame, arc)
+
+
+def test_loop_guards_near_a_line(bundles):
+    # the unit circle centred at (1 + eps, 0, 0) passes within about eps of
+    # L_1 and L_2 at (eps, 0, 0).  The margin 1e-12 (1 + max |coordinate|),
+    # here 3e-12, raises NonInvertibleError; above it, _winding's own 1e-10
+    # guard raises EmbraceError before any winding is counted
+    frame = bundles["C2"].default_frame
+    for eps, error, match in ((5e-11, EmbraceError, "passes within 1e-10"),
+                              (5e-12, EmbraceError, "passes within 1e-10"),
+                              (5e-13, NonInvertibleError, "near line L_1")):
+        curve = circle_curve(center=(1 + eps, 0, 0), nodes=4096)
+        assert 0.9 * eps < np.min(np.abs(xi_values(frame, curve.points))) < 1.1 * eps
+        with pytest.raises(error, match=match):
+            lambda_numeric(frame, curve)
+        with pytest.raises(error, match=match):
+            _loop_inverse(frame, curve.points, curve.coord_scale)
 
 
 def test_lambda_radius_is_the_norm_expression_bit_for_bit(bundles):
@@ -378,6 +402,8 @@ def test_atilde_point_is_its_batch_row(bundles):
 
 
 def test_sigma_split_matches_direct_assembly(bundles):
+    from monalg.resolvent import _zeta_inverse_batch
+
     rng = np.random.default_rng(43)
     cases = [(b.algebra, b.default_frame) for b in bundles.values()] + handmade_cases()
     for spec, frame in cases:
@@ -386,9 +412,12 @@ def test_sigma_split_matches_direct_assembly(bundles):
         for p in random_safe_points(frame, rng, 15):
             dp = rng.normal(size=3)
             split = sigma_closed(frame, p, dp)
-            direct = sigma_direct(frame, p, dp, atilde=atilde_closed(frame, p))
+            atil = _zeta_inverse_batch(frame, p[None])[0]
+            for k, v in atilde_closed(frame, p).items():
+                atil[k - 1] = v
+            direct = _sigma_forms(frame, np.outer(dp, atil))
             for k, v in split.total.items():
-                assert abs(v - direct[k]) <= 1e-10 * (1 + abs(direct[k])), (spec.name, k)
+                assert abs(v - direct[k - 1]) <= 1e-10 * (1 + abs(direct[k - 1])), (spec.name, k)
 
 
 def _per_node_sigma(frame, xi, d, atil):
@@ -453,12 +482,13 @@ def test_sigma_direct_matches_the_per_node_formula(bundles):
             over = inv.copy()
             for k, v in closed.items():
                 over[0, k - 1] = v
-            for atilde, atil in ((None, inv), (closed, over)):
+            direct = sigma_direct(frame, p, dp)
+            assert list(direct) == list(range(1, spec.n + 1))
+            for got, atil in ((np.array(list(direct.values())), inv),
+                              (_sigma_forms(frame, np.outer(dp, over[0])), over)):
                 want = _per_node_sigma(frame, _xi_batch(frame, pt), dp[None], atil)[0]
-                got = sigma_direct(frame, p, dp, atilde=atilde)
-                assert list(got) == list(range(1, spec.n + 1))
                 tol = 1e-13 * (1 + np.max(np.abs(want)))
-                assert np.max(np.abs(np.array(list(got.values())) - want)) <= tol, spec.name
+                assert np.max(np.abs(got - want)) <= tol, spec.name
 
 
 def test_sigma_semisimple_empty(bundles):
@@ -589,7 +619,7 @@ def test_prediction_soundness_randomized_frames(bundles):
                 # frame-condition family instead (vanishing m+1 and m+3 parts)
                 a[1] = b[1] = 0.0
                 a[3] = b[3] = 0.0
-            frame = make_frame(spec, a, b, check=False)
+            frame = E3Frame(spec, a, b)
             rep = exactness_conditions(frame)
             assert rep.predicted_2pi_i, name
             res = lambda_numeric(frame, circle_curve(nodes=512))
@@ -773,8 +803,6 @@ def _closed(w):
 
 
 def test_crossing_count_matches_the_angle_sum_on_random_polygons():
-    from monalg.lambda_const import _winding
-
     rng = np.random.default_rng(1301)
     seen = set()
     for trial in range(6000):
@@ -790,15 +818,13 @@ def test_crossing_count_matches_the_angle_sum_on_random_polygons():
         w = _closed(w)
         ref = _angle_sum_winding(w)
         seen.add(ref)
-        assert _winding(w, 1, 0.0) == ref, (trial, w)
-        assert _winding(w, 1, 0.0, np.abs(w)) == ref
+        assert _winding(w, 1) == ref, (trial, w)
+        assert _winding(w, 1, np.abs(w)) == ref
     assert {-1, 0, 1} <= seen
 
 
 @pytest.mark.parametrize("turns", [-3, -2, 2, 3])
 def test_crossing_count_on_loops_that_wind_several_times(turns):
-    from monalg.lambda_const import _winding
-
     rng = np.random.default_rng(1302 + turns)
     for _ in range(200):
         per_turn = int(rng.integers(4, 13))
@@ -809,7 +835,7 @@ def test_crossing_count_on_loops_that_wind_several_times(turns):
         r = 10.0 ** rng.uniform(-3, 3) * rng.uniform(0.5, 1.5, k)
         w = _closed(r * np.exp(1j * t))
         assert _angle_sum_winding(w) == turns
-        assert _winding(w, 1, 0.0) == turns
+        assert _winding(w, 1) == turns
 
 
 def test_winding_number_about_a_nonzero_point_matches_the_angle_sum(bundles):
@@ -827,5 +853,5 @@ def test_winding_number_about_a_nonzero_point_matches_the_angle_sum(bundles):
                 for around in rng.uniform(-1.5, 1.5, 4) + 1j * rng.uniform(-1.5, 1.5, 4):
                     ref = _angle_sum_winding(xi[:, u - 1] - around)
                     seen.add(ref)
-                    assert winding_number(frame, circle, u, around=around) == ref
+                    assert _winding(xi[:, u - 1] - around, u) == ref
     assert seen == {-1, 0, 1}
