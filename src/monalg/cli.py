@@ -304,7 +304,7 @@ def _oracle_record(frame: E3Frame, rng: np.random.Generator) -> dict:
     zc = _zeta_coeffs(frame, pts)
     shifted = ts[:, None] * spec.unit_coeffs - zc
     closed = _zeta_inverse_batch(frame, pts)
-    at = _atilde_batch(frame, pts)
+    at = _atilde_batch(spec, zc)
     return {
         "zeta_inverse_max_rel": _max_rel(closed, _invert_direct_batch(spec, zc)),
         "resolvent_max_rel": _max_rel(_resolvent_batch(frame, pts, ts),

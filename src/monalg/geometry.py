@@ -104,11 +104,21 @@ def _batch_view(rows: np.ndarray) -> np.ndarray:
 
 
 def _zeta_coeffs(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
-    """Batch zeta: pts (..., 3) -> coefficient arrays (..., n), a view of rows."""
+    """Batch zeta: pts (..., 3) -> coefficient arrays (..., n), a view of rows.
+
+    The only kernel from points to zeta: the first m rows are
+    xi_u = x + y a_u + z b_u and the others T_s = y a_s + z b_s, so
+    xi = zc[..., :m] and T = zc[..., m:] are views whose columns are
+    contiguous rows.  The rows are filled in place: y a_k, then + x on the
+    idempotent rows, then + z b_k.
+    """
     pts = np.asarray(pts, dtype=float)
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
     col = (slice(None),) + (None,) * x.ndim  # coefficients as a column: one row each
-    return _batch_view(x * frame.spec.unit_coeffs[col] + y * frame.a[col] + z * frame.b[col])
+    rows = y * frame.a[col]
+    rows[: frame.spec.m] += x
+    rows += z * frame.b[col]
+    return _batch_view(rows)
 
 
 def make_zeta(frame: E3Frame, p) -> AlgElement:
@@ -116,19 +126,9 @@ def make_zeta(frame: E3Frame, p) -> AlgElement:
     return AlgElement(frame.spec, _zeta_coeffs(frame, np.asarray(p, dtype=float)))
 
 
-def _xi_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
-    """Batch xi_u = x + y a_u + z b_u: pts (..., 3) -> (..., m), a view of
-    rows, so that each xi[..., u] is contiguous."""
-    pts = np.asarray(pts, dtype=float)
-    m = frame.spec.m
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    col = (slice(m),) + (None,) * x.ndim
-    return _batch_view(x + y * frame.a[col] + z * frame.b[col])
-
-
 def xi_values(frame: E3Frame, p) -> np.ndarray:
     """The m functional images xi_u at point p."""
-    return _xi_batch(frame, np.asarray(p, dtype=float))
+    return _zeta_coeffs(frame, p)[..., : frame.spec.m]
 
 
 def check_surjectivity(frame: E3Frame) -> np.ndarray:
@@ -179,7 +179,7 @@ def random_safe_points(frame: E3Frame, rng: np.random.Generator, count: int,
     pts = np.empty((0, 3))
     while len(pts) < count:
         draw = rng.uniform(-2.0, 2.0, size=(count - len(pts), 3))
-        keep = np.min(np.abs(_xi_batch(frame, draw)), axis=1) > margin
+        keep = np.min(np.abs(xi_values(frame, draw)), axis=1) > margin
         pts = np.concatenate([pts, draw[keep]])
     return pts
 

@@ -24,7 +24,7 @@ from .algebra import (
     norm_euclid,
     unit_element,
 )
-from .geometry import E3Frame, _xi_batch, _zeta_coeffs
+from .geometry import E3Frame, _zeta_coeffs
 from .integration import (
     Curve3,
     _assemble,
@@ -34,7 +34,7 @@ from .integration import (
     _weighted_sums,
 )
 from .monogenic import MonogenicSpec, _rep_values
-from .resolvent import _inverse_expansion, _recurrences, _t_batch, _zeta_inverse_batch
+from .resolvent import _inverse, _recurrences, _zeta_inverse_batch
 
 __all__ = [
     "EmbraceError",
@@ -70,7 +70,7 @@ def winding_number(frame: E3Frame, curve: Curve3, u: int) -> int:
         raise AlgebraError(f"functional index {u} outside 1..{frame.spec.m}")
     if not curve.closed:
         raise EmbraceError("a winding number requires a closed curve")
-    return _winding(_xi_batch(frame, curve.points)[:, u - 1], u)
+    return _winding(_zeta_coeffs(frame, curve.points)[:, u - 1], u)
 
 
 def _winding(w: np.ndarray, u: int, abs_w: np.ndarray | None = None) -> int:
@@ -173,10 +173,11 @@ def _loop_inverse(frame: E3Frame, pts: np.ndarray,
     |xi_u| >= 1e-10 (_winding's guard, EmbraceError), every xi_u winds once
     (EmbraceError).  So a node with 1e-12 scale <= |xi_u| < 1e-10 raises
     EmbraceError.  The margin implies _zeta_inverse_batch's pole test,
-    1e-13 (1 + max |p|) <= 1e-13 (1 + sqrt(3) (scale - 1)) < 1e-12 scale, so
-    the inverse is expanded unchecked.  One xi (a view of rows) and one |xi|
-    serve all three, each column contiguous."""
-    xi = _xi_batch(frame, pts)
+    1e-13 (1 + |p|) <= 1e-13 (1 + sqrt(3) (scale - 1)) < 1e-12 scale, so
+    the inverse is expanded unchecked.  One zeta (a view of rows) and one
+    |xi| serve all three and the inverse, each column contiguous."""
+    zc = _zeta_coeffs(frame, pts)
+    xi = zc[:, : frame.spec.m]
     abs_xi = np.abs(xi)
     if np.min(abs_xi) < 1e-12 * scale:
         u = int(np.argmin(np.min(abs_xi, axis=0))) + 1
@@ -187,18 +188,18 @@ def _loop_inverse(frame: E3Frame, pts: np.ndarray,
         winding[u] = wu
         if wu != 1:
             raise EmbraceError(f"curve does not embrace once: winding of xi_{u} is {wu}")
-    _, _, _, Q = _recurrences(frame, pts, xi)
-    return winding, _inverse_expansion(frame.spec, xi, Q)
+    return winding, _inverse(frame.spec, zc)
 
 
 # ---------------------------------------------------------------------------
 # closed forms for the first four nilpotent coefficients and sigma forms
 # ---------------------------------------------------------------------------
 
-def _atilde_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
+def _atilde_batch(spec: AlgebraSpec, zc: np.ndarray) -> np.ndarray:
     """The displayed closed forms for the zeta^{-1} coefficients at indices m+1..m+4.
 
-    pts (N, 3) -> (N, min(4, n - m)), column i holding index m+1+i.
+    zeta's coefficients zc (N, n) (geometry._zeta_coeffs) -> (N, min(4, n - m)),
+    column i holding index m+1+i.
     Implemented independently of the Q recurrence as a cross-check of the inverse it gives.
     The final T-degree-4 term of the m+4 coefficient follows the recurrence
     (the printed sources carry a degree typo there).
@@ -210,19 +211,17 @@ def _atilde_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
     numerators are N3 = T1 (B2 T1 + C T2) + T2 R and N4 = A T1^2 R; the m+4
     ones are T1 M + T2 P + T3 L, A T1^2 P + L N3 and L N4.
     """
-    spec = frame.spec
     m = spec.m
     cols = min(4, spec.n - m)
-    pts = np.asarray(pts, dtype=float)
     if cols == 0:
-        return np.zeros((len(pts), 0), dtype=complex)
-    zc = _zeta_coeffs(frame, pts)  # xi_u = zc[:, u - 1] and T_s = zc[:, s - 1]
+        return np.zeros((len(zc), 0), dtype=complex)
+    # xi_u = zc[:, u - 1] and T_s = zc[:, s - 1]
     x = zc[:, [spec.u_map[s] - 1 for s in range(m + 1, m + cols + 1)]]
     c = spec.plan.shorthands
     A, B2, C, D = c["A"], c["B2"], c["C"], c["D"]
     E, F, G, H, J, K = c["E"], c["F"], c["G"], c["H"], c["J"], c["K"]
     # nums[:, j, d] is the numerator of coefficient m+1+j over x^(d+2)
-    nums = np.zeros((len(pts), cols, cols), dtype=complex)
+    nums = np.zeros((len(zc), cols, cols), dtype=complex)
     nums[:, :, 0] = -zc[:, m: m + cols]
     t1, t2, t3 = (zc[:, m + i] if i < cols else None for i in range(3))
     if cols >= 2:
@@ -251,7 +250,7 @@ def _atilde_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
 
 def atilde_closed(frame: E3Frame, p) -> dict[int, complex]:
     """_atilde_batch at one point, keyed by the 1-based index of each coefficient."""
-    row = _atilde_batch(frame, np.asarray(p, dtype=float)[None])[0]
+    row = _atilde_batch(frame.spec, _zeta_coeffs(frame, np.asarray(p, dtype=float)[None]))[0]
     return {frame.spec.m + 1 + i: complex(v) for i, v in enumerate(row)}
 
 
@@ -341,8 +340,8 @@ def sigma_closed(frame: E3Frame, p, dp) -> SigmaForms:
     n, m = spec.n, spec.m
     pt = np.asarray(p, dtype=float)
     d = np.asarray(dp, dtype=float)
-    xi_all, dxi_all = _xi_batch(frame, pt), _xi_batch(frame, d)
-    T, dT = _t_batch(frame, pt), _t_batch(frame, d)
+    zc, dzc = _zeta_coeffs(frame, pt), _zeta_coeffs(frame, d)
+    xi_all, T, dxi_all, dT = zc[:m], zc[m:], dzc[:m], dzc[m:]
     c = spec.plan.shorthands
     anti = _antiderivative_terms(c)
     rem = _remainder_terms(c)
@@ -485,8 +484,8 @@ def _values(phis: dict, frame: E3Frame, pts: np.ndarray, where: str):
     rec = None
     for key, phi in phis.items():
         if isinstance(phi, MonogenicSpec):
-            rec = rec or _recurrences(frame, pts)
-            yield key, _eval_field(lambda _, ms=phi: _rep_values(ms, frame, rec[0], rec[3]),
+            rec = rec or _recurrences(frame.spec, _zeta_coeffs(frame, pts))
+            yield key, _eval_field(lambda _, ms=phi: _rep_values(ms, frame.spec, rec[0], rec[3]),
                                    pts, where)
         else:
             yield key, _eval_field(phi, pts, where)

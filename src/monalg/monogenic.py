@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraError, AlgElement, _mul_coeffs, basis_element
-from .geometry import E3Frame
-from .integration import _central_diff
+from .algebra import AlgebraError, AlgebraSpec, AlgElement, _mul_coeffs, basis_element
+from .geometry import E3Frame, _zeta_coeffs
+from .integration import _central_diff, _eval_field
 from .resolvent import SingularityError, _expand, _one, _recurrences
 
 __all__ = [
@@ -108,9 +108,11 @@ class MonogenicSpec:
 
 def _auto_contours(xi: np.ndarray, m: int, overrides: dict):
     """Per-point circle (center, radius) for each u: centered at xi_u with radius
-    0.4 times the gap to the nearest other xi (1.0 when there is a single u)."""
+    0.4 times the gap to the nearest other xi (1.0 when there is a single u).
+    A gap below 1e-10 (1 + max_u |xi_u|), each point's own xi, raises ContourError."""
     centers = []
     radii = []
+    min_gap = 1e-10 * (1 + np.abs(xi).max(axis=-1)) if m > 1 else None
     for u in range(1, m + 1):
         if u in overrides:
             c, r = overrides[u]
@@ -123,7 +125,7 @@ def _auto_contours(xi: np.ndarray, m: int, overrides: dict):
         else:
             others = np.abs(np.delete(xi, u - 1, axis=-1) - c[..., None])
             gap = np.min(others, axis=-1)
-            if np.min(gap) < 1e-10 * (1 + np.max(np.abs(xi))):
+            if (gap < min_gap).any():
                 raise ContourError(
                     f"xi_{u} coincides with another functional value at some "
                     "evaluation point; no separating contour exists there"
@@ -189,7 +191,7 @@ def _trapezoid_moments(func, center, radius, xi_u, kmax: int, nodes: int):
         blk = slice(i, i + step)
         t = center[blk, None] + radius[blk, None] * rot  # (points, nodes)
         d = t - xi_u[blk, None]
-        if np.min(np.abs(d)) < 1e-12 * (1 + np.max(np.abs(t))):
+        if (np.abs(d) < 1e-12 * (1 + np.abs(t).max(axis=-1, keepdims=True))).any():
             raise SingularityError("resolvent pole sits on a quadrature node of the contour")
         base = func(t) * (radius[blk, None] * rot / nodes)  # contains dt/(2 pi i)
         dinv = 1.0 / d
@@ -226,20 +228,24 @@ def _moments(func: HoloFunction, center, radius, xi_u, kmax: int, nodes: int) ->
 
 def _rep_batch(mspec: MonogenicSpec, frame: E3Frame, pts: np.ndarray,
                nodes: int = 1024) -> np.ndarray:
-    xi, _, _, Q = _recurrences(frame, pts)
-    return _rep_values(mspec, frame, xi, Q, nodes)
+    xi, _, _, Q = _recurrences(frame.spec, _zeta_coeffs(frame, pts))
+    return _rep_values(mspec, frame.spec, xi, Q, nodes)
 
 
-def _rep_values(mspec: MonogenicSpec, frame: E3Frame, xi: np.ndarray, Q,
+def _rep_values(mspec: MonogenicSpec, spec: AlgebraSpec, xi: np.ndarray, Q,
                 nodes: int = 1024) -> np.ndarray:
     """The representation at a batch of points given their xi and Q from
     _recurrences, which functions evaluated at the same points can share.
-    Only given contours are checked for enclosure: an automatic one, centred
-    at xi_u with 0.4 times a gap _auto_contours keeps from 0, encloses xi_u alone."""
-    spec = frame.spec
+    A point with a non-finite xi_u raises ValueError.  Only given contours
+    are checked for enclosure: an automatic one, centred at xi_u with 0.4
+    times a gap _auto_contours keeps from 0, encloses xi_u alone."""
     m = spec.m
     if len(mspec.F) != m:
         raise ValueError(f"need one F_u per idempotent ({m}), got {len(mspec.F)}")
+    if not np.isfinite(xi).all():
+        *point, u = (int(i) for i in np.argwhere(~np.isfinite(xi))[0])
+        raise ValueError(f"the representation needs a finite point: xi_{u + 1} = "
+                         f"{complex(xi[(*point, u)])} at batch index {tuple(point)}")
     centers, radii = _auto_contours(xi, m, mspec.contours)
     for u in range(1, m + 1):
         if u in mspec.contours:
@@ -283,8 +289,7 @@ def gateaux_derivative_fd(phi, frame: E3Frame, p, h_direction, eps: float) -> Al
     """
     p = np.asarray(p, dtype=float)
     d = np.asarray(h_direction, dtype=float)
-    pts = np.stack([p + eps * d, p])
-    vals = np.asarray(phi(pts), dtype=complex)
+    vals = _eval_field(phi, np.stack([p + eps * d, p]), "difference points")
     return AlgElement(frame.spec, (vals[0] - vals[1]) / eps)
 
 

@@ -1,18 +1,20 @@
-"""Closed-form inversion on E3: the resolvent expansion and the zeta inverse.
+"""Closed-form inversion on E3: one expansion inverts zeta and t e1 - zeta.
 
-Everything reduces to scalar data at a point: xi_u = x + y a_u + z b_u,
-T_s = y a_s + z b_s, the couplings B_{r,s} = sum_k T_k * (coeff of I_s in
-I_r I_k), and one recurrence Q.  The resolvent is
+An element c with idempotent coefficients x_u and nilpotent ones T_s is
+inverted from scalar data alone: the couplings B_{r,s} = sum_k T_k * (coeff
+of I_s in I_r I_k) and one recurrence Q give
+    c^{-1} = sum_u x_u^{-1} I_u
+           + sum_s sum_k Q_{k,s} (-1)^{k+1} x_{u_s}^{-k} I_s.
+_inverse does this for zeta, whose coefficients are xi_u = x + y a_u + z b_u
+and T_s = y a_s + z b_s, and for t e1 - zeta, whose coefficients are
+t - xi_u and -T_s: its Q_{k,s} is (-1)^{k+1} times zeta's, so the resolvent
     (t e1 - zeta)^{-1} = sum_u (t - xi_u)^{-1} I_u
-                       + sum_s sum_k Q_{k,s} (t - xi_{u_s})^{-k} I_s,
-and zeta^{-1} is minus its value at t = 0, which is the same expansion with
-the factors (-1)^{k+1} xi_u^{-k}; the inverse recurrence is therefore
-Qtilde_{k,s} = (-1)^{k+1} Q_{k,s}.  _power_factors forms each factor of
-either kind as +-1 / x^k, with x^k accumulated by repeated multiplication:
-one complex multiply and one divide per order.  The monogenic
-representation reuses the expansion with contour moments as factors (see
-_expand).  All of this is cross-checked against the dense linear-solve
-oracle in the tests.
+                       + sum_s sum_k Q_{k,s} (t - xi_{u_s})^{-k} I_s
+comes out term for term, bit for bit.  _power_factors forms each factor
+(-1)^{k+1} / x^k with x^k accumulated by repeated multiplication: one
+complex multiply and one divide per order.  The monogenic representation
+reuses the expansion with contour moments as factors (see _expand).  All of
+this is cross-checked against the dense linear-solve oracle in the tests.
 
 The sums over the structure constants are fixed per algebra, so they are
 not rediscovered per call: AlgebraSpec builds a CouplingPlan once, listing
@@ -23,15 +25,18 @@ share one zero array, and a coupling that is one T_k with gamma = 1 takes
 one pass.  The plan keeps the scan's order of operations, so results are
 bit for bit those of scanning every gamma(r, k, s).
 
-Inside the kernels a batch is coefficient-major: xi_u, T_s, every B and Q,
-every power factor and every row of the expansion is one contiguous array
-over the points.  Each arithmetic step then runs numpy's inner loop over the
-N points, not over k <= n as on node-major (N, k) arrays, whose columns are
-strided slices.  The shapes callers see stay (..., m), (..., n - m) and
-(..., n): _xi_batch, _t_batch and _expand return views of their (k, ...)
-rows (geometry._batch_view).  The layout changes no bit of any result.  A
-bare (3,) point is computed on 0-d arrays; the public single-point
-functions pass a batch of one (_one), so they give their row of any batch.
+Inside the kernels a batch is coefficient-major: zeta's coefficients, every
+B and Q, every power factor and every row of the expansion is one contiguous
+array over the points.  Each arithmetic step then runs numpy's inner loop
+over the N points, not over k <= n as on node-major (N, k) arrays, whose
+columns are strided slices.  geometry._zeta_coeffs, the only kernel from
+points to zeta, and _expand return (..., n) views of their (n, ...) rows
+(geometry._batch_view), so _recurrences reads xi = coeffs[..., :m] and
+T = coeffs[..., m:] with each column contiguous.  The layout changes no bit
+of any result.  A bare (3,) point is computed on 0-d arrays; the public
+single-point functions pass a batch of one (_one), so they give their row
+of any batch.  Every guard decides per point, so a point's outcome does not
+depend on the batch it is in either.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, AlgElement, NonInvertibleError
-from .geometry import E3Frame, _batch_view, _xi_batch
+from .geometry import E3Frame, _batch_view, _zeta_coeffs
 
 __all__ = [
     "SingularityError",
@@ -59,29 +64,18 @@ class SingularityError(NonInvertibleError):
     invertible; carries the functional index."""
 
 
-def _t_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
-    """T_s = y a_s + z b_s for nilpotent s: pts (..., 3) -> (..., n-m), a view of rows."""
-    pts = np.asarray(pts, dtype=float)
-    m = frame.spec.m
-    y, z = pts[..., 1], pts[..., 2]
-    col = (slice(m, None),) + (None,) * y.ndim
-    return _batch_view(y * frame.a[col] + z * frame.b[col])
+def _recurrences(spec: AlgebraSpec, coeffs: np.ndarray):
+    """xi, T, B, Q of the element with coefficients coeffs (..., n), from the
+    spec's coupling plan.
 
-
-def _recurrences(frame: E3Frame, pts: np.ndarray, xi: np.ndarray | None = None):
-    """xi, T, B, Q at a batch of points, from the spec's coupling plan.
-
-    xi (..., m) and T (..., n-m) are views of coefficient rows (_xi_batch,
-    _t_batch), so each xi[..., u] and T[..., i] is contiguous.  B[(r, s)] and
-    Q[(k, s)] hold contiguous arrays of the batch shape, with Q defined for
-    k in 2..s-m+1 only; entries that are identically zero share one zero array.
-    A caller that already holds xi = _xi_batch(frame, pts) passes it in.
+    xi = coeffs[..., :m] and T = coeffs[..., m:] are views; on the row-view
+    arrays of _zeta_coeffs each xi[..., u] and T[..., i] is contiguous.
+    B[(r, s)] and Q[(k, s)] hold contiguous arrays of the batch shape, with Q
+    defined for k in 2..s-m+1 only; entries that are identically zero share
+    one zero array.
     """
-    spec = frame.spec
     m = spec.m
-    if xi is None:
-        xi = _xi_batch(frame, pts)
-    T = _t_batch(frame, pts)
+    xi, T = coeffs[..., :m], coeffs[..., m:]
     zero = np.zeros_like(xi[..., 0])
 
     B: dict[tuple[int, int], np.ndarray] = {}
@@ -106,10 +100,10 @@ def _recurrences(frame: E3Frame, pts: np.ndarray, xi: np.ndarray | None = None):
     return xi, T, B, Q
 
 
-def _power_factors(x: np.ndarray, kmax: int, alternate: bool = False) -> list[np.ndarray]:
-    """[c_k / x^k for k = 1..kmax], c_k = 1, or (-1)^{k+1} when alternate.
+def _power_factors(x: np.ndarray, kmax: int) -> list[np.ndarray]:
+    """[(-1)^{k+1} / x^k for k = 1..kmax], the inverse's factors.
 
-    x^k is accumulated by repeated multiplication and divided into c_k once.
+    x^k is accumulated by repeated multiplication and divided into +-1 once.
     A complex x ** -k costs several times that multiply and divide, and is
     less accurate for k >= 2; (1/x)^k compounds the rounding of 1/x and is
     less accurate still.
@@ -118,17 +112,17 @@ def _power_factors(x: np.ndarray, kmax: int, alternate: bool = False) -> list[np
     xk = x
     for k in range(2, kmax + 1):
         xk = xk * x
-        out.append(-1.0 / xk if alternate and k % 2 == 0 else 1.0 / xk)
+        out.append(-1.0 / xk if k % 2 == 0 else 1.0 / xk)
     return out
 
 
 def _expand(spec: AlgebraSpec, Q, W) -> np.ndarray:
     """Coefficients of sum_u W[u-1][0] I_u + sum_s sum_k Q_{k,s} W[u_s-1][k-1] I_s.
 
-    W[u-1] lists the scalar factors (batch arrays) paired with xi_u for
-    k = 1..spec.plan.orders[u-1]: powers (t - xi_u)^{-k} give the resolvent,
-    (-1)^{k+1} xi_u^{-k} give zeta^{-1}, contour moments give the monogenic
-    representation.  Terms whose Q_{k,s} is identically zero are skipped.
+    W[u-1] lists the scalar factors (batch arrays) paired with the u-th
+    idempotent coefficient x_u for k = 1..spec.plan.orders[u-1]:
+    (-1)^{k+1} x_u^{-k} give the inverse (_inverse), contour moments give the
+    monogenic representation.  Terms whose Q_{k,s} is identically zero are skipped.
     The coefficients fill an (n, ...) buffer row by row, each row of a batch
     summed in place; the result (..., n) is its view (geometry._batch_view),
     not C-contiguous for a batch.
@@ -174,7 +168,7 @@ def _one(p) -> np.ndarray:
 def compute_coeffs(frame: E3Frame, p) -> ResolventCoeffs:
     """All recurrence data at a single point p."""
     spec = frame.spec
-    xi, T, B, Q = _recurrences(frame, _one(p))
+    xi, T, B, Q = _recurrences(spec, _zeta_coeffs(frame, _one(p)))
     m = spec.m
     return ResolventCoeffs(
         xi=xi[0],
@@ -185,20 +179,31 @@ def compute_coeffs(frame: E3Frame, p) -> ResolventCoeffs:
     )
 
 
+def _inverse(spec: AlgebraSpec, coeffs: np.ndarray) -> np.ndarray:
+    """The inverse of the element with coefficients coeffs (..., n), with no
+    check that its idempotent coefficients x_u are nonzero: the recurrence on
+    its own coefficients, expanded with the factors (-1)^{k+1} x_u^{-k}."""
+    x, _, _, Q = _recurrences(spec, coeffs)
+    W = [_power_factors(x[..., u], kmax) for u, kmax in enumerate(spec.plan.orders)]
+    return _expand(spec, Q, W)
+
+
 def _resolvent_batch(frame: E3Frame, pts: np.ndarray, t) -> np.ndarray:
-    """Resolvent at a batch of points; t is one complex or one per point (batch shape)."""
+    """Resolvent at a batch of points; t is one complex or one per point (batch
+    shape): the inverse of t e1 - zeta, which is zeta at -p with t added to
+    its idempotent coefficients."""
     spec = frame.spec
-    xi, _, _, Q = _recurrences(frame, pts)
+    shifted = _zeta_coeffs(frame, -np.asarray(pts, dtype=float))
     t = np.asarray(t, dtype=complex)[..., None]
-    d = t - xi
+    d = shifted[..., : spec.m]
+    d += t
     bad = np.abs(d) < _POLE_TOL * (1 + np.abs(t))
     if np.any(bad):
         idx = tuple(np.argwhere(bad)[0])
         u = int(idx[-1]) + 1
         raise SingularityError(f"t = {complex(np.broadcast_to(t, d.shape)[idx])} hits "
                                f"the pole xi_{u}", u=u)
-    W = [_power_factors(d[..., u], kmax) for u, kmax in enumerate(spec.plan.orders)]
-    return _expand(spec, Q, W)
+    return _inverse(spec, shifted)
 
 
 def resolvent_at(t: complex, frame: E3Frame, p) -> AlgElement:
@@ -206,35 +211,19 @@ def resolvent_at(t: complex, frame: E3Frame, p) -> AlgElement:
     return AlgElement(frame.spec, _resolvent_batch(frame, _one(p), complex(t))[0])
 
 
-def _pole_scale(pts: np.ndarray) -> float:
-    """1 + the largest |p| over a batch of points (..., 3).
-
-    Bit for bit np.linalg.norm(pts, axis=-1).max() + 1: the squares are summed
-    in the same order, and sqrt is correctly rounded and monotone, so it can
-    be taken after the max, without norm's copies.
-    """
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    return 1 + np.sqrt(np.max(x * x + y * y + z * z))
-
-
-def _inverse_expansion(spec: AlgebraSpec, xi: np.ndarray, Q) -> np.ndarray:
-    """zeta^{-1} from xi and Q of _recurrences, with no pole check: minus the
-    resolvent at t = 0, whose factors are (-1)^{k+1} xi_u^{-k}."""
-    W = [_power_factors(xi[..., u], kmax, alternate=True)
-         for u, kmax in enumerate(spec.plan.orders)]
-    return _expand(spec, Q, W)
-
-
 def _zeta_inverse_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
     """zeta^{-1} at a batch of points (..., 3) -> (..., n); a point with some
-    |xi_u| below 1e-13 (1 + the batch's largest |p|) raises NonInvertibleError."""
+    |xi_u| below 1e-13 (1 + its own |p|) raises NonInvertibleError."""
     pts = np.asarray(pts, dtype=float)
-    xi, _, _, Q = _recurrences(frame, pts)
-    bad = np.abs(xi) < _POLE_TOL * _pole_scale(pts)
+    zc = _zeta_coeffs(frame, pts)
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    # |p| as np.linalg.norm(pts, axis=-1) sums it, bit for bit, without its copies
+    bound = _POLE_TOL * (1 + np.sqrt(x * x + y * y + z * z))
+    bad = np.abs(zc[..., : frame.spec.m]) < bound[..., None]
     if np.any(bad):
         u = int(np.argwhere(bad)[0][-1]) + 1
         raise NonInvertibleError(f"point lies on line L_{u} (xi_{u} = 0)", u=u)
-    return _inverse_expansion(frame.spec, xi, Q)
+    return _inverse(frame.spec, zc)
 
 
 def zeta_inverse_closed(frame: E3Frame, p) -> AlgElement:

@@ -219,7 +219,8 @@ def test_verify_all_builds_each_curve_once(monkeypatch):
 
 
 def test_verify_all_shares_work_on_each_curve(monkeypatch):
-    from monalg import integration, lambda_const, resolvent
+    from monalg import integration, lambda_const, load_fixture, resolvent
+    from monalg.geometry import _zeta_coeffs
 
     cfg = cli.RunConfig("verify-all", nodes=256)
     curves = cli._Curves.build(cfg)
@@ -234,13 +235,18 @@ def test_verify_all_shares_work_on_each_curve(monkeypatch):
         return sum(np.array_equal(p, pts) for p in seen)
 
     for fixture in ("A5", "J71", "C2"):
+        frame = load_fixture(fixture).default_frame
+
+        def recurrences_at(pts):  # _recurrences reads zeta's coefficients at pts
+            return runs_on(recurrences, _zeta_coeffs(frame, pts))
+
         for seen in (recurrences, inverses, constants):
             seen.clear()
         assert cli._verify_one_fixture(fixture, cfg, curves)["ok"]
-        assert runs_on(recurrences, curves.theorem.points) == 1, fixture
-        assert runs_on(recurrences, curves.formula.points) == 1, fixture
-        assert runs_on(recurrences, [cli._FORMULA_P0]) == 1, fixture
-        assert runs_on(recurrences, formula_loop) == 1, fixture
+        assert recurrences_at(curves.theorem.points) == 1, fixture
+        assert recurrences_at(curves.formula.points) == 1, fixture
+        assert recurrences_at(np.array([cli._FORMULA_P0])) == 1, fixture
+        assert recurrences_at(formula_loop) == 1, fixture
         assert runs_on(inverses, formula_loop) == 1, fixture
         assert len(constants) == 1, fixture
 

@@ -408,18 +408,18 @@ def test_curve_rejects_repeated_consecutive_samples():
 def test_lambda_numeric_inverts_zeta_once(bundles, monkeypatch):
     import monalg.lambda_const
     import monalg.resolvent
-    from monalg.resolvent import _inverse_expansion
+    from monalg.resolvent import _inverse
 
     calls = []
 
-    def counting(spec, xi, Q):
-        calls.append(len(xi))
-        return _inverse_expansion(spec, xi, Q)
+    def counting(spec, coeffs):
+        calls.append(len(coeffs))
+        return _inverse(spec, coeffs)
 
     # both modules that can invert zeta on a loop's nodes: lambda_const's
     # loop path and resolvent's checked batch, which integration's fields use
-    monkeypatch.setattr(monalg.lambda_const, "_inverse_expansion", counting)
-    monkeypatch.setattr(monalg.resolvent, "_inverse_expansion", counting)
+    monkeypatch.setattr(monalg.lambda_const, "_inverse", counting)
+    monkeypatch.setattr(monalg.resolvent, "_inverse", counting)
     for curve in (circle_curve(nodes=256), triangle_curve((1.2, -0.6, 0.1), (0.1, 1.3, -0.2),
                                                           (-1.1, -0.7, 0.15), per_edge=64)):
         calls.clear()

@@ -241,19 +241,19 @@ def test_curve_geometry_is_computed_once_per_curve(bundles, monkeypatch):
 
 def test_lambda_evaluates_xi_once(bundles, monkeypatch):
     # the embrace margin, every winding number and the zeta^{-1} recurrence
-    # read one batch of xi_u at the nodes
+    # read one batch of zeta's coefficients at the nodes
     import monalg.lambda_const
     import monalg.resolvent
 
     calls = []
-    real = monalg.lambda_const._xi_batch
+    real = monalg.lambda_const._zeta_coeffs
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(monalg.lambda_const, "_xi_batch", counting)
-    monkeypatch.setattr(monalg.resolvent, "_xi_batch", counting)
+    monkeypatch.setattr(monalg.lambda_const, "_zeta_coeffs", counting)
+    monkeypatch.setattr(monalg.resolvent, "_zeta_coeffs", counting)
     circle = circle_curve(radius=1.0, nodes=256)
     for bundle in bundles.values():
         calls.clear()
@@ -386,6 +386,7 @@ def test_atilde_matches_recurrence_everywhere(bundles):
 
 
 def test_atilde_point_is_its_batch_row(bundles):
+    from monalg.geometry import _zeta_coeffs
     from monalg.lambda_const import _atilde_batch
 
     rng = np.random.default_rng(43)
@@ -393,7 +394,7 @@ def test_atilde_point_is_its_batch_row(bundles):
     for frame in cases + [frame for _, frame in handmade_cases()]:
         spec = frame.spec
         pts = random_safe_points(frame, rng, 40)
-        batch = _atilde_batch(frame, pts)
+        batch = _atilde_batch(spec, _zeta_coeffs(frame, pts))
         assert batch.shape == (40, min(4, spec.n - spec.m))
         for p, row in zip(pts, batch):
             at = atilde_closed(frame, p)
@@ -444,7 +445,6 @@ def _per_node_sigma(frame, xi, d, atil):
 def test_lambda_and_sigma_totals_match_the_per_node_sums(bundles):
     # lambda_numeric reads the sigma integrals off the weighted sums lambda is
     # assembled from; summing the per-node forms gives the same totals
-    from monalg.geometry import _xi_batch
     from monalg.integration import _node_steps, triangle_curve
     from monalg.resolvent import _zeta_inverse_batch
 
@@ -458,7 +458,7 @@ def test_lambda_and_sigma_totals_match_the_per_node_sums(bundles):
         for i, curve in enumerate(curves):
             pts = curve.points
             res = lambda_numeric(frame, curve)
-            want = _per_node_sigma(frame, _xi_batch(frame, pts), _node_steps(curve),
+            want = _per_node_sigma(frame, xi_values(frame, pts), _node_steps(curve),
                                       _zeta_inverse_batch(frame, pts)).sum(axis=0)
             tol = 1e-13 * (1 + np.linalg.norm(want))
             assert np.max(np.abs(res.lambda_.coeffs - want)) <= tol, (frame.spec.name, i)
@@ -468,7 +468,6 @@ def test_lambda_and_sigma_totals_match_the_per_node_sums(bundles):
 
 
 def test_sigma_direct_matches_the_per_node_formula(bundles):
-    from monalg.geometry import _xi_batch
     from monalg.resolvent import _zeta_inverse_batch
 
     rng = np.random.default_rng(47)
@@ -486,7 +485,7 @@ def test_sigma_direct_matches_the_per_node_formula(bundles):
             assert list(direct) == list(range(1, spec.n + 1))
             for got, atil in ((np.array(list(direct.values())), inv),
                               (_sigma_forms(frame, np.outer(dp, over[0])), over)):
-                want = _per_node_sigma(frame, _xi_batch(frame, pt), dp[None], atil)[0]
+                want = _per_node_sigma(frame, xi_values(frame, pt), dp[None], atil)[0]
                 tol = 1e-13 * (1 + np.max(np.abs(want)))
                 assert np.max(np.abs(got - want)) <= tol, spec.name
 
@@ -839,8 +838,6 @@ def test_crossing_count_on_loops_that_wind_several_times(turns):
 
 
 def test_winding_number_about_a_nonzero_point_matches_the_angle_sum(bundles):
-    from monalg.geometry import _xi_batch
-
     rng = np.random.default_rng(1303)
     seen = set()
     for name in ("A5", "C2", "J71"):
@@ -848,7 +845,7 @@ def test_winding_number_about_a_nonzero_point_matches_the_angle_sum(bundles):
         for plane in ("xy", "yz", "zx"):
             circle = circle_curve(center=tuple(rng.uniform(-0.5, 0.5, 3)),
                                   radius=rng.uniform(0.5, 2.0), nodes=512, plane=plane)
-            xi = _xi_batch(frame, circle.points)
+            xi = xi_values(frame, circle.points)
             for u in range(1, frame.spec.m + 1):
                 for around in rng.uniform(-1.5, 1.5, 4) + 1j * rng.uniform(-1.5, 1.5, 4):
                     ref = _angle_sum_winding(xi[:, u - 1] - around)

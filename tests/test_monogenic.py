@@ -151,14 +151,13 @@ def test_enclosure_violation(bundles):
 def test_automatic_contours_enclose_by_construction(bundles):
     # the representation checks only given contours: an automatic one is
     # centred at xi_u with 0.4 times the gap to the other xi as its radius
-    from monalg.geometry import _xi_batch
     from monalg.monogenic import _auto_contours, _check_enclosure
 
     rng = np.random.default_rng(29)
     for bundle in bundles.values():
         for frame in bundle.frames.values():
             m = frame.spec.m
-            xi = _xi_batch(frame, rng.uniform(-2.0, 2.0, size=(1000, 3)))
+            xi = xi_values(frame, rng.uniform(-2.0, 2.0, size=(1000, 3)))
             centers, radii = _auto_contours(xi, m, {})
             for u in range(1, m + 1):
                 _check_enclosure(xi, u, centers[u - 1], radii[u - 1])
@@ -418,3 +417,69 @@ def test_callable_point_is_its_row_of_a_multi_block_batch(bundles):
         batch = representation_field(ms, frame, nodes=1024)(pts)
         for i, p in enumerate(pts):
             assert np.array_equal(eval_representation(ms, frame, p, nodes=1024).coeffs, batch[i])
+
+
+def test_each_point_meets_its_guards_alone(bundles):
+    # a point's outcome and row do not depend on the batch it is in: each
+    # guard is scaled by the point's own size, not by the batch's largest
+    from monalg import NonInvertibleError
+    from monalg.geometry import noninvertibility_lines
+    from monalg.resolvent import _zeta_inverse_batch
+
+    far = np.array([100.0, 0.3, 0.2])
+    a5, c2 = bundles["A5"].default_frame, bundles["C2"].default_frame
+    near = 0.7 * noninvertibility_lines(a5)[0].direction + np.array([1e-12, 0.0, 0.0])
+    assert abs(xi_values(a5, near)[0]) == pytest.approx(1e-12, rel=1e-3)
+    with pytest.raises(NonInvertibleError):  # but only below 1e-13 (1 + |p|)
+        _zeta_inverse_batch(a5, np.stack([near - np.array([9.9e-13, 0, 0]), far]))
+    # C2 at (0.5, 0, z): |xi_1 - xi_2| = 2z, 5e-9 for the polynomial data's
+    # contours and 2e-10 for the callable's trapezoid nodes, 8e-11 off xi_u
+    poly = MonogenicSpec(F=(HoloFunction("polynomial", (0.5,)),) * 2)
+    with pytest.warns(UserWarning, match="unverified"):
+        call = MonogenicSpec(F=(HoloFunction("callable", fn=lambda t: 0.5 + 0.0 * t),) * 2)
+    cases = [(lambda b: _zeta_inverse_batch(a5, b), near),
+             (representation_field(poly, c2), np.array([0.5, 0.0, 2.5e-9])),
+             (representation_field(call, c2), np.array([0.5, 0.0, 1e-10]))]
+    for field, p in cases:
+        alone = field(p[None])[0]
+        assert np.array_equal(field(np.stack([p, far]))[0], alone)
+        assert np.array_equal(field(np.stack([far, p]))[1], alone)
+    for _, p in cases[1:]:
+        assert abs(np.diff(xi_values(c2, p))[0]) == pytest.approx(2 * p[2])
+    np.testing.assert_allclose(representation_field(poly, c2)(np.array([[0.5, 0.0, 2.5e-9]]))[0],
+                               [0.5, 0.5], rtol=1e-14)
+
+
+def test_non_finite_points_are_named(bundles):
+    from monalg import Curve3, FieldEvaluationError, cauchy_theorem_residual, circle_curve
+
+    for name, p in (("C2", (np.nan, 0.1, 0.2)), ("A5", (np.inf, 0.1, 0.2))):
+        frame = bundles[name].default_frame
+        ms = poly_mspec(frame.spec, (0.5, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"needs a finite point: xi_1 = \((nan|inf)"):
+                eval_representation(ms, frame, p)
+            pts = np.array([(0.5, 0.3, -0.4), p])
+            with pytest.raises(ValueError, match=r"xi_1 .* at batch index \(1,\)"):
+                representation_field(ms, frame)(pts)
+        pts = circle_curve(nodes=64).points.copy()
+        pts[5] = p
+        with np.errstate(invalid="ignore"), pytest.raises(FieldEvaluationError,
+                                                          match="needs a finite point"):
+            cauchy_theorem_residual(ms, frame, Curve3(pts, closed=True))  # its steps inf - inf
+
+
+def test_gateaux_derivative_reports_a_failing_field(bundles):
+    from monalg import FieldEvaluationError
+
+    frame = bundles["A5"].default_frame
+
+    def boom(pts):
+        raise RuntimeError("boom")
+
+    with pytest.raises(FieldEvaluationError, match="boom"):
+        gateaux_derivative_fd(boom, frame, (0.2, 0.4, 0.1), (1, 0, 0), eps=1e-4)
+    one_row = lambda pts: np.ones((1, frame.spec.n), dtype=complex)  # noqa: E731
+    with pytest.raises(FieldEvaluationError, match="shape"):
+        gateaux_derivative_fd(one_row, frame, (0.2, 0.4, 0.1), (1, 0, 0), eps=1e-4)

@@ -8,9 +8,11 @@ from monalg import (
     invert_direct,
     make_zeta,
     multiply,
+    noninvertibility_lines,
     norm_euclid,
     resolvent_at,
     unit_element,
+    xi_values,
     zeta_inverse_closed,
 )
 
@@ -147,6 +149,7 @@ def test_b_couplings_a5(bundles):
 
 
 def test_single_point_calls_return_their_batch_row(bundles):
+    from monalg.geometry import _zeta_coeffs
     from monalg.resolvent import _recurrences, _resolvent_batch, _zeta_inverse_batch
 
     t = 3.1 + 0.8j
@@ -155,7 +158,7 @@ def test_single_point_calls_return_their_batch_row(bundles):
         pts = random_safe_points(frame, np.random.default_rng(11), 6)
         inv = _zeta_inverse_batch(frame, pts)
         res = _resolvent_batch(frame, pts, t)
-        xi, _, _, Q = _recurrences(frame, pts)
+        xi, _, _, Q = _recurrences(frame.spec, _zeta_coeffs(frame, pts))
         for i, p in enumerate(pts):
             assert np.array_equal(zeta_inverse_closed(frame, p).coeffs, inv[i])
             assert np.array_equal(resolvent_at(t, frame, p).coeffs, res[i])
@@ -183,15 +186,15 @@ def test_resolvent_batch_takes_one_t_per_point(bundles):
 
 
 def _scan_recurrences(frame, pts):
-    """The triple scan over gamma_coeff that the coupling plan replaced,
-    transcribed literally as the plan's reference."""
-    from monalg.geometry import _xi_batch
-    from monalg.resolvent import _t_batch
-
+    """xi_u = x + y a_u + z b_u, T_s = y a_s + z b_s and the triple scan over
+    gamma_coeff that the coupling plan replaced, transcribed literally as the
+    plan's reference."""
     spec = frame.spec
     n, m = spec.n, spec.m
-    xi = _xi_batch(frame, pts)
-    T = _t_batch(frame, pts)
+    pts = np.asarray(pts, dtype=float)
+    x, y, z = (pts[..., i, None] for i in range(3))
+    xi = x + y * frame.a[:m] + z * frame.b[:m]
+    T = y * frame.a[m:] + z * frame.b[m:]
 
     def t_of(s: int):
         return T[..., s - m - 1]
@@ -223,6 +226,7 @@ def _same_bytes(a, b) -> bool:
 
 
 def test_plan_matches_the_gamma_scan(bundles):
+    from monalg.geometry import _zeta_coeffs
     from monalg.resolvent import _recurrences
 
     rng = np.random.default_rng(41)
@@ -230,7 +234,8 @@ def test_plan_matches_the_gamma_scan(bundles):
         for frame in bundle.frames.values():
             pts = random_safe_points(frame, rng, 32)
             for batch in (pts, pts[:1], pts[5]):
-                got, want = _recurrences(frame, batch), _scan_recurrences(frame, batch)
+                got = _recurrences(frame.spec, _zeta_coeffs(frame, batch))
+                want = _scan_recurrences(frame, batch)
                 assert _same_bytes(got[0], want[0]) and _same_bytes(got[1], want[1])
                 for g, w in zip(got[2:], want[2:]):  # B, then Q
                     assert list(g) == list(w)
@@ -241,6 +246,7 @@ def test_every_batch_shape_keeps_its_layout(bundles):
     # inside the kernels a batch is one row per coefficient; whatever the
     # batch shape, each result is the flat batch's reshaped, bit for bit
     from monalg import HoloFunction, MonogenicSpec
+    from monalg.geometry import _zeta_coeffs
     from monalg.monogenic import _rep_batch
     from monalg.resolvent import _recurrences, _resolvent_batch, _zeta_inverse_batch
 
@@ -256,13 +262,17 @@ def test_every_batch_shape_keeps_its_layout(bundles):
                        lambda b: _resolvent_batch(frame, b, 3.1 + 0.8j),
                        lambda b: _rep_batch(mspec, frame, b, 64)]
             flat = [f(pts) for f in kernels]
-            xi, T, B, Q = _recurrences(frame, pts)
+
+            def recurrences(b):
+                return _recurrences(frame.spec, _zeta_coeffs(frame, b))
+
+            xi, T, B, Q = recurrences(pts)
             for shape in ((4, 8), (32,), (1,)):
                 count = int(np.prod(shape))
                 batch = pts[:count].reshape(shape + (3,))
                 for f, want in zip(kernels, flat):
                     assert _same_bytes(f(batch), want[:count].reshape(shape + (n,))), shape
-                got = _recurrences(frame, batch)
+                got = recurrences(batch)
                 assert _same_bytes(got[0], xi[:count].reshape(shape + (m,)))
                 assert _same_bytes(got[1], T[:count].reshape(shape + (n - m,)))
                 for g, w in zip(got[2:], (B, Q)):
@@ -274,7 +284,7 @@ def test_every_batch_shape_keeps_its_layout(bundles):
                 got = f(pts[0])
                 assert got.shape == (n,)
                 assert np.allclose(got, want[0], rtol=1e-14, atol=0)
-            got = _recurrences(frame, pts[0])
+            got = recurrences(pts[0])
             assert got[0].shape == (m,) and got[1].shape == (n - m,)
             for g, w in zip(got[2:], (B, Q)):
                 assert list(g) == list(w)
@@ -307,25 +317,45 @@ def test_evaluation_never_scans_gamma(bundles, monkeypatch):
             eval_representation(MonogenicSpec(F=(poly,) * m, G=G), frame, p)
 
 
-def test_pole_scale_is_the_norm_expression_bit_for_bit():
-    # _zeta_inverse_batch's pole test once scaled by this norm expression
-    from monalg.resolvent import _pole_scale
+def test_pole_scale_is_the_norm_expression_bit_for_bit(bundles):
+    # _zeta_inverse_batch raises for a point exactly when some |xi_u| is below
+    # 1e-13 (1 + |p|), |p| the point's own np.linalg.norm, alone or beside a
+    # far point: probed at the last floats on either side of that bound
+    from monalg.resolvent import _zeta_inverse_batch
 
-    def norm_scale(pts):
-        return 1 + np.linalg.norm(np.atleast_2d(pts), axis=-1).max()
+    frame = bundles["A5"].default_frame
+    line = noninvertibility_lines(frame)[0].direction
+    far = np.full(3, 1e3)
 
-    rng = np.random.default_rng(23)
-    batches = [np.array([0.3, -0.4, 1.2]), np.zeros((1, 3)), np.eye(3)]
-    for exponent in (-150, -100, 0, 100, 150):
-        for n in (1, 2, 7, 4097):
-            pts = rng.normal(size=(n, 3)) * 10.0 ** (exponent + rng.uniform(-3, 3, size=(n, 1)))
-            batches += [pts, np.asfortranarray(pts), pts[::-1], pts.reshape(1, n, 3)]
-    for pts in batches:
-        assert _pole_scale(pts) == norm_scale(pts), pts.shape
+    def below(p):
+        return abs(xi_values(frame, p)[0]) < 1e-13 * (1 + np.linalg.norm(p, axis=-1))
+
+    for scale in (1e-3, 0.7, 1e3, 1e6):
+        base = scale * line
+
+        def at(x):
+            return np.array([x, base[1], base[2]])
+
+        lo, hi = base[0], base[0] + 1e-12 * (1 + scale)  # |xi_1| below and above the bound
+        assert below(at(lo)) and not below(at(hi))
+        while np.nextafter(lo, hi) != hi:
+            mid = lo + (hi - lo) / 2
+            lo, hi = (mid, hi) if below(at(mid)) else (lo, mid)
+        xs = [lo, hi]
+        for _ in range(2):
+            xs = [np.nextafter(xs[0], -np.inf)] + xs + [np.nextafter(xs[-1], np.inf)]
+        for x in xs:
+            p = at(x)
+            for batch in (p, p[None], np.stack([p, far]), np.stack([far, p])):
+                if below(p):
+                    with pytest.raises(NonInvertibleError):
+                        _zeta_inverse_batch(frame, batch)
+                else:
+                    _zeta_inverse_batch(frame, batch)
 
 
 def test_power_factors_are_no_less_accurate_than_pow():
-    # the expansion's factors c_k / x^k, x^k by repeated multiplication,
+    # the expansion's factors (-1)^{k+1} / x^k, x^k by repeated multiplication,
     # against an extended-precision reference; x ** -k is what they replace
     from monalg.resolvent import _power_factors
 
@@ -333,19 +363,65 @@ def test_power_factors_are_no_less_accurate_than_pow():
         pytest.skip("np.longdouble is no wider than float here")
     rng = np.random.default_rng(53)
     x = 10 ** rng.uniform(-3, 3, 20000) * np.exp(2j * np.pi * rng.random(20000))
-    plain = _power_factors(x, 6)
-    alternating = _power_factors(x, 6, alternate=True)
+    factors = _power_factors(x, 6)
     xk = np.ones(len(x), dtype=np.clongdouble)
     for k in range(1, 7):
+        sign = (-1.0) ** (k + 1)
         xk = xk * x.astype(np.clongdouble)
-        ref = 1 / xk
+        ref = sign / xk
 
         def err(vals):
             return float(np.max(np.abs((vals - ref) / ref)))
 
         if k == 1:  # 1/x, the factor the expansion has always used
-            assert np.array_equal(plain[0], 1.0 / x)
+            assert np.array_equal(factors[0], 1.0 / x)
         else:
-            assert err(plain[k - 1]) <= err(x ** -k), k
-        assert err(plain[k - 1]) < 1e-15, k
-        assert np.array_equal(alternating[k - 1], plain[k - 1] if k % 2 else -plain[k - 1])
+            assert err(factors[k - 1]) <= err(sign * x ** -k), k
+        assert err(factors[k - 1]) < 1e-15, k
+
+
+def _transcribed_inverses(frame, pts, t):
+    """(t e1 - zeta)^{-1} and zeta^{-1} at pts (N, 3), transcribed from the
+    expansion: xi, T and Q from _scan_recurrences, the factors (t - xi_u)^{-k}
+    and (-1)^{k+1} xi_u^{-k} with x^k by repeated multiplication, and each
+    coefficient summed from a 0.0 seed in k order."""
+    spec = frame.spec
+    n, m = spec.n, spec.m
+    xi, _, _, Q = _scan_recurrences(frame, pts)
+    d = np.asarray(t, dtype=complex)[..., None] - xi
+    out = []
+    for base, alternate in ((d, False), (xi, True)):
+        factors = {}
+        for u in range(m):
+            xk = base[:, u]
+            for k in range(1, n - m + 2):
+                xk = xk if k == 1 else xk * base[:, u]
+                factors[(u, k)] = (-1.0 if alternate and k % 2 == 0 else 1.0) / xk
+        coeffs = np.zeros((len(pts), n), dtype=complex)
+        for u in range(m):
+            coeffs[:, u] = 0.0 + factors[(u, 1)]
+        for s in range(m + 1, n + 1):
+            u = spec.u_map[s] - 1
+            acc = 0.0
+            for k in range(2, s - m + 2):
+                acc = acc + Q[(k, s)] * factors[(u, k)]
+            coeffs[:, s - 1] = acc
+        out.append(coeffs)
+    return out
+
+
+def test_inverses_are_the_transcribed_expansion_bit_for_bit(bundles):
+    from monalg.resolvent import _resolvent_batch, _zeta_inverse_batch
+
+    rng = np.random.default_rng(61)
+    for bundle in bundles.values():
+        for frame in bundle.frames.values():
+            pts = random_safe_points(frame, rng, 16)
+            ts = rng.uniform(2.5, 4.0, 16) + 1j * rng.uniform(0.5, 1.5, 16)
+            for t in (3.1 + 0.8j, ts):
+                res, inv = _transcribed_inverses(frame, pts, t)
+                assert _same_bytes(_resolvent_batch(frame, pts, t), res)
+                assert _same_bytes(_zeta_inverse_batch(frame, pts), inv)
+            for i, p in enumerate(pts):
+                assert _same_bytes(resolvent_at(ts[i], frame, p).coeffs, res[i])
+                assert _same_bytes(zeta_inverse_closed(frame, p).coeffs, inv[i])
