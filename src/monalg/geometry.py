@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraSpec, AlgElement
+from .algebra import AlgebraSpec, AlgElement, _mult_rows
 
 __all__ = [
     "E3Frame",
@@ -38,19 +38,32 @@ class FrameWarning(UserWarning):
 
 @dataclass(frozen=True)
 class E3Frame:
-    """Coefficients of e2 (a) and e3 (b) over the basis {I_k}; e1 = 1 is implicit."""
+    """Coefficients of e2 (a) and e3 (b) over the basis {I_k}; e1 = 1 is implicit.
+
+    a and b are the frame's own read-only copies, checked finite, so nothing
+    a caller does to its arrays changes the frame or the map built from them.
+    sums_map is that map (_sums_map), built once per frame as the algebra's
+    plan is built once per spec.
+    """
 
     spec: AlgebraSpec
     a: np.ndarray
     b: np.ndarray
+    sums_map: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=complex)
-        b = np.asarray(self.b, dtype=complex)
-        if a.shape != (self.spec.n,) or b.shape != (self.spec.n,):
-            raise ValueError(f"frame vectors must have length n = {self.spec.n}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        for name in ("a", "b"):
+            vec = np.array(getattr(self, name), dtype=complex)
+            if vec.shape != (self.spec.n,):
+                raise ValueError(f"frame vectors must have length n = {self.spec.n}")
+            bad = np.flatnonzero(~np.isfinite(vec))
+            if bad.size:
+                raise ValueError(f"frame vector {name} is not finite at index {bad[0]}")
+            vec.flags.writeable = False
+            object.__setattr__(self, name, vec)
+        sums_map = _sums_map(self.spec, self.a, self.b)
+        sums_map.flags.writeable = False
+        object.__setattr__(self, "sums_map", sums_map)
 
     @property
     def e2(self) -> AlgElement:
@@ -59,6 +72,44 @@ class E3Frame:
     @property
     def e3(self) -> AlgElement:
         return AlgElement(self.spec, self.b)
+
+
+def _sums_map(spec: AlgebraSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (3n, 2n) map from node sums to a curve integral and its sigma forms.
+
+    A loop integral of Psi d zeta over nodes p_i with steps d_i depends on
+    the nodes only through the node sums S = sum_i d_i (x) Psi(p_i), a (3, n)
+    array with rows x, y, z (dx, dy, dz).  S.reshape(3n) times the first n
+    columns is the integral x + e2 y + e3 z: an identity block, then the
+    rows of multiplication by e2 and by e3 (_mult_rows of a and b).  For
+    Psi = zeta^{-1} the last n columns give the sigma forms summed over the
+    nodes, sigma_k being linear in the tangent and in zeta^{-1} at a node
+    (zeta^{-1}_u = 1/xi_u included).  Column by column they read
+        sigma_u = x_u + a_u y_u + b_u z_u                 (d xi_u / xi_u),
+        sigma_k = a_k y_{u_k} + b_k z_{u_k}               (d T_k / xi_{u_k})
+                  + x_k + a_{u_k} y_k + b_{u_k} z_k       (zeta^{-1}_k d xi_{u_k})
+                  + sum gamma(r, s, k) (a_s y_r + b_s z_r)  (zeta^{-1}_r d T_s),
+    the last sum over the plan's sigma triples (r, s, gamma(r, s, k)).
+    """
+    n, m = spec.n, spec.m
+    # blocks[d, j, c]: the weight of S[d, j] in column c of the integral
+    # (c = 0) or of the sigma forms (c = 1)
+    blocks = np.zeros((3, n, 2, n), dtype=complex)
+    blocks[0, :, 0] = np.eye(n)
+    blocks[1, :, 0] = _mult_rows(spec, a)
+    blocks[2, :, 0] = _mult_rows(spec, b)
+    sig = blocks[:, :, 1]
+    u = np.arange(m)
+    sig[0, u, u] = 1.0
+    sig[1, u, u] = a[:m]
+    sig[2, u, u] = b[:m]
+    for k, uk, triples in spec.plan.sigma:
+        k, uk = k - 1, uk - 1
+        sig[:, uk, k] = 0.0, a[k], b[k]
+        sig[:, k, k] = 1.0, a[uk], b[uk]
+        for r, s, g in triples:
+            sig[1:, r - 1, k] += g * a[s - 1], g * b[s - 1]
+    return blocks.reshape(3 * n, 2 * n)
 
 
 def _real_frame_matrix(frame: E3Frame) -> np.ndarray:
@@ -103,22 +154,32 @@ def _batch_view(rows: np.ndarray) -> np.ndarray:
     return rows.T if rows.ndim <= 2 else np.moveaxis(rows, 0, -1)
 
 
-def _zeta_coeffs(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
-    """Batch zeta: pts (..., 3) -> coefficient arrays (..., n), a view of rows.
+def _zeta_rows(a: np.ndarray, b: np.ndarray, m: int, pts: np.ndarray) -> np.ndarray:
+    """The only kernel from points to zeta: pts (..., 3) -> rows (k, ...),
+    one per entry of the coefficient vectors a and b of e2 and e3, the first
+    m of them idempotent.
 
-    The only kernel from points to zeta: the first m rows are
-    xi_u = x + y a_u + z b_u and the others T_s = y a_s + z b_s, so
-    xi = zc[..., :m] and T = zc[..., m:] are views whose columns are
-    contiguous rows.  The rows are filled in place: y a_k, then + x on the
-    idempotent rows, then + z b_k.
+    Row k is x + y a_k + z b_k on an idempotent row and y a_k + z b_k on the
+    others, filled in place: y a_k, then + x on the idempotent rows, then
+    + z b_k.  Leading entries of a and b give the leading rows, bit for bit.
     """
     pts = np.asarray(pts, dtype=float)
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
     col = (slice(None),) + (None,) * x.ndim  # coefficients as a column: one row each
-    rows = y * frame.a[col]
-    rows[: frame.spec.m] += x
-    rows += z * frame.b[col]
-    return _batch_view(rows)
+    rows = y * a[col]
+    rows[:m] += x
+    rows += z * b[col]
+    return rows
+
+
+def _zeta_coeffs(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
+    """Batch zeta: pts (..., 3) -> coefficient arrays (..., n), a view of rows.
+
+    The first m rows are xi_u = x + y a_u + z b_u and the others
+    T_s = y a_s + z b_s, so xi = zc[..., :m] and T = zc[..., m:] are views
+    whose columns are contiguous rows.
+    """
+    return _batch_view(_zeta_rows(frame.a, frame.b, frame.spec.m, pts))
 
 
 def make_zeta(frame: E3Frame, p) -> AlgElement:
@@ -127,8 +188,10 @@ def make_zeta(frame: E3Frame, p) -> AlgElement:
 
 
 def xi_values(frame: E3Frame, p) -> np.ndarray:
-    """The m functional images xi_u at point p."""
-    return _zeta_coeffs(frame, p)[..., : frame.spec.m]
+    """The m functional images xi_u at point p, or (..., m) at points (..., 3):
+    only the idempotent rows of zeta, bit for bit those of _zeta_coeffs."""
+    m = frame.spec.m
+    return _batch_view(_zeta_rows(frame.a[:m], frame.b[:m], m, p))
 
 
 def check_surjectivity(frame: E3Frame) -> np.ndarray:

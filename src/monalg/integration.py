@@ -64,7 +64,8 @@ class Curve3:
     points: (N, 3) polyline vertices; closed curves duplicate the first point
     at the end.  When tangents (dp/dt at each sample, same shape) and the
     uniform parameter step dt are present, integrals use the parameter
-    trapezoid rule instead of the polygon rule.
+    trapezoid rule instead of the polygon rule.  A non-finite point raises
+    ValueError naming its index.
 
     The points are held as a read-only view, and the scalar descriptors below
     (mean_radius, coord_scale) are computed from them on first use and kept.
@@ -83,6 +84,10 @@ class Curve3:
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
             raise ValueError("curve needs an (N, 3) array with N >= 2")
         object.__setattr__(self, "points", pts)
+        # 1 + max |coordinate| is finite exactly when every coordinate is
+        if not np.isfinite(self.coord_scale):
+            bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))[0]
+            raise ValueError(f"curve node {bad} is not finite")
         if self.closed and np.max(np.abs(pts[0] - pts[-1])) > _CLOSE_TOL * self.coord_scale:
             raise ValueError("closed curve must end where it starts")
         # zero exactly where np.linalg.norm of the difference is: the same
@@ -216,11 +221,21 @@ def _eval_field(psi: Field, pts: np.ndarray, where: str) -> np.ndarray:
 # integrals
 # ---------------------------------------------------------------------------
 
-def _assemble(frame: E3Frame, ix: np.ndarray, iy: np.ndarray, iz: np.ndarray) -> AlgElement:
-    # integral = Ix + e2 * Iy + e3 * Iz  (left multiplication per the definition)
-    spec = frame.spec
-    coeffs = ix + _mul_coeffs(spec, frame.a, iy) + _mul_coeffs(spec, frame.b, iz)
-    return AlgElement(spec, coeffs)
+def _map_sums(frame: E3Frame, S: np.ndarray) -> np.ndarray:
+    """Node sums S (..., 3, n) through frame.sums_map: (..., 2n), the
+    integral's coefficients, then the sigma forms summed (geometry._sums_map).
+
+    Every caller takes its part of this one full product.  A product with
+    only the first n columns is another BLAS call that sums in another
+    order, so its last bits would differ from lambda_numeric's lambda.
+    """
+    return S.reshape(S.shape[:-2] + (-1,)) @ frame.sums_map
+
+
+def _assemble(frame: E3Frame, S: np.ndarray) -> AlgElement:
+    """The integral S_x + e2 S_y + e3 S_z (left multiplication per the
+    definition) from node sums S (3, n)."""
+    return AlgElement(frame.spec, _map_sums(frame, S)[: frame.spec.n])
 
 
 def _node_steps(curve: Curve3) -> np.ndarray:
@@ -265,7 +280,7 @@ def _weighted_sums(weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 def _integrate_values(frame: E3Frame, vals: np.ndarray, steps: np.ndarray) -> AlgElement:
     """Sum of vals_i d(zeta)(steps_i) over the nodes (see _node_steps)."""
-    return _assemble(frame, *_weighted_sums(steps, vals))
+    return _assemble(frame, _weighted_sums(steps, vals))
 
 
 def curvilinear_integral(psi: Field, curve: Curve3, frame: E3Frame) -> AlgElement:

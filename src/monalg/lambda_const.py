@@ -22,14 +22,14 @@ from .algebra import (
     _SHORTHAND_OFFSETS,
     multiply,
     norm_euclid,
-    unit_element,
 )
-from .geometry import E3Frame, _zeta_coeffs
+from .geometry import E3Frame, _zeta_coeffs, xi_values
 from .integration import (
     Curve3,
     _assemble,
     _eval_field,
     _integrate_values,
+    _map_sums,
     _node_steps,
     _weighted_sums,
 )
@@ -70,7 +70,7 @@ def winding_number(frame: E3Frame, curve: Curve3, u: int) -> int:
         raise AlgebraError(f"functional index {u} outside 1..{frame.spec.m}")
     if not curve.closed:
         raise EmbraceError("a winding number requires a closed curve")
-    return _winding(_zeta_coeffs(frame, curve.points)[:, u - 1], u)
+    return _winding(xi_values(frame, curve.points)[:, u - 1], u)
 
 
 def _winding(w: np.ndarray, u: int, abs_w: np.ndarray | None = None) -> int:
@@ -100,32 +100,13 @@ def _winding(w: np.ndarray, u: int, abs_w: np.ndarray | None = None) -> int:
 def _sigma_forms(frame: E3Frame, S: np.ndarray) -> np.ndarray:
     """sigma_1..sigma_n of the integrand decomposition summed over nodes, from S (..., 3, n).
 
-    At one node sigma_k is linear in the tangent d and in zeta^{-1} there,
-    its idempotent part included, since zeta^{-1}_u = 1/xi_u.  So the sum over
-    nodes of sigma_k(d_i) is a fixed linear map of S = sum_i d_i zeta^{-1}(p_i)^T
-    (rows dx, dy, dz; integration._weighted_sums of the steps and the inverse),
-    the sums lambda is assembled from.  A single point is S = outer(d, zeta^{-1}).
-    With x, y, z the rows of S, the forms read, column by column,
-        sigma_u = x_u + a_u y_u + b_u z_u                 (d xi_u / xi_u),
-        sigma_k = a_k y_{u_k} + b_k z_{u_k}               (d T_k / xi_{u_k})
-                  + x_k + a_{u_k} y_k + b_{u_k} z_k       (zeta^{-1}_k d xi_{u_k})
-                  + sum gamma(r, s, k) (a_s y_r + b_s z_r)  (zeta^{-1}_r d T_s),
-    the last sum over the plan's sigma triples (r, s, gamma(r, s, k)).
+    The sums over nodes of sigma_k(d_i) are a fixed linear map of
+    S = sum_i d_i zeta^{-1}(p_i)^T (rows dx, dy, dz; integration._weighted_sums
+    of the steps and the inverse), the sums lambda is assembled from: the
+    last n columns of the frame's sums_map (geometry._sums_map, where the
+    forms are written out).  A single point is S = outer(d, zeta^{-1}).
     """
-    spec = frame.spec
-    m = spec.m
-    a, b = frame.a, frame.b
-    x, y, z = S[..., 0, :], S[..., 1, :], S[..., 2, :]
-    out = np.empty(S.shape[:-2] + (spec.n,), dtype=complex)
-    out[..., :m] = x[..., :m] + a[:m] * y[..., :m] + b[:m] * z[..., :m]
-    for k, uk, triples in spec.plan.sigma:
-        u = uk - 1
-        acc = (a[k - 1] * y[..., u] + b[k - 1] * z[..., u]
-               + (x[..., k - 1] + a[u] * y[..., k - 1] + b[u] * z[..., k - 1]))
-        for r, s, g in triples:
-            acc = acc + (a[s - 1] * y[..., r - 1] + b[s - 1] * z[..., r - 1]) * g
-        out[..., k - 1] = acc
-    return out
+    return _map_sums(frame, S)[..., frame.spec.n:]
 
 
 @dataclass(frozen=True)
@@ -146,16 +127,15 @@ def lambda_numeric(frame: E3Frame, circle: Curve3) -> LambdaResult:
     if not circle.closed:
         raise EmbraceError("lambda requires a closed curve")
     winding, inv = _loop_inverse(frame, circle.points, circle.coord_scale)
-    # S = sum over nodes of step (x) zeta^{-1}: lambda is e1 S_x + e2 S_y + e3 S_z
-    # by the table product, the sigma integrals the same sums by the plan's triples
-    S = _weighted_sums(_node_steps(circle), inv)
-    lam = _assemble(frame, *S)
-    total = _sigma_forms(frame, S)
-    sig = {k: complex(total[k - 1]) for k in range(spec.m + 1, spec.n + 1)}
-    tol = _IS_2PI_I_TOL * (1 + norm_euclid(lam))
-    dev = norm_euclid(lam - (2j * np.pi) * unit_element(spec))
+    # S = sum over nodes of step (x) zeta^{-1}: one product with the frame's
+    # map gives lambda = e1 S_x + e2 S_y + e3 S_z and the sigma integrals
+    sums = _map_sums(frame, _weighted_sums(_node_steps(circle), inv))
+    lam = sums[: spec.n]
+    sig = {k: complex(sums[spec.n + k - 1]) for k in range(spec.m + 1, spec.n + 1)}
+    tol = _IS_2PI_I_TOL * (1 + float(np.linalg.norm(lam)))
+    dev = float(np.linalg.norm(lam - spec.unit_coeffs * (2j * np.pi)))
     return LambdaResult(
-        lambda_=lam,
+        lambda_=AlgElement(spec, lam),
         sigma_integrals=sig,
         radius=circle.mean_radius,
         node_count=len(circle.points) - 1,
@@ -559,4 +539,4 @@ def _formula_residual(frame: E3Frame, lam: AlgElement, phi0: np.ndarray, vals: n
     n = spec.n
     sums = (weights @ vals).reshape(3, n * n)  # row d, column k*n + j
     S = sums @ spec.table.transpose(1, 0, 2).reshape(n * n, n)  # I_{j+1} I_{k+1}, summed
-    return norm_euclid(multiply(lam, AlgElement(spec, phi0)) - _assemble(frame, *S))
+    return norm_euclid(multiply(lam, AlgElement(spec, phi0)) - _assemble(frame, S))

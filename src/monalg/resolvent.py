@@ -29,14 +29,17 @@ Inside the kernels a batch is coefficient-major: zeta's coefficients, every
 B and Q, every power factor and every row of the expansion is one contiguous
 array over the points.  Each arithmetic step then runs numpy's inner loop
 over the N points, not over k <= n as on node-major (N, k) arrays, whose
-columns are strided slices.  geometry._zeta_coeffs, the only kernel from
-points to zeta, and _expand return (..., n) views of their (n, ...) rows
-(geometry._batch_view), so _recurrences reads xi = coeffs[..., :m] and
-T = coeffs[..., m:] with each column contiguous.  The layout changes no bit
-of any result.  A bare (3,) point is computed on 0-d arrays; the public
-single-point functions pass a batch of one (_one), so they give their row
-of any batch.  Every guard decides per point, so a point's outcome does not
-depend on the batch it is in either.
+columns are strided slices.  geometry._zeta_coeffs (the rows of
+geometry._zeta_rows, the only kernel from points to zeta) and _expand
+return (..., n) views of their (n, ...) rows (geometry._batch_view), so
+_recurrences reads xi = coeffs[..., :m] and T = coeffs[..., m:] with each
+column contiguous.  On more than one point the sums of B, Q and the
+expansion, and x^k from k = 3 on, are accumulated in place, with no
+temporary per partial result.  Neither the layout nor the in-place steps
+change a bit of any result.  A bare (3,) point is computed on 0-d arrays;
+the public single-point functions pass a batch of one (_one), so they give
+their row of any batch.  Every guard decides per point, so a point's
+outcome does not depend on the batch it is in either.
 """
 
 from __future__ import annotations
@@ -77,27 +80,52 @@ def _recurrences(spec: AlgebraSpec, coeffs: np.ndarray):
     m = spec.m
     xi, T = coeffs[..., :m], coeffs[..., m:]
     zero = np.zeros_like(xi[..., 0])
+    # as in _expand, one point keeps the allocating sums: in place, and
+    # through _sum_in_place's generator, they cost more than they save
+    batch = zero.size > 1
 
     B: dict[tuple[int, int], np.ndarray] = {}
     for rs, terms in spec.plan.B:
         if len(terms) == 1 and terms[0][1] == 1:
             # one pass for 0.0 + T_k * 1, bit for bit, its zeros made +0.0 alike
             B[rs] = T[..., terms[0][0] - m - 1] + 0.0
-            continue
-        acc = 0.0
-        for k, g in terms:
-            acc = acc + T[..., k - m - 1] * g
-        B[rs] = acc if terms else zero
+        elif batch and terms:
+            B[rs] = _sum_in_place(T[..., k - m - 1] * g for k, g in terms)
+        else:
+            acc = 0.0
+            for k, g in terms:
+                acc = acc + T[..., k - m - 1] * g
+            B[rs] = acc if terms else zero
 
     Q: dict[tuple[int, int], np.ndarray] = {}
     for s, entries in spec.plan.Q:
         Q[(2, s)] = T[..., s - m - 1]
         for ks, pairs in entries:
-            acc = 0.0
-            for q, b in pairs:
-                acc = acc + Q[q] * B[b]
-            Q[ks] = acc if pairs else zero
+            if batch and pairs:
+                Q[ks] = _sum_in_place(Q[q] * B[b] for q, b in pairs)
+            else:
+                acc = 0.0
+                for q, b in pairs:
+                    acc = acc + Q[q] * B[b]
+                Q[ks] = acc if pairs else zero
     return xi, T, B, Q
+
+
+def _sum_in_place(terms, out=None) -> np.ndarray:
+    """0.0 + the sum of terms, fresh arrays made one at a time, left to right:
+    bit for bit acc = 0.0, then acc = acc + term for each, since every
+    addition is correctly rounded, but summed into out (default: the first
+    term), with no temporary per partial sum."""
+    terms = iter(terms)
+    if out is None:
+        out = next(terms)
+        out += 0.0
+    else:
+        np.add(next(terms), 0.0, out)
+    for term in terms:
+        out += term
+        del term  # freed before the next term is made, which can reuse it
+    return out
 
 
 def _power_factors(x: np.ndarray, kmax: int) -> list[np.ndarray]:
@@ -106,12 +134,19 @@ def _power_factors(x: np.ndarray, kmax: int) -> list[np.ndarray]:
     x^k is accumulated by repeated multiplication and divided into +-1 once.
     A complex x ** -k costs several times that multiply and divide, and is
     less accurate for k >= 2; (1/x)^k compounds the rounding of 1/x and is
-    less accurate still.
+    less accurate still.  On a batch of more than one point x^k is
+    multiplied in place from k = 3 on.  numpy's in-place complex multiply
+    of a single element does not always give the bits of xk * x, so one
+    point keeps the allocating product.
     """
+    batch = np.size(x) > 1
     out = [1.0 / x]
     xk = x
     for k in range(2, kmax + 1):
-        xk = xk * x
+        if batch and k > 2:
+            xk *= x  # xk is this function's own array from k = 2 on
+        else:
+            xk = xk * x
         out.append(-1.0 / xk if k % 2 == 0 else 1.0 / xk)
     return out
 
@@ -134,12 +169,10 @@ def _expand(spec: AlgebraSpec, Q, W) -> np.ndarray:
     for s, u, ks in spec.plan.expand:
         w = W[u - 1]
         if batch:
-            # summed where the row lies, 0.0 + the first term and then each
-            # further term, with no temporary of the batch's size per sum;
-            # on one point the in-place calls cost more than they save
-            row = np.add(Q[(ks[0], s)] * w[ks[0] - 1], 0.0, out[s - 1, ...])
-            for k in ks[1:]:
-                row += Q[(k, s)] * w[k - 1]
+            # summed where the row lies, with no temporary of the batch's
+            # size per sum; on one point the in-place calls cost more than
+            # they save
+            _sum_in_place((Q[(k, s)] * w[k - 1] for k in ks), out[s - 1, ...])
             continue
         acc = 0.0
         for k in ks:

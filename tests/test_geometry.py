@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from monalg import (
+    E3Frame,
     FrameWarning,
     frame_from_json,
     frame_to_json,
@@ -67,6 +68,34 @@ def test_independence_rejection(bundles):
     # e3 = e1 + e2 as a real combination
     with pytest.warns(FrameWarning):
         make_frame(spec, [1j, 1j], [1 + 1j, 1 + 1j])
+
+
+def test_frame_owns_read_only_vectors_and_map(bundles):
+    spec = bundles["A5"].algebra
+    a = np.array([1j, 0.3, 0.5 - 0.2j, -0.4, 0.2 + 0.1j])
+    b = np.array([0.6, 0.7 + 0.3j, -0.1, 0.2, -0.5 + 0.25j])
+    frame = E3Frame(spec, a, b)
+    assert frame.a is not a and frame.b is not b
+    before = frame.sums_map.copy()
+    a[1] = b[2] = 7.0  # the caller's arrays are not the frame's
+    assert frame.a[1] == 0.3 and frame.b[2] == -0.1
+    assert np.array_equal(frame.sums_map, before)
+    for arr in (frame.a, frame.b, frame.sums_map):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_non_finite_frame_vectors_are_named(bundles):
+    spec = bundles["A5"].algebra
+    good = [1j, 0.3, 0.5, -0.4, 0.2]
+    for bad, name in ((np.nan, "a"), (np.inf, "b"), (complex(0.0, -np.inf), "a")):
+        vec = list(good)
+        vec[3] = bad
+        vecs = {"a": good, "b": good, name: vec}
+        for build in (E3Frame, make_frame):
+            with pytest.raises(ValueError, match=f"frame vector {name} is not finite at index 3"):
+                build(spec, vecs["a"], vecs["b"])
 
 
 def test_lines_a5_is_z_axis(bundles):

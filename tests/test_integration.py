@@ -405,6 +405,15 @@ def test_curve_rejects_repeated_consecutive_samples():
         assert len(Curve3(near, closed=closed).points) == len(pts)
 
 
+def test_curve_rejects_non_finite_nodes():
+    for bad in (np.nan, np.inf, -np.inf):
+        pts = circle_curve(nodes=64).points.copy()
+        pts[7, 2] = bad
+        for closed, tangents in ((True, None), (False, None), (True, np.zeros_like(pts))):
+            with pytest.raises(ValueError, match="curve node 7 is not finite"):
+                Curve3(pts, closed=closed, tangents=tangents, dt=0.1)
+
+
 def test_lambda_numeric_inverts_zeta_once(bundles, monkeypatch):
     import monalg.lambda_const
     import monalg.resolvent

@@ -17,6 +17,7 @@ from monalg import (
     cauchy_formula_residual,
     cauchy_theorem_residual,
     circle_curve,
+    curvilinear_integral,
     exactness_conditions,
     invert_direct,
     lambda_numeric,
@@ -465,6 +466,69 @@ def test_lambda_and_sigma_totals_match_the_per_node_sums(bundles):
             assert sorted(res.sigma_integrals) == list(range(m + 1, frame.spec.n + 1))
             for k, v in res.sigma_integrals.items():
                 assert abs(v - want[k - 1]) <= tol, (frame.spec.name, i, k)
+
+
+def _plan_sigma_walk(frame, S):
+    """The sigma forms summed over nodes from S (..., 3, n) by a walk over the
+    plan's sigma triples, as lambda_const evaluated them before the frame
+    carried its sums map: the oracle of the map's sigma columns."""
+    spec = frame.spec
+    m = spec.m
+    a, b = frame.a, frame.b
+    x, y, z = S[..., 0, :], S[..., 1, :], S[..., 2, :]
+    out = np.empty(S.shape[:-2] + (spec.n,), dtype=complex)
+    out[..., :m] = x[..., :m] + a[:m] * y[..., :m] + b[:m] * z[..., :m]
+    for k, uk, triples in spec.plan.sigma:
+        u = uk - 1
+        acc = (a[k - 1] * y[..., u] + b[k - 1] * z[..., u]
+               + (x[..., k - 1] + a[u] * y[..., k - 1] + b[u] * z[..., k - 1]))
+        for r, s, g in triples:
+            acc = acc + (a[s - 1] * y[..., r - 1] + b[s - 1] * z[..., r - 1]) * g
+        out[..., k - 1] = acc
+    return out
+
+
+def test_sums_map_is_the_integral_and_the_sigma_walk(bundles):
+    # the first n columns assemble Ix + e2 Iy + e3 Iz by the table product,
+    # the last n are the plan's sigma walk; _sigma_forms takes (..., 3, n)
+    rng = np.random.default_rng(53)
+    frames = [fr for b in bundles.values() for fr in b.frames.values()]
+    frames += [fr for _, fr in handmade_cases()]
+    assert len(frames) == 11 + len(handmade_cases())
+    for frame in frames:
+        n = frame.spec.n
+        assert frame.sums_map.shape == (3 * n, 2 * n)
+        S = rng.normal(size=(8, 3, n)) + 1j * rng.normal(size=(8, 3, n))
+        for one in S:
+            got = one.reshape(3 * n) @ frame.sums_map
+            ix, iy, iz = one
+            lam = ix + _mul_coeffs(frame.spec, frame.a, iy) + _mul_coeffs(frame.spec, frame.b, iz)
+            for part, want in ((got[:n], lam), (got[n:], _plan_sigma_walk(frame, one))):
+                assert np.max(np.abs(part - want)) <= 1e-15 * np.linalg.norm(want), frame.spec.name
+        want = _plan_sigma_walk(frame, S)
+        err = np.max(np.abs(_sigma_forms(frame, S) - want), axis=1)
+        assert np.all(err <= 1e-15 * np.linalg.norm(want, axis=1)), frame.spec.name
+
+
+def test_loop_integrals_build_no_multiplication_rows(bundles, monkeypatch):
+    # the frame's map holds e2's and e3's rows: no loop integral rebuilds them
+    import monalg.algebra
+
+    calls = []
+    real = monalg.algebra._mult_rows
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    frame = bundles["A5"].default_frame
+    circle = circle_curve(center=(0.05, 0.02, 0.01), nodes=512)
+    monkeypatch.setattr(monalg.algebra, "_mult_rows", counting)
+    lambda_numeric(frame, circle)
+    curvilinear_integral(zeta_inverse_field(frame), circle, frame)
+    assert calls == []
+    multiply(frame.e2, frame.e3)  # the spy does count the table product
+    assert calls == [1]
 
 
 def test_sigma_direct_matches_the_per_node_formula(bundles):

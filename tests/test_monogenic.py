@@ -451,7 +451,7 @@ def test_each_point_meets_its_guards_alone(bundles):
 
 
 def test_non_finite_points_are_named(bundles):
-    from monalg import Curve3, FieldEvaluationError, cauchy_theorem_residual, circle_curve
+    from monalg import Curve3, circle_curve
 
     for name, p in (("C2", (np.nan, 0.1, 0.2)), ("A5", (np.inf, 0.1, 0.2))):
         frame = bundles[name].default_frame
@@ -463,11 +463,11 @@ def test_non_finite_points_are_named(bundles):
             pts = np.array([(0.5, 0.3, -0.4), p])
             with pytest.raises(ValueError, match=r"xi_1 .* at batch index \(1,\)"):
                 representation_field(ms, frame)(pts)
+        # a curve through the point is refused where it is built, before any field runs
         pts = circle_curve(nodes=64).points.copy()
         pts[5] = p
-        with np.errstate(invalid="ignore"), pytest.raises(FieldEvaluationError,
-                                                          match="needs a finite point"):
-            cauchy_theorem_residual(ms, frame, Curve3(pts, closed=True))  # its steps inf - inf
+        with pytest.raises(ValueError, match="curve node 5 is not finite"):
+            Curve3(pts, closed=True)
 
 
 def test_gateaux_derivative_reports_a_failing_field(bundles):
