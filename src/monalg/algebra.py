@@ -68,7 +68,7 @@ class CouplingPlan:
 
     AlgebraSpec builds it once from its table, so no evaluation scans the
     gamma(r, s, k) triples.  Indices are 1-based, gamma values are complex,
-    and B and sigma list only the nonzero structure constants.
+    and B lists only the nonzero structure constants.
 
     B: ((r, s), ((k, gamma(r, k, s)), ...)) for s in m+2..n, r in m+1..s-1,
         the terms of the coupling B_{r,s} = sum_k T_k gamma(r, k, s).
@@ -78,17 +78,17 @@ class CouplingPlan:
     expand: (s, u_s, ks) per nilpotent s, ks the k whose Q_{k,s} is not
         identically zero (Q_{2,s} = T_s always counts).
     orders: per u, the largest s - m + 1 over nilpotents with u_s = u, else 1.
-    sigma: (k, u_k, ((r, s, gamma(r, s, k)), ...)) for k in m+1..n.
     shorthands: the ten constants A, B2, C, D, E, F, G, H, J, K of the
         closed forms at indices m+1..m+4 (_SHORTHAND_OFFSETS; 0.0 where the
         index exceeds n).
+    The sigma forms take no entry: sigma_k is coefficient k of
+    zeta^{-1} d zeta, which the frame's sums map gives from the table.
     """
 
     B: tuple
     Q: tuple
     expand: tuple
     orders: tuple
-    sigma: tuple
     shorthands: Mapping[str, complex]
 
 
@@ -173,12 +173,9 @@ class AlgebraSpec:
         orders = [1] * m
         for s, u in self.u_map.items():
             orders[u - 1] = max(orders[u - 1], s - m + 1)
-        sigma = tuple((k, self.u_map[k], tuple((r, s, g(r, s, k)) for r in range(m + 1, k)
-                                               for s in range(m + 1, k) if g(r, s, k) != 0))
-                      for k in range(m + 1, n + 1))
         shorthands = {name: g(m + i, m + j, m + k) if m + k <= n else 0.0
                       for name, (i, j, k) in _SHORTHAND_OFFSETS.items()}
-        return CouplingPlan(B, tuple(Q), expand, tuple(orders), sigma, shorthands)
+        return CouplingPlan(B, tuple(Q), expand, tuple(orders), shorthands)
 
     @property
     def plan(self) -> CouplingPlan:

@@ -43,7 +43,9 @@ class E3Frame:
     a and b are the frame's own read-only copies, checked finite, so nothing
     a caller does to its arrays changes the frame or the map built from them.
     sums_map is that map (_sums_map), built once per frame as the algebra's
-    plan is built once per spec.
+    plan is built once per spec; its product with the node sums of
+    zeta^{-1} d zeta is lambda, coefficient k the sigma form sigma_k summed.
+    Frames compare by value: equal specs, a and b.
     """
 
     spec: AlgebraSpec
@@ -65,6 +67,12 @@ class E3Frame:
         sums_map.flags.writeable = False
         object.__setattr__(self, "sums_map", sums_map)
 
+    def __eq__(self, other):
+        if not isinstance(other, E3Frame):
+            return NotImplemented
+        return (self.spec == other.spec and np.array_equal(self.a, other.a)
+                and np.array_equal(self.b, other.b))
+
     @property
     def e2(self) -> AlgElement:
         return AlgElement(self.spec, self.a)
@@ -75,41 +83,17 @@ class E3Frame:
 
 
 def _sums_map(spec: AlgebraSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (3n, 2n) map from node sums to a curve integral and its sigma forms.
+    """The (3n, n) map from node sums to a curve integral.
 
     A loop integral of Psi d zeta over nodes p_i with steps d_i depends on
     the nodes only through the node sums S = sum_i d_i (x) Psi(p_i), a (3, n)
-    array with rows x, y, z (dx, dy, dz).  S.reshape(3n) times the first n
-    columns is the integral x + e2 y + e3 z: an identity block, then the
-    rows of multiplication by e2 and by e3 (_mult_rows of a and b).  For
-    Psi = zeta^{-1} the last n columns give the sigma forms summed over the
-    nodes, sigma_k being linear in the tangent and in zeta^{-1} at a node
-    (zeta^{-1}_u = 1/xi_u included).  Column by column they read
-        sigma_u = x_u + a_u y_u + b_u z_u                 (d xi_u / xi_u),
-        sigma_k = a_k y_{u_k} + b_k z_{u_k}               (d T_k / xi_{u_k})
-                  + x_k + a_{u_k} y_k + b_{u_k} z_k       (zeta^{-1}_k d xi_{u_k})
-                  + sum gamma(r, s, k) (a_s y_r + b_s z_r)  (zeta^{-1}_r d T_s),
-    the last sum over the plan's sigma triples (r, s, gamma(r, s, k)).
+    array with rows x, y, z (dx, dy, dz).  S.reshape(3n) times this map is
+    the integral x + e2 y + e3 z: an identity block, then the rows of
+    multiplication by e2 and by e3 (_mult_rows of a and b).  For
+    Psi = zeta^{-1} its coefficient k is the sigma form sigma_k summed over
+    the nodes: sigma_k is coefficient k of zeta^{-1} d zeta.
     """
-    n, m = spec.n, spec.m
-    # blocks[d, j, c]: the weight of S[d, j] in column c of the integral
-    # (c = 0) or of the sigma forms (c = 1)
-    blocks = np.zeros((3, n, 2, n), dtype=complex)
-    blocks[0, :, 0] = np.eye(n)
-    blocks[1, :, 0] = _mult_rows(spec, a)
-    blocks[2, :, 0] = _mult_rows(spec, b)
-    sig = blocks[:, :, 1]
-    u = np.arange(m)
-    sig[0, u, u] = 1.0
-    sig[1, u, u] = a[:m]
-    sig[2, u, u] = b[:m]
-    for k, uk, triples in spec.plan.sigma:
-        k, uk = k - 1, uk - 1
-        sig[:, uk, k] = 0.0, a[k], b[k]
-        sig[:, k, k] = 1.0, a[uk], b[uk]
-        for r, s, g in triples:
-            sig[1:, r - 1, k] += g * a[s - 1], g * b[s - 1]
-    return blocks.reshape(3 * n, 2 * n)
+    return np.concatenate([np.eye(spec.n), _mult_rows(spec, a), _mult_rows(spec, b)])
 
 
 def _real_frame_matrix(frame: E3Frame) -> np.ndarray:

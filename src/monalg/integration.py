@@ -221,21 +221,11 @@ def _eval_field(psi: Field, pts: np.ndarray, where: str) -> np.ndarray:
 # integrals
 # ---------------------------------------------------------------------------
 
-def _map_sums(frame: E3Frame, S: np.ndarray) -> np.ndarray:
-    """Node sums S (..., 3, n) through frame.sums_map: (..., 2n), the
-    integral's coefficients, then the sigma forms summed (geometry._sums_map).
-
-    Every caller takes its part of this one full product.  A product with
-    only the first n columns is another BLAS call that sums in another
-    order, so its last bits would differ from lambda_numeric's lambda.
-    """
-    return S.reshape(S.shape[:-2] + (-1,)) @ frame.sums_map
-
-
 def _assemble(frame: E3Frame, S: np.ndarray) -> AlgElement:
     """The integral S_x + e2 S_y + e3 S_z (left multiplication per the
-    definition) from node sums S (3, n)."""
-    return AlgElement(frame.spec, _map_sums(frame, S)[: frame.spec.n])
+    definition) from node sums S (3, n): one product with frame.sums_map.
+    For zeta^{-1} d zeta its coefficient k is sigma_k summed over the nodes."""
+    return AlgElement(frame.spec, S.reshape(-1) @ frame.sums_map)
 
 
 def _node_steps(curve: Curve3) -> np.ndarray:

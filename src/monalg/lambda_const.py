@@ -1,11 +1,13 @@
 """The algebra-valued constant lambda: the loop integral of zeta^{-1} d zeta
 around a curve embracing the non-invertibility lines once.
 
-Its semisimple coefficients are always 2 pi i; the nilpotent coefficients are
-loop integrals of the sigma forms, which vanish exactly when those forms are
-total differentials.  This module computes lambda numerically, evaluates the
-sigma forms in closed differential-representation form, checks the structural
-exactness criteria, and measures the Cauchy theorem/formula residuals.
+The sigma forms are the coefficients of zeta^{-1} d zeta (sigma_k is
+coefficient k), so lambda's semisimple coefficients are always 2 pi i and its
+nilpotent ones are the loop integrals of the sigma forms, which vanish exactly
+when those forms are total differentials.  This module computes lambda
+numerically, evaluates the sigma forms in closed differential-representation
+form, checks the structural exactness criteria, and measures the Cauchy
+theorem/formula residuals.
 """
 
 from __future__ import annotations
@@ -29,9 +31,7 @@ from .integration import (
     _assemble,
     _eval_field,
     _integrate_values,
-    _map_sums,
     _node_steps,
-    _weighted_sums,
 )
 from .monogenic import MonogenicSpec, _rep_values
 from .resolvent import _inverse, _recurrences, _zeta_inverse_batch
@@ -97,20 +97,11 @@ def _winding(w: np.ndarray, u: int, abs_w: np.ndarray | None = None) -> int:
     return int(np.count_nonzero(up & (cross > 0)) - np.count_nonzero(~up & (cross < 0)))
 
 
-def _sigma_forms(frame: E3Frame, S: np.ndarray) -> np.ndarray:
-    """sigma_1..sigma_n of the integrand decomposition summed over nodes, from S (..., 3, n).
-
-    The sums over nodes of sigma_k(d_i) are a fixed linear map of
-    S = sum_i d_i zeta^{-1}(p_i)^T (rows dx, dy, dz; integration._weighted_sums
-    of the steps and the inverse), the sums lambda is assembled from: the
-    last n columns of the frame's sums_map (geometry._sums_map, where the
-    forms are written out).  A single point is S = outer(d, zeta^{-1}).
-    """
-    return _map_sums(frame, S)[..., frame.spec.n:]
-
-
 @dataclass(frozen=True)
 class LambdaResult:
+    """lambda_numeric's result.  sigma_integrals are lambda's nilpotent
+    coefficients, keyed m+1..n: the loop integrals of the sigma forms."""
+
     lambda_: AlgElement
     sigma_integrals: dict[int, complex]
     radius: float
@@ -127,16 +118,12 @@ def lambda_numeric(frame: E3Frame, circle: Curve3) -> LambdaResult:
     if not circle.closed:
         raise EmbraceError("lambda requires a closed curve")
     winding, inv = _loop_inverse(frame, circle.points, circle.coord_scale)
-    # S = sum over nodes of step (x) zeta^{-1}: one product with the frame's
-    # map gives lambda = e1 S_x + e2 S_y + e3 S_z and the sigma integrals
-    sums = _map_sums(frame, _weighted_sums(_node_steps(circle), inv))
-    lam = sums[: spec.n]
-    sig = {k: complex(sums[spec.n + k - 1]) for k in range(spec.m + 1, spec.n + 1)}
-    tol = _IS_2PI_I_TOL * (1 + float(np.linalg.norm(lam)))
-    dev = float(np.linalg.norm(lam - spec.unit_coeffs * (2j * np.pi)))
+    lam = _integrate_values(frame, inv, _node_steps(circle))
+    tol = _IS_2PI_I_TOL * (1 + norm_euclid(lam))
+    dev = float(np.linalg.norm(lam.coeffs - spec.unit_coeffs * (2j * np.pi)))
     return LambdaResult(
-        lambda_=AlgElement(spec, lam),
-        sigma_integrals=sig,
+        lambda_=lam,
+        sigma_integrals={k: complex(lam.coeffs[k - 1]) for k in range(spec.m + 1, spec.n + 1)},
         radius=circle.mean_radius,
         node_count=len(circle.points) - 1,
         is_2pi_i=bool(dev <= tol),
@@ -355,10 +342,11 @@ def sigma_closed(frame: E3Frame, p, dp) -> SigmaForms:
 
 
 def sigma_direct(frame: E3Frame, p, dp) -> dict[int, complex]:
-    """sigma_k assembled directly from the integrand decomposition, for every
-    k: _sigma_forms of outer(dp, zeta^{-1}(p)), the inverse by the recurrence."""
+    """sigma_k on the tangent dp at p for every k: the coefficients of
+    zeta^{-1} d zeta there, _assemble of outer(dp, zeta^{-1}(p)), the
+    inverse by the recurrence."""
     atil = _zeta_inverse_batch(frame, np.asarray(p, dtype=float)[None])[0]
-    vals = _sigma_forms(frame, np.outer(np.asarray(dp, dtype=float), atil))
+    vals = _assemble(frame, np.outer(np.asarray(dp, dtype=float), atil)).coeffs
     return {k: complex(v) for k, v in enumerate(vals, start=1)}
 
 

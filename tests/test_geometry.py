@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from monalg import (
+    AlgebraSpec,
     E3Frame,
     FrameWarning,
     frame_from_json,
@@ -84,6 +85,22 @@ def test_frame_owns_read_only_vectors_and_map(bundles):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
+
+
+def test_frames_compare_by_value(bundles):
+    for bundle in bundles.values():
+        for frame in bundle.frames.values():
+            assert frame == E3Frame(frame.spec, frame.a, frame.b)
+            assert frame == E3Frame(frame.spec, list(frame.a), frame.b.copy())
+            a = frame.a.copy()
+            a[-1] += 0.5
+            assert frame != E3Frame(frame.spec, a, frame.b)
+            assert frame != E3Frame(frame.spec, frame.b, frame.a)
+            assert frame != (frame.spec, frame.a, frame.b)
+    spec = bundles["A5"].algebra
+    other = AlgebraSpec(spec.n, spec.m, spec.gamma, spec.u_map, name="other")
+    frame = bundles["A5"].default_frame
+    assert frame != E3Frame(other, frame.a, frame.b)
 
 
 def test_non_finite_frame_vectors_are_named(bundles):

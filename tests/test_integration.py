@@ -383,14 +383,18 @@ def test_polyline_rule_matches_per_segment_trapezoid(bundles):
 
 
 def test_triangle_lambda_nilpotents_equal_sigma_integrals(bundles):
-    for name in ("A5", "J71", "A2_radical"):
-        frame = bundles[name].default_frame
-        m = frame.spec.m
-        res = lambda_numeric(frame, triangle_curve((1.2, -0.6, 0.1), (0.1, 1.3, -0.2),
-                                                   (-1.1, -0.7, 0.15), per_edge=512))
-        for k, sig in res.sigma_integrals.items():
-            assert k > m
-            assert abs(res.lambda_.coeffs[k - 1] - sig) <= 1e-13
+    # the sigma integrals are lambda's nilpotent coefficients, bit for bit
+    curves = (circle_curve(center=(0.05, -0.04, 0.02), radius=0.9, nodes=1024),
+              triangle_curve((1.2, -0.6, 0.1), (0.1, 1.3, -0.2), (-1.1, -0.7, 0.15), per_edge=512))
+    frames = [frame for bundle in bundles.values() for frame in bundle.frames.values()]
+    assert len(frames) == 11
+    for frame in frames:
+        spec = frame.spec
+        for curve in curves:
+            res = lambda_numeric(frame, curve)
+            assert list(res.sigma_integrals) == list(range(spec.m + 1, spec.n + 1))
+            for k, sig in res.sigma_integrals.items():
+                assert sig == res.lambda_.coeffs[k - 1], (spec.name, k)
 
 
 def test_curve_rejects_repeated_consecutive_samples():

@@ -41,12 +41,11 @@ from monalg import (
 )
 
 from monalg.algebra import _mul_coeffs
-from monalg.integration import _integrate_values, _node_steps
+from monalg.integration import _assemble, _integrate_values, _node_steps
 from monalg.lambda_const import (
     _formula_residual,
     _formula_weights,
     _loop_inverse,
-    _sigma_forms,
     _winding,
 )
 
@@ -417,14 +416,14 @@ def test_sigma_split_matches_direct_assembly(bundles):
             atil = _zeta_inverse_batch(frame, p[None])[0]
             for k, v in atilde_closed(frame, p).items():
                 atil[k - 1] = v
-            direct = _sigma_forms(frame, np.outer(dp, atil))
+            direct = _assemble(frame, np.outer(dp, atil)).coeffs
             for k, v in split.total.items():
                 assert abs(v - direct[k - 1]) <= 1e-10 * (1 + abs(direct[k - 1])), (spec.name, k)
 
 
 def _per_node_sigma(frame, xi, d, atil):
-    """sigma_k per node, as lambda_numeric summed it before the sigma forms
-    were read off lambda's sums: xi (N, m), tangents d (N, 3), zeta^{-1} (N, n)."""
+    """sigma_k per node from the paper's formulas, the oracle of sigma_direct
+    and of lambda's coefficients: xi (N, m), tangents d (N, 3), zeta^{-1} (N, n)."""
     spec = frame.spec
     n, m = spec.n, spec.m
     dxi = d[:, 0, None] + d[:, 1, None] * frame.a[:m] + d[:, 2, None] * frame.b[:m]
@@ -469,45 +468,50 @@ def test_lambda_and_sigma_totals_match_the_per_node_sums(bundles):
 
 
 def _plan_sigma_walk(frame, S):
-    """The sigma forms summed over nodes from S (..., 3, n) by a walk over the
-    plan's sigma triples, as lambda_const evaluated them before the frame
-    carried its sums map: the oracle of the map's sigma columns."""
+    """The sigma forms summed over nodes from S (..., 3, n), written out from
+    the paper's formulas by a walk over the nonzero gamma(r, s, k):
+        sigma_u = x_u + a_u y_u + b_u z_u                 (d xi_u / xi_u),
+        sigma_k = a_k y_{u_k} + b_k z_{u_k}               (d T_k / xi_{u_k})
+                  + x_k + a_{u_k} y_k + b_{u_k} z_k       (zeta^{-1}_k d xi_{u_k})
+                  + sum gamma(r, s, k) (a_s y_r + b_s z_r)  (zeta^{-1}_r d T_s),
+    the oracle of the sums map, whose coefficient k is sigma_k."""
     spec = frame.spec
-    m = spec.m
+    n, m = spec.n, spec.m
     a, b = frame.a, frame.b
     x, y, z = S[..., 0, :], S[..., 1, :], S[..., 2, :]
-    out = np.empty(S.shape[:-2] + (spec.n,), dtype=complex)
+    out = np.empty(S.shape[:-2] + (n,), dtype=complex)
     out[..., :m] = x[..., :m] + a[:m] * y[..., :m] + b[:m] * z[..., :m]
-    for k, uk, triples in spec.plan.sigma:
-        u = uk - 1
+    for k in range(m + 1, n + 1):
+        u = spec.u_map[k] - 1
         acc = (a[k - 1] * y[..., u] + b[k - 1] * z[..., u]
                + (x[..., k - 1] + a[u] * y[..., k - 1] + b[u] * z[..., k - 1]))
-        for r, s, g in triples:
-            acc = acc + (a[s - 1] * y[..., r - 1] + b[s - 1] * z[..., r - 1]) * g
+        for r in range(m + 1, k):
+            for s in range(m + 1, k):
+                g = spec.gamma_coeff(r, s, k)
+                if g != 0:
+                    acc = acc + (a[s - 1] * y[..., r - 1] + b[s - 1] * z[..., r - 1]) * g
         out[..., k - 1] = acc
     return out
 
 
 def test_sums_map_is_the_integral_and_the_sigma_walk(bundles):
-    # the first n columns assemble Ix + e2 Iy + e3 Iz by the table product,
-    # the last n are the plan's sigma walk; _sigma_forms takes (..., 3, n)
+    # the map assembles Ix + e2 Iy + e3 Iz by the table product, and the same
+    # product is the paper's sigma forms: sigma_k is coefficient k of
+    # zeta^{-1} d zeta
     rng = np.random.default_rng(53)
     frames = [fr for b in bundles.values() for fr in b.frames.values()]
     frames += [fr for _, fr in handmade_cases()]
     assert len(frames) == 11 + len(handmade_cases())
     for frame in frames:
         n = frame.spec.n
-        assert frame.sums_map.shape == (3 * n, 2 * n)
+        assert frame.sums_map.shape == (3 * n, n)
         S = rng.normal(size=(8, 3, n)) + 1j * rng.normal(size=(8, 3, n))
         for one in S:
             got = one.reshape(3 * n) @ frame.sums_map
             ix, iy, iz = one
             lam = ix + _mul_coeffs(frame.spec, frame.a, iy) + _mul_coeffs(frame.spec, frame.b, iz)
-            for part, want in ((got[:n], lam), (got[n:], _plan_sigma_walk(frame, one))):
-                assert np.max(np.abs(part - want)) <= 1e-15 * np.linalg.norm(want), frame.spec.name
-        want = _plan_sigma_walk(frame, S)
-        err = np.max(np.abs(_sigma_forms(frame, S) - want), axis=1)
-        assert np.all(err <= 1e-15 * np.linalg.norm(want, axis=1)), frame.spec.name
+            for want in (lam, _plan_sigma_walk(frame, one)):
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.linalg.norm(want), frame.spec.name
 
 
 def test_loop_integrals_build_no_multiplication_rows(bundles, monkeypatch):
@@ -548,7 +552,7 @@ def test_sigma_direct_matches_the_per_node_formula(bundles):
             direct = sigma_direct(frame, p, dp)
             assert list(direct) == list(range(1, spec.n + 1))
             for got, atil in ((np.array(list(direct.values())), inv),
-                              (_sigma_forms(frame, np.outer(dp, over[0])), over)):
+                              (_assemble(frame, np.outer(dp, over[0])).coeffs, over)):
                 want = _per_node_sigma(frame, xi_values(frame, pt), dp[None], atil)[0]
                 tol = 1e-13 * (1 + np.max(np.abs(want)))
                 assert np.max(np.abs(got - want)) <= tol, spec.name
