@@ -33,7 +33,6 @@ __all__ = [
     "basis_element",
     "mult_matrix",
     "algebra_from_json",
-    "algebra_to_json",
 ]
 
 
@@ -99,7 +98,8 @@ class AlgebraSpec:
     gamma maps (r, s, k) -> complex with r, s, k in m+1..n and k > max(r, s);
     it is the coefficient of I_k in I_r * I_s.  Only one of (r, s, k) /
     (s, r, k) needs to be present; storing both with different values is
-    allowed so that validate_algebra can report the asymmetry.
+    allowed so that validate_algebra can report the asymmetry.  A
+    non-finite gamma value raises ValueError naming its (r, s, k).
     u_map maps each nilpotent index s in m+1..n to its idempotent u_s in 1..m.
     """
 
@@ -121,12 +121,14 @@ class AlgebraSpec:
         for s, u in self.u_map.items():
             if not 1 <= u <= self.m:
                 raise StructuralError(f"u_map[{s}] = {u} outside 1..{self.m}")
-        for (r, s, k) in self.gamma:
+        for (r, s, k), v in self.gamma.items():
             for idx in (r, s, k):
                 if not 1 <= idx <= self.n:
                     raise StructuralError(f"gamma index {idx} outside 1..{self.n}")
             if r <= self.m or s <= self.m or k <= self.m:
                 raise StructuralError(f"gamma key ({r},{s},{k}) must use nilpotent indices only")
+            if not np.isfinite(v):
+                raise ValueError(f"gamma({r},{s},{k}) = {v} is not finite")
         object.__setattr__(self, "_table", self._build_table())
         object.__setattr__(self, "_plan", self._build_plan())
 
@@ -435,15 +437,3 @@ def algebra_from_json(data: dict) -> AlgebraSpec:
     for r, s, k, re, im in data.get("gamma", []):
         gamma[(int(r), int(s), int(k))] = complex(re, im)
     return AlgebraSpec(n=n, m=m, gamma=gamma, u_map=u_map, name=data.get("name", ""))
-
-
-def algebra_to_json(spec: AlgebraSpec) -> dict:
-    return {
-        "n": spec.n,
-        "m": spec.m,
-        "u_map": [spec.u_map[s] for s in range(spec.m + 1, spec.n + 1)],
-        "gamma": [
-            [r, s, k, v.real, v.imag] for (r, s, k), v in sorted(spec.gamma.items())
-        ],
-        "name": spec.name,
-    }

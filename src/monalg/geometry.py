@@ -23,10 +23,8 @@ __all__ = [
     "xi_values",
     "check_surjectivity",
     "noninvertibility_lines",
-    "point_invertible",
     "random_safe_points",
     "frame_from_json",
-    "frame_to_json",
 ]
 
 _SV_TOL = 1e-12
@@ -209,12 +207,6 @@ def noninvertibility_lines(frame: E3Frame) -> list[Line3]:
     return lines
 
 
-def point_invertible(frame: E3Frame, p) -> tuple[bool, float]:
-    """Whether zeta(p) is invertible, plus min_u |xi_u| as a safety margin."""
-    dist = float(np.min(np.abs(xi_values(frame, p))))
-    return dist > 0.0, dist
-
-
 def random_safe_points(frame: E3Frame, rng: np.random.Generator, count: int,
                        margin: float = 0.3) -> np.ndarray:
     """count uniform draws from [-2, 2]^3 with every |xi_u| above margin.
@@ -238,11 +230,3 @@ def frame_from_json(data: dict, spec: AlgebraSpec) -> E3Frame:
     a = np.array([complex(re, im) for re, im in data["a"]])
     b = np.array([complex(re, im) for re, im in data["b"]])
     return make_frame(spec, a, b)
-
-
-def frame_to_json(frame: E3Frame) -> dict:
-    return {
-        "algebra": frame.spec.name,
-        "a": [[v.real, v.imag] for v in frame.a],
-        "b": [[v.real, v.imag] for v in frame.b],
-    }

@@ -28,16 +28,11 @@ __all__ = [
     "FieldEvaluationError",
     "circle_curve",
     "triangle_curve",
-    "polyline_curve",
     "rectangle_surface",
-    "validate_surface",
-    "curve_from_json",
-    "curve_to_json",
     "constant_field",
     "zeta_field",
     "zeta_power_field",
     "zeta_inverse_field",
-    "shifted_zeta_inverse_field",
     "curvilinear_integral",
     "surface_integral",
     "stokes_residual",
@@ -161,18 +156,6 @@ def triangle_curve(p1, p2, p3, per_edge: int = 1024) -> Curve3:
     return Curve3(_polygon_points((p1, p2, p3), per_edge), closed=True)
 
 
-def polyline_curve(points, closed: bool = False) -> Curve3:
-    return Curve3(np.asarray(points, dtype=float), closed=closed)
-
-
-def curve_from_json(data: dict) -> Curve3:
-    return Curve3(np.asarray(data["points"], dtype=float), closed=bool(data["closed"]))
-
-
-def curve_to_json(curve: Curve3) -> dict:
-    return {"points": curve.points.tolist(), "closed": curve.closed}
-
-
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
@@ -199,12 +182,6 @@ def zeta_power_field(frame: E3Frame, k: int) -> Field:
 
 def zeta_inverse_field(frame: E3Frame) -> Field:
     return lambda pts: _zeta_inverse_batch(frame, pts)
-
-
-def shifted_zeta_inverse_field(frame: E3Frame, p0) -> Field:
-    """(zeta - zeta_0)^{-1}; zeta - zeta_0 is zeta evaluated at p - p0."""
-    p0 = np.asarray(p0, dtype=float)
-    return lambda pts: _zeta_inverse_batch(frame, pts - p0)
 
 
 def _eval_field(psi: Field, pts: np.ndarray, where: str) -> np.ndarray:
@@ -307,38 +284,6 @@ def rectangle_surface(origin, v1, v2, nx: int = 8, ny: int = 8,
             tris.append([p00, p11, p01])
     corners = (origin, origin + v1, origin + v1 + v2, origin + v2)
     return Surface3(np.array(tris), Curve3(_polygon_points(corners, boundary_per_edge), closed=True))
-
-
-def validate_surface(surf: Surface3) -> list[str]:
-    """Directed-edge parity check: interior edges pair up in opposite directions,
-    the unpaired ones must lie on the boundary polyline with matching orientation."""
-    problems = []
-    edges: dict[tuple, int] = {}
-    for tri in surf.triangles:
-        for i in range(3):
-            a, b = tri[i], tri[(i + 1) % 3]
-            key = (tuple(np.round(a, 12)), tuple(np.round(b, 12)))
-            rev = (key[1], key[0])
-            if edges.get(rev, 0) > 0:
-                edges[rev] -= 1
-            else:
-                edges[key] = edges.get(key, 0) + 1
-    free = [k for k, c in edges.items() if c > 0]
-    bpts = surf.boundary.points
-    seg = np.diff(bpts, axis=0)
-    for (a, b) in free:
-        a, b = np.array(a), np.array(b)
-        mid = 0.5 * (a + b)
-        d = bpts[:-1] - mid
-        t = np.einsum("ij,ij->i", -d, seg) / np.maximum(np.einsum("ij,ij->i", seg, seg), 1e-300)
-        t = np.clip(t, 0.0, 1.0)
-        dist = np.linalg.norm(d + t[:, None] * seg, axis=1)
-        i = int(np.argmin(dist))
-        if dist[i] > 1e-9:
-            problems.append(f"boundary edge {a}->{b} not on the boundary polyline")
-        elif np.dot(seg[i], b - a) <= 0:
-            problems.append(f"boundary edge {a}->{b} traversed against the boundary orientation")
-    return problems
 
 
 _FORMS = {"dxdy": (0, 1), "dydz": (1, 2), "dzdx": (2, 0)}

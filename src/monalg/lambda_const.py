@@ -34,7 +34,7 @@ from .integration import (
     _node_steps,
 )
 from .monogenic import MonogenicSpec, _rep_values
-from .resolvent import _inverse, _recurrences, _zeta_inverse_batch
+from .resolvent import _inverse, _one, _recurrences, _zeta_inverse_batch
 
 __all__ = [
     "EmbraceError",
@@ -217,7 +217,7 @@ def _atilde_batch(spec: AlgebraSpec, zc: np.ndarray) -> np.ndarray:
 
 def atilde_closed(frame: E3Frame, p) -> dict[int, complex]:
     """_atilde_batch at one point, keyed by the 1-based index of each coefficient."""
-    row = _atilde_batch(frame.spec, _zeta_coeffs(frame, np.asarray(p, dtype=float)[None]))[0]
+    row = _atilde_batch(frame.spec, _zeta_coeffs(frame, _one(p)))[0]
     return {frame.spec.m + 1 + i: complex(v) for i, v in enumerate(row)}
 
 
@@ -345,7 +345,7 @@ def sigma_direct(frame: E3Frame, p, dp) -> dict[int, complex]:
     """sigma_k on the tangent dp at p for every k: the coefficients of
     zeta^{-1} d zeta there, _assemble of outer(dp, zeta^{-1}(p)), the
     inverse by the recurrence."""
-    atil = _zeta_inverse_batch(frame, np.asarray(p, dtype=float)[None])[0]
+    atil = _zeta_inverse_batch(frame, _one(p))[0]
     vals = _assemble(frame, np.outer(np.asarray(dp, dtype=float), atil)).coeffs
     return {k: complex(v) for k, v in enumerate(vals, start=1)}
 

@@ -32,8 +32,6 @@ __all__ = [
     "representation_field",
     "gateaux_derivative_fd",
     "cauchy_riemann_residual",
-    "mspec_from_json",
-    "mspec_to_json",
 ]
 
 
@@ -53,8 +51,9 @@ class HoloFunction:
     kind "callable": fn is evaluated as given, at the nodes of the periodic
     trapezoid rule on each contour; holomorphy on the contours cannot be
     verified, which is flagged with a warning at construction.
-    Domain hypotheses (holomorphy on and inside every contour used) are the
-    caller's responsibility for all kinds.
+    A non-finite entry of coeffs, num, den or center raises ValueError
+    naming it.  Domain hypotheses (holomorphy on and inside every contour
+    used) are the caller's responsibility for all kinds.
     """
 
     kind: str = "polynomial"
@@ -73,9 +72,14 @@ class HoloFunction:
                 raise ValueError("kind 'callable' needs a callable fn")
             warnings.warn("holomorphy of a callable integrand is unverified",
                           UserWarning, stacklevel=3)
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        object.__setattr__(self, "num", tuple(complex(c) for c in self.num))
-        object.__setattr__(self, "den", tuple(complex(c) for c in self.den))
+        for name in ("coeffs", "num", "den"):
+            vals = tuple(complex(c) for c in getattr(self, name))
+            bad = [i for i, c in enumerate(vals) if not np.isfinite(c)]
+            if bad:
+                raise ValueError(f"{name} is not finite at index {bad[0]}")
+            object.__setattr__(self, name, vals)
+        if not np.isfinite(self.center):
+            raise ValueError(f"center {self.center} is not finite")
         if self.kind == "rational" and any(self.den):
             object.__setattr__(self, "_poles", self.center + np.roots(self.den[::-1]))
 
@@ -301,48 +305,3 @@ def cauchy_riemann_residual(phi, frame: E3Frame, p, h: float) -> tuple[float, fl
     r2 = np.linalg.norm(dy - _mul_coeffs(spec, dx, frame.a))
     r3 = np.linalg.norm(dz - _mul_coeffs(spec, dx, frame.b))
     return float(r2), float(r3)
-
-
-def _holo_from_json(d: dict) -> HoloFunction:
-    return HoloFunction(
-        kind=d.get("kind", "polynomial"),
-        coeffs=tuple(complex(re, im) for re, im in d.get("coeffs", [])),
-        num=tuple(complex(re, im) for re, im in d.get("num", [])),
-        den=tuple(complex(re, im) for re, im in d.get("den", [])),
-        center=complex(*d.get("center", [0.0, 0.0])),
-    )
-
-
-def _holo_to_json(h: HoloFunction) -> dict:
-    if h.kind == "callable":
-        raise ValueError("callable integrands cannot be serialized")
-    return {
-        "kind": h.kind,
-        "coeffs": [[c.real, c.imag] for c in h.coeffs],
-        "num": [[c.real, c.imag] for c in h.num],
-        "den": [[c.real, c.imag] for c in h.den],
-        "center": [h.center.real, h.center.imag],
-    }
-
-
-def mspec_from_json(data: dict) -> MonogenicSpec:
-    contours = {
-        int(u): (complex(*cr["center"]), float(cr["radius"]))
-        for u, cr in data.get("contours", {}).items()
-    }
-    return MonogenicSpec(
-        F=tuple(_holo_from_json(d) for d in data["F"]),
-        G={int(s): _holo_from_json(d) for s, d in data.get("G", {}).items()},
-        contours=contours,
-    )
-
-
-def mspec_to_json(mspec: MonogenicSpec) -> dict:
-    return {
-        "F": [_holo_to_json(h) for h in mspec.F],
-        "G": {str(s): _holo_to_json(h) for s, h in mspec.G.items()},
-        "contours": {
-            str(u): {"center": [c.real, c.imag], "radius": r}
-            for u, (c, r) in mspec.contours.items()
-        },
-    }

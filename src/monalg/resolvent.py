@@ -44,8 +44,6 @@ outcome does not depend on the batch it is in either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import AlgebraSpec, AlgElement, NonInvertibleError
@@ -53,8 +51,6 @@ from .geometry import E3Frame, _batch_view, _zeta_coeffs
 
 __all__ = [
     "SingularityError",
-    "ResolventCoeffs",
-    "compute_coeffs",
     "resolvent_at",
     "zeta_inverse_closed",
 ]
@@ -181,35 +177,9 @@ def _expand(spec: AlgebraSpec, Q, W) -> np.ndarray:
     return _batch_view(out)
 
 
-@dataclass(frozen=True)
-class ResolventCoeffs:
-    """Scalar resolvent data at one point: xi_u, T_s, B_{r,s}, Q_{k,s} and
-    Qtilde_{k,s} = (-1)^{k+1} Q_{k,s}."""
-
-    xi: np.ndarray
-    T: dict[int, complex]
-    B: dict[tuple[int, int], complex]
-    Q: dict[tuple[int, int], complex]
-    Qtilde: dict[tuple[int, int], complex]
-
-
 def _one(p) -> np.ndarray:
     """p as a batch of one: single-point calls then give their row of any batch."""
     return np.asarray(p, dtype=float)[None]
-
-
-def compute_coeffs(frame: E3Frame, p) -> ResolventCoeffs:
-    """All recurrence data at a single point p."""
-    spec = frame.spec
-    xi, T, B, Q = _recurrences(spec, _zeta_coeffs(frame, _one(p)))
-    m = spec.m
-    return ResolventCoeffs(
-        xi=xi[0],
-        T={m + 1 + i: complex(T[0, i]) for i in range(spec.n - m)},
-        B={k: complex(v[0]) for k, v in B.items()},
-        Q={k: complex(v[0]) for k, v in Q.items()},
-        Qtilde={k: complex(v[0]) if k[0] % 2 else -complex(v[0]) for k, v in Q.items()},
-    )
 
 
 def _inverse(spec: AlgebraSpec, coeffs: np.ndarray) -> np.ndarray:

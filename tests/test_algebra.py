@@ -6,8 +6,6 @@ from monalg import (
     AlgebraSpec,
     StructuralError,
     NonInvertibleError,
-    algebra_from_json,
-    algebra_to_json,
     basis_element,
     check_propositions,
     functional_f,
@@ -72,6 +70,17 @@ def test_structural_error_bad_index():
         AlgebraSpec(n=3, m=2, gamma={}, u_map={3: 5})
     with pytest.raises(StructuralError):
         AlgebraSpec(n=2, m=3, gamma={}, u_map={})
+
+
+def test_non_finite_structure_constant_is_named(bundles):
+    # the first non-finite value in the table's order is named
+    spec = bundles["A5"].algebra
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        gamma = dict(spec.gamma)
+        gamma[(2, 2, 3)] = bad
+        gamma[(3, 3, 5)] = np.nan
+        with pytest.raises(ValueError, match=r"gamma\(2,2,3\) = .* is not finite"):
+            AlgebraSpec(spec.n, spec.m, gamma, spec.u_map)
 
 
 def test_unit_is_sum_of_idempotents(bundles):
@@ -239,14 +248,6 @@ def test_propositions_contradiction():
     assert rep.prop2_contradictions
     # and the same spec independently fails (A2)
     assert any("assoc-A2" in v for v in validate_algebra(spec).violations)
-
-
-def test_json_round_trip(bundles):
-    for bundle in bundles.values():
-        spec = bundle.algebra
-        back = algebra_from_json(algebra_to_json(spec))
-        assert back.n == spec.n and back.m == spec.m
-        np.testing.assert_allclose(back.table, spec.table)
 
 
 def test_multiply_rejects_mixed_algebras(bundles):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -62,6 +63,20 @@ def test_validate_commands(tmp_path):
     res = run_cli("validate", "--algebra", str(broken), "--out", str(out), cwd=tmp_path)
     assert res.returncode == 2, res.stderr
     assert any("symmetry" in v for v in json.loads(out.read_text())["violations"])
+
+
+def test_validate_rejects_a_non_finite_structure_constant(tmp_path):
+    # Python's json reads NaN; the spec refuses it as bad input, naming it
+    data = resources.files("monalg") / "fixtures_data" / "v1" / "algebras" / "A5.json"
+    spec = json.loads(data.read_text())
+    spec["gamma"][0][3] = float("nan")
+    assert spec["gamma"][0][:3] == [2, 2, 3]
+    algebra, out = tmp_path / "nan.json", tmp_path / "val.json"
+    algebra.write_text(json.dumps(spec))
+    res = run_cli("validate", "--algebra", str(algebra), "--out", str(out), cwd=tmp_path)
+    assert res.returncode == 2
+    assert res.stderr.splitlines() == ["error: gamma(2,2,3) = (nan+0j) is not finite"]
+    assert not out.exists()
 
 
 def test_invert_command(tmp_path):
@@ -345,12 +360,11 @@ def test_verify_all_names_failing_rows(monkeypatch, tmp_path, capsys):
 
 
 def test_residual_commands_load_frames_from_files(tmp_path, capsys):
-    from monalg import algebra_to_json, frame_to_json, load_fixture
-
-    bundle = load_fixture("A5")
+    # the bundled A5 algebra and its default frame, written out as files
+    data = resources.files("monalg") / "fixtures_data" / "v1"
     algebra, frame = tmp_path / "a.json", tmp_path / "f.json"
-    algebra.write_text(json.dumps(algebra_to_json(bundle.algebra)))
-    frame.write_text(json.dumps(frame_to_json(bundle.default_frame)))
+    algebra.write_text((data / "algebras" / "A5.json").read_text())
+    frame.write_text(json.dumps(json.loads((data / "frames" / "A5.json").read_text())["default"]))
     out = tmp_path / "r.json"
     for command in ("verify-cauchy", "verify-formula"):
         assert cli.main([command, "--algebra", str(algebra), "--out", str(out)]) == 2

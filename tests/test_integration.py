@@ -7,8 +7,6 @@ from monalg import (
     certified_lemma_constant,
     circle_curve,
     constant_field,
-    curve_from_json,
-    curve_to_json,
     curvilinear_integral,
     lambda_numeric,
     make_zeta,
@@ -17,13 +15,11 @@ from monalg import (
     multiply,
     norm_euclid,
     norm_inequality_check,
-    polyline_curve,
     rectangle_surface,
     stokes_residual,
     surface_integral,
     triangle_curve,
     unit_element,
-    validate_surface,
     zeta_field,
     zeta_inverse_field,
     zeta_power_field,
@@ -54,7 +50,7 @@ def test_closed_loop_of_constant_vanishes(bundles):
 def test_open_segment_of_constant_telescopes(bundles):
     frame = bundles["A5"].frames["harmonic"]
     p, q = np.array([0.1, -0.2, 0.4]), np.array([1.0, 0.7, -0.3])
-    curve = polyline_curve(np.linspace(p, q, 50))
+    curve = Curve3(np.linspace(p, q, 50), closed=False)
     got = curvilinear_integral(constant_field(unit_element(frame.spec)), curve, frame)
     want = make_zeta(frame, q) - make_zeta(frame, p)
     np.testing.assert_allclose(got.coeffs, want.coeffs, atol=1e-13)
@@ -71,7 +67,8 @@ def test_zeta_inverse_loop_matches_lambda(bundles):
 def test_orientation_negates(bundles):
     frame = bundles["A5"].default_frame
     field = zeta_power_field(frame, 2)
-    for curve in (circle_curve(nodes=128), polyline_curve([[0, 0, 0], [1, 0.2, 0], [1.4, 1, 0.3]])):
+    polyline = Curve3([[0, 0, 0], [1, 0.2, 0], [1.4, 1, 0.3]], closed=False)
+    for curve in (circle_curve(nodes=128), polyline):
         fwd = curvilinear_integral(field, curve, frame)
         bwd = curvilinear_integral(field, curve.reversed(), frame)
         np.testing.assert_allclose(fwd.coeffs, -bwd.coeffs, atol=1e-15)
@@ -81,9 +78,9 @@ def test_additivity_at_vertex(bundles):
     frame = bundles["A3"].default_frame
     pts = np.array([[0, 0, 0], [0.5, 0.1, 0.2], [1.0, 0.4, 0.1], [1.2, 1.1, -0.2]])
     field = zeta_power_field(frame, 2)
-    whole = curvilinear_integral(field, polyline_curve(pts), frame)
-    first = curvilinear_integral(field, polyline_curve(pts[:3]), frame)
-    second = curvilinear_integral(field, polyline_curve(pts[2:]), frame)
+    whole = curvilinear_integral(field, Curve3(pts, closed=False), frame)
+    first = curvilinear_integral(field, Curve3(pts[:3], closed=False), frame)
+    second = curvilinear_integral(field, Curve3(pts[2:], closed=False), frame)
     np.testing.assert_allclose(whole.coeffs, (first + second).coeffs, atol=1e-15)
 
 
@@ -93,7 +90,7 @@ def test_polyline_refinement_is_second_order(bundles):
 
     def arc(n):
         t = np.linspace(0.0, 2.0, n + 1)
-        return polyline_curve(np.stack([np.cos(t), np.sin(t), 0.3 * t], axis=1))
+        return Curve3(np.stack([np.cos(t), np.sin(t), 0.3 * t], axis=1), closed=False)
 
     vals = [curvilinear_integral(field, arc(n), frame).coeffs for n in (64, 128, 256, 512)]
     d = [np.linalg.norm(vals[i] - vals[i + 1]) for i in range(3)]
@@ -123,13 +120,6 @@ def test_closure_tolerance_scales_with_coordinates():
     pts[-1] = pts[0] + 1e-9
     with pytest.raises(ValueError, match="must end where it starts"):
         Curve3(pts, closed=True)
-
-
-def test_curve_json_round_trip():
-    curve = triangle_curve((0, 0, 0), (1, 0, 0), (0, 1, 0), 4)
-    back = curve_from_json(curve_to_json(curve))
-    np.testing.assert_allclose(back.points, curve.points)
-    assert back.closed
 
 
 def test_surface_integral_area(bundles):
@@ -164,15 +154,6 @@ def test_surface_degenerate_triangle_warns(bundles):
         got = stokes_residual(zeta_power_field(frame, 2), surf, frame)
     good = Surface3(tris[:1], surf.boundary)
     assert got == stokes_residual(zeta_power_field(frame, 2), good, frame)
-
-
-def test_validate_surface(bundles):
-    surf = rectangle_surface((0, 0, 0), (1, 0, 0), (0, 1, 0), nx=3, ny=3)
-    assert validate_surface(surf) == []
-    flipped = rectangle_surface((0, 0, 0), (0, 1, 0), (1, 0, 0), nx=3, ny=3)
-    from monalg import Surface3
-    bad = Surface3(flipped.triangles, surf.boundary)
-    assert validate_surface(bad) != []
 
 
 def test_stokes_identity_monogenic_and_not(bundles):
@@ -327,11 +308,15 @@ def test_closed_polyline_loop_is_second_order(bundles):
 
 def test_near_singular_loop_decays_fast(bundles):
     # integrand analytic in a thin strip: each node doubling cuts the
-    # residual by far more than 4x until rounding
-    from monalg import shifted_zeta_inverse_field
-
+    # residual by far more than 4x until rounding: (zeta - zeta_0)^{-1} is
+    # zeta^{-1} at the points shifted by -p0
     frame = bundles["A5"].frames["harmonic"]
-    fld = shifted_zeta_inverse_field(frame, (2.0, 0.0, 0.0))
+    inverse = zeta_inverse_field(frame)
+    p0 = np.array([2.0, 0.0, 0.0])
+
+    def fld(pts):
+        return inverse(pts - p0)
+
     res = []
     for n in (64, 128, 256):
         c = circle_curve(center=(0.9, 0.0, 0.0), radius=1.0, nodes=n)
@@ -373,7 +358,7 @@ def test_polyline_rule_matches_per_segment_trapezoid(bundles):
     rng = np.random.default_rng(5)
     pts = np.cumsum(rng.uniform(-0.3, 0.3, size=(40, 3)), axis=0) + [0.6, 0.2, -0.1]
     field = zeta_power_field(frame, 3)
-    got = curvilinear_integral(field, polyline_curve(pts), frame)
+    got = curvilinear_integral(field, Curve3(pts, closed=False), frame)
     # independent reference: sum over segments of (f_i + f_{i+1}) / 2 times d zeta(dp_i)
     want = AlgElement(spec, np.zeros(spec.n, dtype=complex))
     for p, q in zip(pts[:-1], pts[1:]):

@@ -24,7 +24,6 @@ from monalg import (
     make_frame,
     multiply,
     norm_euclid,
-    polyline_curve,
     representation_field,
     sigma_closed,
     sigma_direct,
@@ -140,7 +139,7 @@ def test_winding_number_rejects_functional_indices_outside_1_to_m(bundles):
 def test_winding_number_rejects_open_curves(bundles):
     # an open arc, about 0.8 of the way round, once read winding 1 on A5
     frame = bundles["A5"].default_frame
-    arc = polyline_curve(circle_curve(nodes=4096).points[:3300])
+    arc = Curve3(circle_curve(nodes=4096).points[:3300], closed=False)
     with pytest.raises(EmbraceError, match="closed curve"):
         winding_number(frame, arc, 1)
     with pytest.raises(EmbraceError, match="closed curve"):
@@ -838,7 +837,7 @@ def test_formula_checks_lambdas_preconditions(bundles):
         for loop in (beside, around.reversed()):  # windings 0 and -1
             with pytest.raises(EmbraceError, match="does not embrace once"):
                 cauchy_formula_residual(zeta_field(frame), frame, p0, loop)
-        arc = polyline_curve(around.points[:200])
+        arc = Curve3(around.points[:200], closed=False)
         with pytest.raises(EmbraceError, match="closed curve"):
             cauchy_formula_residual(zeta_field(frame), frame, p0, arc)
 

@@ -13,8 +13,6 @@ from monalg import (
     gateaux_derivative_fd,
     invert_direct,
     make_zeta,
-    mspec_from_json,
-    mspec_to_json,
     multiply,
     norm_euclid,
     representation_field,
@@ -262,19 +260,6 @@ def test_cauchy_riemann_detects_violation(bundles):
     assert r2 > 0.5  # norm(I_1 e2) = sqrt(3) here
 
 
-def test_mspec_json_round_trip():
-    ms = MonogenicSpec(
-        F=(HoloFunction("series", (1, 1, 0.5)), HoloFunction("rational", num=(1,), den=(0, 1))),
-        G={3: HoloFunction("polynomial", (2, 1j))},
-        contours={1: (0.5 + 0.1j, 1.2)},
-    )
-    back = mspec_from_json(mspec_to_json(ms))
-    assert back.F[0].coeffs == ms.F[0].coeffs
-    assert back.F[1].den == ms.F[1].den
-    assert back.G[3].coeffs == ms.G[3].coeffs
-    assert back.contours[1] == ms.contours[1]
-
-
 def test_coinciding_functionals_give_clear_error(bundles):
     # on the z = 0 plane the two C2 functional values coincide and the
     # representation has no separating contour
@@ -468,6 +453,19 @@ def test_non_finite_points_are_named(bundles):
         pts[5] = p
         with pytest.raises(ValueError, match="curve node 5 is not finite"):
             Curve3(pts, closed=True)
+
+
+def test_non_finite_holomorphic_data_is_named():
+    # checked once, at construction, not per evaluation
+    for name, kind, data in (("coeffs", "polynomial", (1.0, np.nan)),
+                             ("coeffs", "series", (0.5, complex(0.0, np.inf))),
+                             ("num", "rational", (1.0, np.inf)),
+                             ("den", "rational", (1.0, np.nan))):
+        with pytest.raises(ValueError, match=f"{name} is not finite at index 1"):
+            HoloFunction(kind, **{name: data})
+    with pytest.raises(ValueError, match="center .* is not finite"):
+        HoloFunction("polynomial", (0.0, 1.0), center=complex(np.nan, 0.0))
+    assert HoloFunction("polynomial", (0.0, 1.0))(0.5) == 0.5
 
 
 def test_gateaux_derivative_reports_a_failing_field(bundles):

@@ -1,6 +1,8 @@
 import importlib
 import pkgutil
+import re
 import types
+from pathlib import Path
 
 import monalg
 
@@ -30,3 +32,33 @@ def test_every_error_is_an_algebra_error():
     for err in errors:
         assert issubclass(err, monalg.AlgebraError), err
     assert issubclass(monalg.SingularityError, monalg.NonInvertibleError)
+
+
+_REPO = Path(__file__).resolve().parent.parent
+
+
+def _library_api_names() -> set:
+    """The backticked names in the first column of README's "Library API" table."""
+    readme = (_REPO / "README.md").read_text()
+    section = readme.partition("\n## Library API\n")[2].partition("\n## ")[0]
+    return {name for line in section.splitlines() if line.startswith("|")
+            for name in re.findall(r"`(\w+)`", line.split("|")[1])}
+
+
+def test_every_public_name_has_a_caller():
+    # a public name is called in the package, a demo or the benchmark, or the
+    # README lists it as library API beside the paper object it implements;
+    # tests do not count, and neither do the benchmark tracer's string keys
+    src = "\n".join(re.sub(r"__all__ = \[.*?\]", "", path.read_text(), flags=re.S)
+                    for path in sorted(Path(monalg.__file__).parent.glob("*.py")))
+    demos = "\n".join(path.read_text() for path in sorted((_REPO / "demos").glob("*.py")))
+    bench = "\n".join(path.read_text() for path in sorted((_REPO / "perfbench").glob("*.py")))
+    listed = _library_api_names()
+    uncalled = []
+    for mod in _modules_with_all():
+        for name in mod.__all__:
+            own = re.sub(rf"^\s*(?:def|class) {name}\b.*$", "", src, flags=re.M)
+            if not (re.search(rf"\b{name}\b", own) or re.search(rf"\b{name}\b", demos)
+                    or re.search(rf"\bM\.{name}\b", bench) or name in listed):
+                uncalled.append(name)
+    assert not uncalled, uncalled

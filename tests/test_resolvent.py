@@ -4,7 +4,6 @@ import pytest
 from monalg import (
     NonInvertibleError,
     SingularityError,
-    compute_coeffs,
     invert_direct,
     make_zeta,
     multiply,
@@ -15,25 +14,30 @@ from monalg import (
     xi_values,
     zeta_inverse_closed,
 )
+from monalg.geometry import _zeta_coeffs
+from monalg.resolvent import _one, _recurrences
 
 from conftest import random_safe_points
+
+
+def _recurrence_data(frame, p):
+    """xi, T, B and Q of zeta at the single point p, each a batch of one;
+    T[0, s - m - 1] is T_s."""
+    return _recurrences(frame.spec, _zeta_coeffs(frame, _one(p)))
 
 
 def test_t_values_harmonic_frame(bundles):
     frame = bundles["A5"].frames["harmonic"]
     y, z = -0.7, 1.3
-    co = compute_coeffs(frame, (0.4, y, z))
-    assert co.T[2] == pytest.approx(z * (1 - 1j))
-    assert co.T[3] == pytest.approx(y)
-    assert co.T[4] == pytest.approx(z * (1 - 3j) / 4)
-    assert co.T[5] == pytest.approx(y)
-    np.testing.assert_allclose(co.xi, [0.4 + 1j * y])
+    xi, T, _, _ = _recurrence_data(frame, (0.4, y, z))
+    np.testing.assert_allclose(T[0], [z * (1 - 1j), y, z * (1 - 3j) / 4, y])
+    np.testing.assert_allclose(xi[0], [0.4 + 1j * y])
 
 
 def test_semisimple_has_no_nilpotent_data(bundles):
-    co = compute_coeffs(bundles["C2"].default_frame, (0.3, 0.4, 0.5))
-    assert co.T == {} and co.Q == {} and co.Qtilde == {}
-    np.testing.assert_allclose(co.xi, [0.3 + 0.4j + 0.5, 0.3 + 0.4j - 0.5])
+    xi, T, B, Q = _recurrence_data(bundles["C2"].default_frame, (0.3, 0.4, 0.5))
+    assert T.shape == (1, 0) and B == {} and Q == {}
+    np.testing.assert_allclose(xi[0], [0.3 + 0.4j + 0.5, 0.3 + 0.4j - 0.5])
 
 
 def test_recurrence_base_cases(bundles):
@@ -42,21 +46,20 @@ def test_recurrence_base_cases(bundles):
         spec = bundle.algebra
         frame = bundle.default_frame
         for _ in range(10):
-            co = compute_coeffs(frame, rng.uniform(-2, 2, size=3))
+            _, T, _, Q = _recurrence_data(frame, rng.uniform(-2, 2, size=3))
             for s in range(spec.m + 1, spec.n + 1):
-                assert co.Q[(2, s)] == co.T[s]
-                assert co.Qtilde[(2, s)] == -co.T[s]
-                for k in co.Q:
+                assert Q[(2, s)][0] == T[0, s - spec.m - 1]
+                for k in Q:
                     assert 2 <= k[0] <= k[1] - spec.m + 1
 
 
 def test_resolvent_semisimple_form(bundles):
     frame = bundles["C2"].default_frame
     p = (0.2, -0.3, 0.7)
-    co = compute_coeffs(frame, p)
+    xi = xi_values(frame, p)
     t = 2.5 + 1j
     res = resolvent_at(t, frame, p)
-    np.testing.assert_allclose(res.coeffs, 1.0 / (t - co.xi), atol=1e-14)
+    np.testing.assert_allclose(res.coeffs, 1.0 / (t - xi), atol=1e-14)
 
 
 def test_resolvent_matches_linear_solve(bundles):
@@ -143,14 +146,13 @@ def test_zeta_inverse_on_line_raises(bundles):
 def test_b_couplings_a5(bundles):
     # rho-power table collapses B_{r,s} to T_{s-r+1}
     frame = bundles["A5"].frames["harmonic"]
-    co = compute_coeffs(frame, (0.4, -0.7, 1.3))
-    for (r, s), v in co.B.items():
-        assert v == pytest.approx(co.T[s - r + 1])
+    _, T, B, _ = _recurrence_data(frame, (0.4, -0.7, 1.3))
+    for (r, s), v in B.items():
+        assert v[0] == pytest.approx(T[0, s - r - frame.spec.m])
 
 
 def test_single_point_calls_return_their_batch_row(bundles):
-    from monalg.geometry import _zeta_coeffs
-    from monalg.resolvent import _recurrences, _resolvent_batch, _zeta_inverse_batch
+    from monalg.resolvent import _resolvent_batch, _zeta_inverse_batch
 
     t = 3.1 + 0.8j
     for name in ("A5", "J71", "A2_radical", "C2"):
@@ -162,9 +164,9 @@ def test_single_point_calls_return_their_batch_row(bundles):
         for i, p in enumerate(pts):
             assert np.array_equal(zeta_inverse_closed(frame, p).coeffs, inv[i])
             assert np.array_equal(resolvent_at(t, frame, p).coeffs, res[i])
-            co = compute_coeffs(frame, p)
-            assert np.array_equal(co.xi, xi[i])
-            assert all(co.Q[k] == v[i] for k, v in Q.items())
+            xi1, _, _, Q1 = _recurrence_data(frame, p)
+            assert np.array_equal(xi1[0], xi[i])
+            assert all(Q1[k][0] == v[i] for k, v in Q.items())
 
 
 def test_resolvent_batch_takes_one_t_per_point(bundles):
