@@ -71,7 +71,7 @@ class Check(NamedTuple):
 
 # Every bound the CLI asserts, named by the report value it bounds.  The
 # verify-all rows are checked on each fixture's record; verify-cauchy,
-# verify-formula and invert take their default --tol from their rows.
+# verify-formula and invert check their values against their rows.
 CHECKS = {
     "validation": Check("==", []),
     "oracle.zeta_inverse_max_rel": Check("<=", 1e-9),
@@ -116,15 +116,12 @@ class RunConfig:
     nodes: int = 4096
     radius: float = 1.0
     plane: str = "xy"
-    tol: float | None = None
     seed: int = 0
     out: str = "monalg_report.json"
 
     def __post_init__(self):
         if self.nodes < 64:
             raise ValueError("node_count must be >= 64")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 def _c2pair(z: complex) -> list[float]:
@@ -187,7 +184,7 @@ def _cmd_validate(cfg: RunConfig):
 def _cmd_invert(cfg: RunConfig):
     frame = _load_frame(cfg)
     spec = frame.spec
-    tol = cfg.tol if cfg.tol is not None else CHECKS["relative_mismatch"].bound
+    tol = CHECKS["relative_mismatch"].bound
     z = make_zeta(frame, cfg.point)
     direct = invert_direct(z)
     closed = zeta_inverse_closed(frame, cfg.point)
@@ -266,10 +263,10 @@ def _formula_circle(nodes: int) -> Curve3:
 
 def _residuals_report(cfg: RunConfig, key: str, residuals, *where) -> tuple[dict, bool]:
     """The report of a command that checks the residuals of the standard
-    functions, residuals(functions, frame, *where), against --tol, which
-    defaults to the bound of CHECKS[key]."""
+    functions, residuals(functions, frame, *where), against the bound of
+    CHECKS[key]."""
     frame = _load_frame(cfg)
-    tol = cfg.tol if cfg.tol is not None else CHECKS[key].bound
+    tol = CHECKS[key].bound
     res = residuals(_standard_mspecs(frame.spec), frame, *where)
     ok = all(v <= tol for v in res.values())
     return {
@@ -431,11 +428,11 @@ def _cmd_verify_all(cfg: RunConfig):
 # default.
 _COMMANDS = {
     "validate": (_cmd_validate, ("source", "out")),
-    "invert": (_cmd_invert, ("source", "frame", "point", "tol", "out")),
+    "invert": (_cmd_invert, ("source", "frame", "point", "out")),
     "lambda": (_cmd_lambda, ("source", "frame", "nodes", "radius", "plane", "out")),
     "classify": (_cmd_classify, ("source", "frame", "out")),
-    "verify-cauchy": (_cmd_verify_cauchy, ("source", "frame", "nodes", "tol", "out")),
-    "verify-formula": (_cmd_verify_formula, ("source", "frame", "nodes", "tol", "out")),
+    "verify-cauchy": (_cmd_verify_cauchy, ("source", "frame", "nodes", "out")),
+    "verify-formula": (_cmd_verify_formula, ("source", "frame", "nodes", "out")),
     "verify-all": (_cmd_verify_all, ("nodes", "seed", "out")),
 }
 
@@ -445,7 +442,6 @@ _OPTIONS = {
     "nodes": {"type": int},
     "radius": {"type": float},
     "plane": {"choices": ("xy", "yz", "zx")},
-    "tol": {"type": float},
     "seed": {"type": int},
     "out": {},
 }

@@ -38,7 +38,6 @@ __all__ = [
     "stokes_residual",
     "morera_functional",
     "morera_scan",
-    "norm_inequality_check",
     "norm_inequality_checks",
     "certified_lemma_constant",
 ]
@@ -377,16 +376,11 @@ def certified_lemma_constant(frame: E3Frame) -> float:
     return float(np.sqrt(3.0) * max(1.0, _op_norm(frame.e2), _op_norm(frame.e3)) / smin)
 
 
-def norm_inequality_check(psi: Field, curve: Curve3, frame: E3Frame) -> tuple[float, float, float]:
-    """(lhs, rhs, c): norm of the integral vs c * integral of ||Psi|| ||d zeta||."""
-    (pair,), c = norm_inequality_checks([psi], [curve], frame)
-    return (*pair, c)
-
-
 def norm_inequality_checks(psis, curves, frame: E3Frame) -> tuple[list[tuple[float, float]], float]:
-    """norm_inequality_check of every field of the sequence psis on every curve:
-    the (lhs, rhs) pairs, curve by curve and on each curve field by field, and
-    c.  The frame's c is computed once, and each curve's steps and ||d zeta|| once."""
+    """Lemma 1 for each field Psi of psis on each curve: the pairs (lhs, rhs),
+    norm of the integral vs c * integral of ||Psi|| ||d zeta||, curve by curve
+    and on each curve field by field, and c.  The frame's c is computed once,
+    and each curve's steps and ||d zeta|| once."""
     c = certified_lemma_constant(frame)
     pairs = []
     for curve in curves:

@@ -34,7 +34,7 @@ from .integration import (
     _node_steps,
 )
 from .monogenic import MonogenicSpec, _rep_values
-from .resolvent import _inverse, _one, _recurrences, _zeta_inverse_batch
+from .resolvent import _inverse, _invertible_zeta, _one, _recurrences, _zeta_inverse_batch
 
 __all__ = [
     "EmbraceError",
@@ -48,9 +48,7 @@ __all__ = [
     "sigma_direct",
     "exactness_conditions",
     "theorem8_products",
-    "cauchy_theorem_residual",
     "cauchy_theorem_residuals",
-    "cauchy_formula_residual",
     "cauchy_formula_residuals",
 ]
 
@@ -216,8 +214,9 @@ def _atilde_batch(spec: AlgebraSpec, zc: np.ndarray) -> np.ndarray:
 
 
 def atilde_closed(frame: E3Frame, p) -> dict[int, complex]:
-    """_atilde_batch at one point, keyed by the 1-based index of each coefficient."""
-    row = _atilde_batch(frame.spec, _zeta_coeffs(frame, _one(p)))[0]
+    """_atilde_batch at one point, keyed by the 1-based index of each
+    coefficient, under resolvent._invertible_zeta's checks."""
+    row = _atilde_batch(frame.spec, _invertible_zeta(frame, _one(p)))[0]
     return {frame.spec.m + 1 + i: complex(v) for i, v in enumerate(row)}
 
 
@@ -302,12 +301,11 @@ def _remainder_terms(c) -> dict[int, list]:
 
 def sigma_closed(frame: E3Frame, p, dp) -> SigmaForms:
     """sigma_{m+1}..sigma_{m+4} on the tangent dp, via the split differential
-    representation: d(antiderivative) plus structure-constant-weighted remainders."""
+    representation: d(antiderivative) plus structure-constant-weighted
+    remainders.  p is checked as by resolvent._invertible_zeta."""
     spec = frame.spec
     n, m = spec.n, spec.m
-    pt = np.asarray(p, dtype=float)
-    d = np.asarray(dp, dtype=float)
-    zc, dzc = _zeta_coeffs(frame, pt), _zeta_coeffs(frame, d)
+    zc, dzc = _invertible_zeta(frame, p), _zeta_coeffs(frame, np.asarray(dp, dtype=float))
     xi_all, T, dxi_all, dT = zc[:m], zc[m:], dzc[:m], dzc[m:]
     c = spec.plan.shorthands
     anti = _antiderivative_terms(c)
@@ -320,8 +318,6 @@ def sigma_closed(frame: E3Frame, p, dp) -> SigmaForms:
         k = m + off
         uk = spec.u_map[k]
         xi, dxi = complex(xi_all[uk - 1]), complex(dxi_all[uk - 1])
-        if xi == 0:
-            raise NonInvertibleError(f"xi_{uk} = 0 at the evaluation point", u=uk)
         ex = 0.0
         for coeff, powers, xi_pow in anti[off]:
             if coeff != 0:
@@ -459,34 +455,22 @@ def _values(phis: dict, frame: E3Frame, pts: np.ndarray, where: str):
             yield key, _eval_field(phi, pts, where)
 
 
-def cauchy_theorem_residual(phi, frame: E3Frame, curve: Curve3) -> float:
-    """norm of the loop integral of a monogenic function (zero in exact arithmetic).
-    A MonogenicSpec uses the representation's default contour rule, read only
-    by callable data; for another, pass representation_field(phi, frame, nodes)."""
-    return cauchy_theorem_residuals({0: phi}, frame, curve)[0]
-
-
 def cauchy_theorem_residuals(phis: dict, frame: E3Frame, curve: Curve3) -> dict:
-    """cauchy_theorem_residual of each function of phis on one curve, keyed
-    alike: they share the curve's steps, and the MonogenicSpecs among them one
-    _recurrences of its nodes."""
+    """The norm of each function's loop integral on one curve (zero for a
+    monogenic one), keyed as phis.  They share the curve's steps, and the
+    MonogenicSpecs one _recurrences of its nodes and the representation's
+    default contour rule; for another, pass representation_field(phi, frame, nodes)."""
     steps = _node_steps(curve)
     return {key: norm_euclid(_integrate_values(frame, vals, steps))
             for key, vals in _values(phis, frame, curve.points, "curve")}
 
 
-def cauchy_formula_residual(phi, frame: E3Frame, p0, curve: Curve3) -> float:
-    """norm(lambda * Phi(zeta_0) - loop integral of Phi(zeta)(zeta - zeta_0)^{-1} d zeta);
-    a MonogenicSpec is evaluated as in cauchy_theorem_residual."""
-    return cauchy_formula_residuals({0: phi}, frame, p0, curve)[0]
-
-
 def cauchy_formula_residuals(phis: dict, frame: E3Frame, p0, curve: Curve3) -> dict:
-    """cauchy_formula_residual at p0 of each function of phis on one curve,
-    keyed alike.  They share one lambda, the loop integral of
-    (zeta - zeta_0)^{-1} on the curve's steps under lambda_numeric's checks,
-    the node weights built from the same steps and inverse, and the
-    MonogenicSpecs among them one _recurrences of the nodes and one of p0."""
+    """norm(lambda * Phi(zeta_0) - loop integral of Phi(zeta)(zeta - zeta_0)^{-1} d zeta)
+    for each function Phi of phis, keyed alike.  They share one lambda, the loop
+    integral of (zeta - zeta_0)^{-1} on the curve's steps under lambda_numeric's
+    checks, the node weights built from the same, and the MonogenicSpecs one
+    _recurrences of the nodes and one of p0, each as in cauchy_theorem_residuals."""
     if not curve.closed:
         raise EmbraceError("lambda requires a closed curve")
     p0 = np.asarray(p0, dtype=float)
@@ -515,7 +499,7 @@ def _formula_weights(steps: np.ndarray, inv: np.ndarray) -> np.ndarray:
 
 def _formula_residual(frame: E3Frame, lam: AlgElement, phi0: np.ndarray, vals: np.ndarray,
                       weights: np.ndarray) -> float:
-    """cauchy_formula_residual from node data: Phi(zeta_0) (n,), Phi (N, n) at
+    """A cauchy_formula_residuals entry from node data: Phi(zeta_0) (n,), Phi (N, n) at
     the curve's nodes and the weights of _formula_weights.
 
     The integrand's steps sum to sum_i d_i Phi_i (zeta - zeta_0)^{-1}_i, which

@@ -191,17 +191,27 @@ def _inverse(spec: AlgebraSpec, coeffs: np.ndarray) -> np.ndarray:
     return _expand(spec, Q, W)
 
 
+def _finite(pts) -> np.ndarray:
+    """pts (..., 3) as floats; a point with a non-finite coordinate raises
+    ValueError naming it."""
+    pts = np.asarray(pts, dtype=float)
+    if not np.isfinite(pts).all():
+        bad = np.argwhere(~np.isfinite(pts))[0][:-1]  # the index of its point
+        raise ValueError(f"point {tuple(pts[tuple(bad)].tolist())} is not finite")
+    return pts
+
+
 def _resolvent_batch(frame: E3Frame, pts: np.ndarray, t) -> np.ndarray:
     """Resolvent at a batch of points; t is one complex or one per point (batch
     shape): the inverse of t e1 - zeta, which is zeta at -p with t added to
-    its idempotent coefficients."""
+    its idempotent coefficients.  A non-finite point raises ValueError."""
     spec = frame.spec
-    shifted = _zeta_coeffs(frame, -np.asarray(pts, dtype=float))
+    shifted = _zeta_coeffs(frame, -_finite(pts))
     t = np.asarray(t, dtype=complex)[..., None]
     d = shifted[..., : spec.m]
     d += t
     bad = np.abs(d) < _POLE_TOL * (1 + np.abs(t))
-    if np.any(bad):
+    if bad.any():
         idx = tuple(np.argwhere(bad)[0])
         u = int(idx[-1]) + 1
         raise SingularityError(f"t = {complex(np.broadcast_to(t, d.shape)[idx])} hits "
@@ -214,19 +224,27 @@ def resolvent_at(t: complex, frame: E3Frame, p) -> AlgElement:
     return AlgElement(frame.spec, _resolvent_batch(frame, _one(p), complex(t))[0])
 
 
-def _zeta_inverse_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
-    """zeta^{-1} at a batch of points (..., 3) -> (..., n); a point with some
-    |xi_u| below 1e-13 (1 + its own |p|) raises NonInvertibleError."""
-    pts = np.asarray(pts, dtype=float)
+def _invertible_zeta(frame: E3Frame, pts) -> np.ndarray:
+    """zeta's coefficients (..., n) at points (..., 3), under the one pole rule
+    of the closed forms of zeta^{-1}: a point with a non-finite coordinate
+    raises ValueError, and one with some |xi_u| below 1e-13 (1 + its own |p|)
+    NonInvertibleError."""
+    pts = _finite(pts)
     zc = _zeta_coeffs(frame, pts)
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
     # |p| as np.linalg.norm(pts, axis=-1) sums it, bit for bit, without its copies
     bound = _POLE_TOL * (1 + np.sqrt(x * x + y * y + z * z))
     bad = np.abs(zc[..., : frame.spec.m]) < bound[..., None]
-    if np.any(bad):
+    if bad.any():
         u = int(np.argwhere(bad)[0][-1]) + 1
         raise NonInvertibleError(f"point lies on line L_{u} (xi_{u} = 0)", u=u)
-    return _inverse(frame.spec, zc)
+    return zc
+
+
+def _zeta_inverse_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
+    """zeta^{-1} at a batch of points (..., 3) -> (..., n), under
+    _invertible_zeta's checks."""
+    return _inverse(frame.spec, _invertible_zeta(frame, pts))
 
 
 def zeta_inverse_closed(frame: E3Frame, p) -> AlgElement:

@@ -17,7 +17,7 @@ from monalg import (
     HoloFunction,
     MonogenicSpec,
     atilde_closed,
-    cauchy_formula_residual,
+    cauchy_formula_residuals,
     cauchy_riemann_residual,
     circle_curve,
     constant_field,
@@ -28,7 +28,7 @@ from monalg import (
     make_zeta,
     morera_functional,
     norm_euclid,
-    norm_inequality_check,
+    norm_inequality_checks,
     rectangle_surface,
     representation_field,
     resolvent_at,
@@ -178,12 +178,9 @@ def test_criterion_06_cauchy_formula(bundles):
         spec = frame.spec
         p0 = (0.31, 0.17, 0.45)
         curve = circle_curve(center=p0, radius=0.9, nodes=4096)
-        for ms in (
-            MonogenicSpec(F=tuple(HoloFunction("polynomial", (0, 1)) for _ in range(spec.m))),
-            MonogenicSpec(F=tuple(HoloFunction("polynomial", (0, 0, 1)) for _ in range(spec.m))),
-            exp_mspec(spec),
-        ):
-            r = cauchy_formula_residual(ms, frame, p0, curve)
+        mspecs = [MonogenicSpec(F=tuple(HoloFunction("polynomial", c) for _ in range(spec.m)))
+                  for c in ((0, 1), (0, 0, 1))] + [exp_mspec(spec)]
+        for r in cauchy_formula_residuals(dict(enumerate(mspecs)), frame, p0, curve).values():
             worst = max(worst, r)
             ok &= r <= CHECKS["cauchy_formula"].bound
     report(6, ok, f"Cauchy formula residuals on C2 and A5: worst = {worst:.3e}")
@@ -264,7 +261,7 @@ def test_criterion_09_norm_inequality(bundles):
                     from monalg import xi_values
                     if np.min(np.abs(xi_values(frame, curve.points))) < 0.05:
                         continue
-                lhs, rhs, _ = norm_inequality_check(field, curve, frame)
+                [(lhs, rhs)], _ = norm_inequality_checks([field], [curve], frame)
                 pairs += 1
                 if lhs > rhs * (1 + CHECKS["lemma1.slack"].bound):
                     violations += 1

@@ -188,8 +188,7 @@ def test_formula_residuals_compute_lambda_once(monkeypatch):
 def test_cauchy_residuals_are_cauchy_theorem_residual():
     # each entry of a check of many functions is the check of that function
     # alone, bit for bit, with fields and MonogenicSpecs mixed
-    from monalg import (cauchy_formula_residual, cauchy_formula_residuals,
-                        cauchy_theorem_residual, cauchy_theorem_residuals, curvilinear_integral,
+    from monalg import (cauchy_formula_residuals, cauchy_theorem_residuals, curvilinear_integral,
                         list_fixtures, load_fixture, norm_euclid, representation_field,
                         zeta_field)
 
@@ -201,8 +200,10 @@ def test_cauchy_residuals_are_cauchy_theorem_residual():
         got_formula = cauchy_formula_residuals(phis, frame, p0, formula)
         assert list(got) == list(got_formula) == list(phis)
         for name, phi in phis.items():
-            assert got[name] == cauchy_theorem_residual(phi, frame, theorem), fixture
-            assert got_formula[name] == cauchy_formula_residual(phi, frame, p0, formula), fixture
+            alone = {name: phi}
+            assert got[name] == cauchy_theorem_residuals(alone, frame, theorem)[name], fixture
+            want = cauchy_formula_residuals(alone, frame, p0, formula)[name]
+            assert got_formula[name] == want, fixture
             if name != "zeta":  # and the representation's field, integrated alone
                 field = representation_field(phi, frame, 512)
                 assert got[name] == norm_euclid(curvilinear_integral(field, theorem, frame))
@@ -384,12 +385,15 @@ def test_residual_commands_load_frames_from_files(tmp_path, capsys):
     ["validate", "--fixture", "A5", "--nodes", "99999", "--point", "1,2,3"],
     ["lambda", "--fixture", "A5"],
     ["verify-all", "--nodes", "256", "--radius", "1.5"],
+    ["invert", "--fixture", "A5"],
+    ["verify-cauchy", "--fixture", "A5"],
+    ["verify-formula", "--fixture", "A5"],
 ])
 def test_commands_with_fixed_bounds_reject_tol(args, tmp_path, capsys):
-    # these commands check fixed bounds only: a --tol would be ignored, so a
-    # user asking for a tighter bound must not be told that every check passed.
-    # Each case is a valid three-word call, then options its command does not
-    # read either, which are rejected alike.
+    # every command checks the fixed bounds of CHECKS only: a --tol would be
+    # ignored, so a user asking for a tighter bound must not be told that every
+    # check passed.  Each case is a valid three-word call, then options its
+    # command does not read either, which are rejected alike.
     out = tmp_path / "r.json"
     with pytest.raises(SystemExit) as exc:
         cli.main([*args, "--tol", "1e-30", "--out", str(out)])

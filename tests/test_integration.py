@@ -14,7 +14,7 @@ from monalg import (
     morera_scan,
     multiply,
     norm_euclid,
-    norm_inequality_check,
+    norm_inequality_checks,
     rectangle_surface,
     stokes_residual,
     surface_integral,
@@ -212,9 +212,10 @@ def test_norm_inequality(bundles):
         spec = bundle.algebra
         zero = constant_field(0.0 * unit_element(spec))
         curve = circle_curve(nodes=256)
-        lhs, rhs, c = norm_inequality_check(zero, curve, frame)
+        [(lhs, rhs)], c = norm_inequality_checks([zero], [curve], frame)
         assert lhs == 0.0 and rhs == 0.0 and c > 0
-        lhs, rhs, c = norm_inequality_check(constant_field(unit_element(spec)), curve, frame)
+        [(lhs, rhs)], c = norm_inequality_checks([constant_field(unit_element(spec))], [curve],
+                                                 frame)
         assert lhs <= 1e-12 and rhs > 0
         assert c == certified_lemma_constant(frame)
 
@@ -242,14 +243,14 @@ def test_norm_inequality_holds_everywhere(bundles):
                     from monalg import xi_values
                     if np.min(np.abs(xi_values(frame, curve.points))) < 0.05:
                         continue
-                lhs, rhs, _ = norm_inequality_check(field, curve, frame)
+                [(lhs, rhs)], _ = norm_inequality_checks([field], [curve], frame)
                 assert lhs <= rhs * (1 + 1e-12)
 
 
 def test_norm_inequality_lambda_case(bundles):
     frame = bundles["A5"].frames["harmonic"]
     curve = circle_curve(nodes=1024)
-    lhs, rhs, _ = norm_inequality_check(zeta_inverse_field(frame), curve, frame)
+    [(lhs, rhs)], _ = norm_inequality_checks([zeta_inverse_field(frame)], [curve], frame)
     lam = lambda_numeric(frame, curve).lambda_
     assert lhs == pytest.approx(norm_euclid(lam), rel=1e-12)
     assert lhs <= rhs
@@ -328,8 +329,8 @@ def test_near_singular_loop_decays_fast(bundles):
 
 def test_field_evaluation_error_carries_context(bundles):
     from monalg import (FieldEvaluationError, HoloFunction, MonogenicSpec,
-                        cauchy_formula_residual, cauchy_riemann_residual,
-                        cauchy_theorem_residual)
+                        cauchy_formula_residuals, cauchy_riemann_residual,
+                        cauchy_theorem_residuals)
 
     frame = bundles["A5"].default_frame
 
@@ -347,9 +348,9 @@ def test_field_evaluation_error_carries_context(bundles):
     p0 = (0.31, 0.17, -0.23)
     curve = circle_curve(center=p0, radius=0.9, nodes=64)
     with pytest.raises(FieldEvaluationError, match="on curve: need one F_u"):
-        cauchy_theorem_residual(bad, frame, curve)
+        cauchy_theorem_residuals({"bad": bad}, frame, curve)
     with pytest.raises(FieldEvaluationError, match="on p0: need one F_u"):
-        cauchy_formula_residual(bad, frame, p0, curve)
+        cauchy_formula_residuals({"bad": bad}, frame, p0, curve)
 
 
 def test_polyline_rule_matches_per_segment_trapezoid(bundles):

@@ -1,21 +1,30 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
 from monalg import (
+    HoloFunction,
+    MonogenicSpec,
     NonInvertibleError,
     SingularityError,
+    atilde_closed,
+    eval_representation,
     invert_direct,
     make_zeta,
     multiply,
     noninvertibility_lines,
     norm_euclid,
     resolvent_at,
+    sigma_closed,
+    sigma_direct,
     unit_element,
     xi_values,
     zeta_inverse_closed,
 )
 from monalg.geometry import _zeta_coeffs
-from monalg.resolvent import _one, _recurrences
+from monalg.resolvent import _one, _recurrences, _resolvent_batch, _zeta_inverse_batch
 
 from conftest import random_safe_points
 
@@ -152,8 +161,6 @@ def test_b_couplings_a5(bundles):
 
 
 def test_single_point_calls_return_their_batch_row(bundles):
-    from monalg.resolvent import _resolvent_batch, _zeta_inverse_batch
-
     t = 3.1 + 0.8j
     for name in ("A5", "J71", "A2_radical", "C2"):
         frame = bundles[name].default_frame
@@ -247,10 +254,7 @@ def test_plan_matches_the_gamma_scan(bundles):
 def test_every_batch_shape_keeps_its_layout(bundles):
     # inside the kernels a batch is one row per coefficient; whatever the
     # batch shape, each result is the flat batch's reshaped, bit for bit
-    from monalg import HoloFunction, MonogenicSpec
-    from monalg.geometry import _zeta_coeffs
     from monalg.monogenic import _rep_batch
-    from monalg.resolvent import _recurrences, _resolvent_batch, _zeta_inverse_batch
 
     rng = np.random.default_rng(59)
     poly = HoloFunction("polynomial", (0.5, 1.0, -0.3j))
@@ -295,8 +299,7 @@ def test_every_batch_shape_keeps_its_layout(bundles):
 
 
 def test_evaluation_never_scans_gamma(bundles, monkeypatch):
-    from monalg import (AlgebraSpec, HoloFunction, MonogenicSpec, atilde_closed,
-                        eval_representation, sigma_closed, sigma_direct)
+    from monalg import AlgebraSpec
 
     def spy(self, r, s, k):
         raise AssertionError("gamma_coeff called during evaluation")
@@ -323,8 +326,6 @@ def test_pole_scale_is_the_norm_expression_bit_for_bit(bundles):
     # _zeta_inverse_batch raises for a point exactly when some |xi_u| is below
     # 1e-13 (1 + |p|), |p| the point's own np.linalg.norm, alone or beside a
     # far point: probed at the last floats on either side of that bound
-    from monalg.resolvent import _zeta_inverse_batch
-
     frame = bundles["A5"].default_frame
     line = noninvertibility_lines(frame)[0].direction
     far = np.full(3, 1e3)
@@ -354,6 +355,39 @@ def test_pole_scale_is_the_norm_expression_bit_for_bit(bundles):
                         _zeta_inverse_batch(frame, batch)
                 else:
                     _zeta_inverse_batch(frame, batch)
+
+
+_DP = (0.3, -0.2, 0.5)
+# the single-point closed forms of zeta^{-1} and the sigma forms, as f(frame, p)
+_INVERSE_FORMS = (zeta_inverse_closed, atilde_closed, lambda frame, p: sigma_closed(frame, p, _DP),
+                  lambda frame, p: sigma_direct(frame, p, _DP))
+
+
+def test_closed_forms_of_the_inverse_share_one_pole_rule(bundles):
+    # at 0.7 times the direction of L_1, xi_1 is -5.6e-17, not 0: every form
+    # raises there, none gives coefficients of size 1e32 and above
+    frame = bundles["A5"].default_frame
+    line = noninvertibility_lines(frame)[0].direction
+    assert xi_values(frame, 0.7 * line)[0] != 0
+    for scale, f in itertools.product((1e-3, 0.7, 1e3), _INVERSE_FORMS):
+        with pytest.raises(NonInvertibleError, match="line L_1") as exc:
+            f(frame, scale * line)
+        assert exc.value.u == 1
+
+
+def test_closed_forms_name_non_finite_points(bundles):
+    frame = bundles["A5"].default_frame
+    good = (0.3, 0.4, 0.5)
+    forms = _INVERSE_FORMS + (
+        lambda frame, p: resolvent_at(3.1 + 0.8j, frame, p),
+        # in a batch, the first non-finite point is named
+        lambda frame, p: _zeta_inverse_batch(frame, np.array([good, p, (np.nan,) * 3])),
+        lambda frame, p: _resolvent_batch(frame, np.array([[good, p]]), 3.1 + 0.8j),
+    )
+    for bad, f in itertools.product(((np.nan, 0.1, 0.2), (np.inf, 0.1, 0.2), (0.3, -np.inf, 0.2)),
+                                    forms):
+        with pytest.raises(ValueError, match=re.escape(f"point {bad} is not finite")):
+            f(frame, bad)
 
 
 def test_power_factors_are_no_less_accurate_than_pow():
@@ -413,8 +447,6 @@ def _transcribed_inverses(frame, pts, t):
 
 
 def test_inverses_are_the_transcribed_expansion_bit_for_bit(bundles):
-    from monalg.resolvent import _resolvent_batch, _zeta_inverse_batch
-
     rng = np.random.default_rng(61)
     for bundle in bundles.values():
         for frame in bundle.frames.values():
