@@ -76,7 +76,8 @@ class CouplingPlan:
         and leaves out every product with an identically zero factor.
     expand: (s, u_s, ks) per nilpotent s, ks the k whose Q_{k,s} is not
         identically zero (Q_{2,s} = T_s always counts).
-    orders: per u, the largest s - m + 1 over nilpotents with u_s = u, else 1.
+    orders: per u, the largest k that expand reads for u, else 1: the number
+        of factors x_u^{-k}, or contour moments, the expansion takes at x_u.
     shorthands: the ten constants A, B2, C, D, E, F, G, H, J, K of the
         closed forms at indices m+1..m+4 (_SHORTHAND_OFFSETS; 0.0 where the
         index exceeds n).
@@ -173,8 +174,8 @@ class AlgebraSpec:
         expand = tuple((s, self.u_map[s], tuple(k for k in range(2, s - m + 2) if (k, s) in live))
                        for s in range(m + 1, n + 1))
         orders = [1] * m
-        for s, u in self.u_map.items():
-            orders[u - 1] = max(orders[u - 1], s - m + 1)
+        for _, u, ks in expand:
+            orders[u - 1] = max(orders[u - 1], *ks)
         shorthands = {name: g(m + i, m + j, m + k) if m + k <= n else 0.0
                       for name, (i, j, k) in _SHORTHAND_OFFSETS.items()}
         return CouplingPlan(B, tuple(Q), expand, tuple(orders), shorthands)

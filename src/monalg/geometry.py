@@ -136,10 +136,12 @@ def _batch_view(rows: np.ndarray) -> np.ndarray:
     return rows.T if rows.ndim <= 2 else np.moveaxis(rows, 0, -1)
 
 
-def _zeta_rows(a: np.ndarray, b: np.ndarray, m: int, pts: np.ndarray) -> np.ndarray:
+def _zeta_rows(a: np.ndarray, b: np.ndarray, m: int, pts: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """The only kernel from points to zeta: pts (..., 3) -> rows (k, ...),
     one per entry of the coefficient vectors a and b of e2 and e3, the first
-    m of them idempotent.
+    m of them idempotent, filled into out when given (rows of a larger
+    buffer, say), else a fresh array.
 
     Row k is x + y a_k + z b_k on an idempotent row and y a_k + z b_k on the
     others, filled in place: y a_k, then + x on the idempotent rows, then
@@ -148,20 +150,21 @@ def _zeta_rows(a: np.ndarray, b: np.ndarray, m: int, pts: np.ndarray) -> np.ndar
     pts = np.asarray(pts, dtype=float)
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
     col = (slice(None),) + (None,) * x.ndim  # coefficients as a column: one row each
-    rows = y * a[col]
+    rows = np.multiply(y, a[col], out=out)
     rows[:m] += x
     rows += z * b[col]
     return rows
 
 
-def _zeta_coeffs(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
-    """Batch zeta: pts (..., 3) -> coefficient arrays (..., n), a view of rows.
+def _zeta_coeffs(frame: E3Frame, pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Batch zeta: pts (..., 3) -> coefficient arrays (..., n), a view of rows
+    (out, (n, ...), when given).
 
     The first m rows are xi_u = x + y a_u + z b_u and the others
     T_s = y a_s + z b_s, so xi = zc[..., :m] and T = zc[..., m:] are views
     whose columns are contiguous rows.
     """
-    return _batch_view(_zeta_rows(frame.a, frame.b, frame.spec.m, pts))
+    return _batch_view(_zeta_rows(frame.a, frame.b, frame.spec.m, pts, out))
 
 
 def make_zeta(frame: E3Frame, p) -> AlgElement:

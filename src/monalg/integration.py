@@ -211,7 +211,8 @@ def _node_steps(curve: Curve3) -> np.ndarray:
     linear in the tangent is the sum of its node values on these steps."""
     if curve.tangents is not None:
         steps = curve.dt * curve.tangents
-        steps[[0, -1]] *= 0.5
+        steps[0] *= 0.5
+        steps[-1] *= 0.5
         return steps
     half = 0.5 * np.diff(curve.points, axis=0)
     steps = np.zeros_like(curve.points)

@@ -25,7 +25,7 @@ from .algebra import (
     multiply,
     norm_euclid,
 )
-from .geometry import E3Frame, _zeta_coeffs, xi_values
+from .geometry import E3Frame, _batch_view, _zeta_coeffs, xi_values
 from .integration import (
     Curve3,
     _assemble,
@@ -59,6 +59,12 @@ class EmbraceError(AlgebraError):
 
 # lambda_numeric's is_2pi_i holds when |lambda - 2 pi i| <= this times 1 + |lambda|
 _IS_2PI_I_TOL = 1e-6
+
+# Points per block of a loop's zeta and, on longer loops, its zeta^{-1}
+# (_loop_inverse): the n = 5 expansion keeps about 30 complex temporaries of a
+# block's length, which at 4096 nodes is about 2 MiB, a core's L2 cache on the
+# benchmark host.
+_LOOP_BLOCK = 4096
 
 
 def winding_number(frame: E3Frame, curve: Curve3, u: int) -> int:
@@ -139,21 +145,50 @@ def _loop_inverse(frame: E3Frame, pts: np.ndarray,
     (EmbraceError).  So a node with 1e-12 scale <= |xi_u| < 1e-10 raises
     EmbraceError.  The margin implies _zeta_inverse_batch's pole test,
     1e-13 (1 + |p|) <= 1e-13 (1 + sqrt(3) (scale - 1)) < 1e-12 scale, so
-    the inverse is expanded unchecked.  One zeta (a view of rows) and one
-    |xi| serve all three and the inverse, each column contiguous."""
-    zc = _zeta_coeffs(frame, pts)
-    xi = zc[:, : frame.spec.m]
+    the inverse is expanded unchecked.
+
+    zeta is filled in blocks of _LOOP_BLOCK points (_loop_blocks), each
+    written into its columns of one (n, N) buffer so that its temporaries
+    stay cache-sized, and one (..., n) view of that buffer serves the three
+    checks and the inverse.  A loop of at most _LOOP_BLOCK nodes (N - 1: pts
+    ends where it starts) is one block, inverted by one _inverse call.  A
+    longer loop's inverse is expanded block by block too, into one more
+    (n, N) buffer whose .T view is returned, as _inverse returns its own.
+    Either way the result is bit for bit a single pass's."""
+    spec, m = frame.spec, frame.spec.m
+    blocks = _loop_blocks(len(pts))
+    rows = np.empty((spec.n, len(pts)), dtype=complex)
+    for blk in blocks:
+        _zeta_coeffs(frame, pts[blk], rows[:, blk])
+    zc = _batch_view(rows)
+    xi = zc[:, :m]
     abs_xi = np.abs(xi)
     if np.min(abs_xi) < 1e-12 * scale:
         u = int(np.argmin(np.min(abs_xi, axis=0))) + 1
         raise NonInvertibleError(f"curve node on or near line L_{u}", u=u)
     winding = {}
-    for u in range(1, frame.spec.m + 1):
+    for u in range(1, m + 1):
         wu = _winding(xi[:, u - 1], u, abs_xi[:, u - 1])
         winding[u] = wu
         if wu != 1:
             raise EmbraceError(f"curve does not embrace once: winding of xi_{u} is {wu}")
-    return winding, _inverse(frame.spec, zc)
+    if len(blocks) == 1:
+        return winding, _inverse(spec, zc)
+    inv = np.empty_like(rows)
+    for blk in blocks:
+        _inverse(spec, zc[blk], inv[:, blk])
+    return winding, _batch_view(inv)
+
+
+def _loop_blocks(count: int) -> list[slice]:
+    """Consecutive slices of _LOOP_BLOCK points covering count points, the
+    last one a point longer where a single point would be left over: a batch
+    of one takes the one-point paths of _recurrences, _power_factors and
+    _expand, which are not held to a batch's bits."""
+    starts = list(range(0, count, _LOOP_BLOCK))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [count])]
 
 
 # ---------------------------------------------------------------------------

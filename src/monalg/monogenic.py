@@ -232,6 +232,15 @@ def _moments(func: HoloFunction, center, radius, xi_u, kmax: int, nodes: int) ->
 
 def _rep_batch(mspec: MonogenicSpec, frame: E3Frame, pts: np.ndarray,
                nodes: int = 1024) -> np.ndarray:
+    """The representation at a batch of points (..., 3).  A point with a
+    non-finite coordinate raises ValueError naming its batch index, before
+    zeta is formed: an infinite y or z times a zero part of a or b is NaN."""
+    pts = np.asarray(pts, dtype=float)
+    if not np.isfinite(pts).all():
+        point = tuple(int(i) for i in np.argwhere(~np.isfinite(pts))[0][:-1])
+        x, y, z = pts[point].tolist()
+        raise ValueError(f"the representation needs a finite point: xi_1 = ({x}) + ({y}) a_1 "
+                         f"+ ({z}) b_1 at batch index {point}")
     xi, _, _, Q = _recurrences(frame.spec, _zeta_coeffs(frame, pts))
     return _rep_values(mspec, frame.spec, xi, Q, nodes)
 
@@ -240,7 +249,8 @@ def _rep_values(mspec: MonogenicSpec, spec: AlgebraSpec, xi: np.ndarray, Q,
                 nodes: int = 1024) -> np.ndarray:
     """The representation at a batch of points given their xi and Q from
     _recurrences, which functions evaluated at the same points can share.
-    A point with a non-finite xi_u raises ValueError.  Only given contours
+    A point with a non-finite xi_u (finite coordinates whose xi_u overflows)
+    raises ValueError.  Only given contours
     are checked for enclosure: an automatic one, centred at xi_u with 0.4
     times a gap _auto_contours keeps from 0, encloses xi_u alone."""
     m = spec.m

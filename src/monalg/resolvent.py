@@ -19,11 +19,13 @@ this is cross-checked against the dense linear-solve oracle in the tests.
 The sums over the structure constants are fixed per algebra, so they are
 not rediscovered per call: AlgebraSpec builds a CouplingPlan once, listing
 the nonzero terms of each B_{r,s}, the products of the Q recurrence that are
-not identically zero, and the orders the expansion reads.  _recurrences and
-_expand walk that plan and do only array arithmetic; all-zero couplings
-share one zero array, and a coupling that is one T_k with gamma = 1 takes
-one pass.  The plan keeps the scan's order of operations, so results are
-bit for bit those of scanning every gamma(r, k, s).
+not identically zero, and per idempotent the largest power k the expansion
+reads, so that no factor x_u^{-k} and no moment is formed that no nonzero
+Q_{k,s} multiplies.  _recurrences and _expand walk that plan and do only
+array arithmetic; all-zero couplings share one zero array, and a coupling
+that is one T_k with gamma = 1 takes one pass.  The plan keeps the scan's
+order of operations, so results are bit for bit those of scanning every
+gamma(r, k, s).
 
 Inside the kernels a batch is coefficient-major: zeta's coefficients, every
 B and Q, every power factor and every row of the expansion is one contiguous
@@ -147,7 +149,7 @@ def _power_factors(x: np.ndarray, kmax: int) -> list[np.ndarray]:
     return out
 
 
-def _expand(spec: AlgebraSpec, Q, W) -> np.ndarray:
+def _expand(spec: AlgebraSpec, Q, W, out: np.ndarray | None = None) -> np.ndarray:
     """Coefficients of sum_u W[u-1][0] I_u + sum_s sum_k Q_{k,s} W[u_s-1][k-1] I_s.
 
     W[u-1] lists the scalar factors (batch arrays) paired with the u-th
@@ -156,9 +158,11 @@ def _expand(spec: AlgebraSpec, Q, W) -> np.ndarray:
     monogenic representation.  Terms whose Q_{k,s} is identically zero are skipped.
     The coefficients fill an (n, ...) buffer row by row, each row of a batch
     summed in place; the result (..., n) is its view (geometry._batch_view),
-    not C-contiguous for a batch.
+    not C-contiguous for a batch.  The buffer is out when given (rows of a
+    larger buffer, say), else a fresh one.
     """
-    out = np.empty((spec.n,) + np.shape(W[0][0]), dtype=complex)
+    if out is None:
+        out = np.empty((spec.n,) + np.shape(W[0][0]), dtype=complex)
     for u in range(spec.m):
         out[u, ...] = W[u][0]
     batch = out[0].size > 1
@@ -182,13 +186,14 @@ def _one(p) -> np.ndarray:
     return np.asarray(p, dtype=float)[None]
 
 
-def _inverse(spec: AlgebraSpec, coeffs: np.ndarray) -> np.ndarray:
+def _inverse(spec: AlgebraSpec, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The inverse of the element with coefficients coeffs (..., n), with no
     check that its idempotent coefficients x_u are nonzero: the recurrence on
-    its own coefficients, expanded with the factors (-1)^{k+1} x_u^{-k}."""
+    its own coefficients, expanded with the factors (-1)^{k+1} x_u^{-k}
+    (into the (n, ...) rows out, when given; see _expand)."""
     x, _, _, Q = _recurrences(spec, coeffs)
     W = [_power_factors(x[..., u], kmax) for u, kmax in enumerate(spec.plan.orders)]
-    return _expand(spec, Q, W)
+    return _expand(spec, Q, W, out)
 
 
 def _finite(pts) -> np.ndarray:
@@ -204,10 +209,13 @@ def _finite(pts) -> np.ndarray:
 def _resolvent_batch(frame: E3Frame, pts: np.ndarray, t) -> np.ndarray:
     """Resolvent at a batch of points; t is one complex or one per point (batch
     shape): the inverse of t e1 - zeta, which is zeta at -p with t added to
-    its idempotent coefficients.  A non-finite point raises ValueError."""
+    its idempotent coefficients.  A non-finite point or t raises ValueError."""
     spec = frame.spec
     shifted = _zeta_coeffs(frame, -_finite(pts))
-    t = np.asarray(t, dtype=complex)[..., None]
+    t = np.asarray(t, dtype=complex)
+    if not np.isfinite(t).all():
+        raise ValueError(f"t = {complex(t[~np.isfinite(t)][0])} is not finite")
+    t = t[..., None]
     d = shifted[..., : spec.m]
     d += t
     bad = np.abs(d) < _POLE_TOL * (1 + np.abs(t))

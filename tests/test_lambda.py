@@ -44,6 +44,7 @@ from monalg.integration import _assemble, _integrate_values, _node_steps
 from monalg.lambda_const import (
     _formula_residual,
     _formula_weights,
+    _loop_blocks,
     _loop_inverse,
     _winding,
 )
@@ -258,6 +259,31 @@ def test_lambda_evaluates_xi_once(bundles, monkeypatch):
         calls.clear()
         lambda_numeric(bundle.default_frame, circle)
         assert len(calls) == 1, bundle.algebra.name
+
+
+def test_long_loops_are_expanded_in_blocks_bit_for_bit(bundles, monkeypatch):
+    # zeta and, past 4097 points, its inverse are filled block by block into
+    # one buffer each, a 1-node tail joined to the last block; the winding
+    # numbers, zeta^{-1}, its layout and lambda are a single pass's, byte for byte
+    import monalg.lambda_const
+
+    sizes = {4096: [4096], 4097: [4097], 4098: [4096, 2], 8193: [4096, 4097],
+             12290: [4096, 4096, 4096, 2], 16385: [4096, 4096, 4096, 4097]}
+    for points, want in sizes.items():
+        assert [blk.stop - blk.start for blk in _loop_blocks(points)] == want
+        circle = circle_curve(center=(0.05, -0.04, 0.02), nodes=points - 1)
+        for bundle in bundles.values():
+            for frame in bundle.frames.values():
+                winding, inv = _loop_inverse(frame, circle.points, circle.coord_scale)
+                lam = lambda_numeric(frame, circle).lambda_.coeffs
+                with monkeypatch.context() as patch:
+                    patch.setattr(monalg.lambda_const, "_LOOP_BLOCK", points)  # one block
+                    one_winding, single = _loop_inverse(frame, circle.points, circle.coord_scale)
+                    single_lam = lambda_numeric(frame, circle).lambda_.coeffs
+                assert one_winding == winding
+                assert inv.T.flags.c_contiguous and single.T.flags.c_contiguous
+                assert inv.tobytes() == single.tobytes(), (frame.spec.name, points)
+                assert lam.tobytes() == single_lam.tobytes()
 
 
 def test_lambda_c2_is_2pi_i(bundles):

@@ -455,6 +455,19 @@ def test_non_finite_points_are_named(bundles):
         pts[5] = p
         with pytest.raises(ValueError, match="curve node 5 is not finite"):
             Curve3(pts, closed=True)
+    # an infinite y or z is refused before zeta is formed, where it would meet
+    # the zero parts of a and b
+    frame = bundles["A5"].default_frame
+    ms = poly_mspec(frame.spec, (0.5, 1.0))
+    for p, shown in (((0.3, -np.inf, 0.2), r"\(0.3\) \+ \(-inf\) a_1"),
+                     ((0.3, 0.1, np.inf), r"\(0.1\) a_1 \+ \(inf\) b_1")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"needs a finite point: xi_1 = .*{shown}.* "
+                                                 r"at batch index \(0,\)"):
+                eval_representation(ms, frame, p)
+            with pytest.raises(ValueError, match=r"at batch index \(1,\)"):
+                representation_field(ms, frame)(np.array([(0.5, 0.3, -0.4), p]))
 
 
 def test_non_finite_holomorphic_data_is_named():

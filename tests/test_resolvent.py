@@ -71,6 +71,16 @@ def test_resolvent_semisimple_form(bundles):
     np.testing.assert_allclose(res.coeffs, 1.0 / (t - xi), atol=1e-14)
 
 
+def test_resolvent_names_a_non_finite_t(bundles):
+    frame = bundles["A5"].default_frame
+    for t in (complex("nan"), complex("inf"), complex(0.5, -np.inf)):
+        with pytest.raises(ValueError, match=re.escape(f"t = {t} is not finite")):
+            resolvent_at(t, frame, (0.3, 0.4, 0.5))
+    # with one t per point, the first non-finite one is named
+    with pytest.raises(ValueError, match=re.escape("t = (nan+0j) is not finite")):
+        _resolvent_batch(frame, np.array([(0.3, 0.4, 0.5)] * 3), np.array([3.1, np.nan, np.inf]))
+
+
 def test_resolvent_matches_linear_solve(bundles):
     rng = np.random.default_rng(23)
     for bundle in bundles.values():
@@ -249,6 +259,23 @@ def test_plan_matches_the_gamma_scan(bundles):
                 for g, w in zip(got[2:], want[2:]):  # B, then Q
                     assert list(g) == list(w)
                     assert all(_same_bytes(g[key], w[key]) for key in w)
+
+
+def test_orders_are_the_largest_power_the_expansion_reads(bundles):
+    # the expansion reads factor k of x_u only where some Q_{k,s} with u_s = u
+    # is not identically zero: read off the gamma scan at random points
+    rng = np.random.default_rng(43)
+    want = {"C2": (1, 1), "A2_radical": (1, 2), "A3": (3,), "A5": (5,), "J69": (3,),
+            "A12_plus_A01sq": (3,), "A12_plus_A12": (3,), "J71": (4,)}
+    for name, bundle in bundles.items():
+        spec = bundle.algebra
+        read = [1] * spec.m
+        for frame in bundle.frames.values():
+            Q = _scan_recurrences(frame, random_safe_points(frame, rng, 8))[3]
+            for (k, s), q in Q.items():
+                if np.any(q != 0):
+                    read[spec.u_map[s] - 1] = max(read[spec.u_map[s] - 1], k)
+        assert spec.plan.orders == tuple(read) == want[name]
 
 
 def test_every_batch_shape_keeps_its_layout(bundles):
