@@ -60,10 +60,9 @@ class EmbraceError(AlgebraError):
 # lambda_numeric's is_2pi_i holds when |lambda - 2 pi i| <= this times 1 + |lambda|
 _IS_2PI_I_TOL = 1e-6
 
-# Points per block of a loop's zeta and, on longer loops, its zeta^{-1}
-# (_loop_inverse): the n = 5 expansion keeps about 30 complex temporaries of a
-# block's length, which at 4096 nodes is about 2 MiB, a core's L2 cache on the
-# benchmark host.
+# Points per block of a loop's zeta and zeta^{-1} (_loop_inverse): the n = 5
+# expansion keeps about 30 complex temporaries of a block's length, which at
+# 4096 nodes is about 2 MiB, a core's L2 cache on the benchmark host.
 _LOOP_BLOCK = 4096
 
 
@@ -147,14 +146,12 @@ def _loop_inverse(frame: E3Frame, pts: np.ndarray,
     1e-13 (1 + |p|) <= 1e-13 (1 + sqrt(3) (scale - 1)) < 1e-12 scale, so
     the inverse is expanded unchecked.
 
-    zeta is filled in blocks of _LOOP_BLOCK points (_loop_blocks), each
-    written into its columns of one (n, N) buffer so that its temporaries
-    stay cache-sized, and one (..., n) view of that buffer serves the three
-    checks and the inverse.  A loop of at most _LOOP_BLOCK nodes (N - 1: pts
-    ends where it starts) is one block, inverted by one _inverse call.  A
-    longer loop's inverse is expanded block by block too, into one more
-    (n, N) buffer whose .T view is returned, as _inverse returns its own.
-    Either way the result is bit for bit a single pass's."""
+    zeta and its inverse are filled block by block (_loop_blocks), each
+    block written into its columns of one (n, N) buffer, so that the
+    expansion's temporaries stay cache-sized.  One (..., n) view of zeta's
+    buffer serves the three checks; the inverse's .T view is returned, as
+    _inverse returns its own.  The kernels take one arithmetic path for any
+    batch, so the result is bit for bit a single pass's."""
     spec, m = frame.spec, frame.spec.m
     blocks = _loop_blocks(len(pts))
     rows = np.empty((spec.n, len(pts)), dtype=complex)
@@ -172,8 +169,6 @@ def _loop_inverse(frame: E3Frame, pts: np.ndarray,
         winding[u] = wu
         if wu != 1:
             raise EmbraceError(f"curve does not embrace once: winding of xi_{u} is {wu}")
-    if len(blocks) == 1:
-        return winding, _inverse(spec, zc)
     inv = np.empty_like(rows)
     for blk in blocks:
         _inverse(spec, zc[blk], inv[:, blk])
@@ -181,13 +176,11 @@ def _loop_inverse(frame: E3Frame, pts: np.ndarray,
 
 
 def _loop_blocks(count: int) -> list[slice]:
-    """Consecutive slices of _LOOP_BLOCK points covering count points, the
-    last one a point longer where a single point would be left over: a batch
-    of one takes the one-point paths of _recurrences, _power_factors and
-    _expand, which are not held to a batch's bits."""
-    starts = list(range(0, count, _LOOP_BLOCK))
-    if len(starts) > 1 and count - starts[-1] == 1:
-        starts.pop()
+    """max(1, count // _LOOP_BLOCK) consecutive slices covering count points,
+    each _LOOP_BLOCK long but the last, which takes the remainder: a short
+    tail would add one more call, of fixed cost, per loop."""
+    k = max(1, count // _LOOP_BLOCK)
+    starts = [i * _LOOP_BLOCK for i in range(k)]
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [count])]
 
 

@@ -241,48 +241,55 @@ def test_curve_geometry_is_computed_once_per_curve(bundles, monkeypatch):
 
 def test_lambda_evaluates_xi_once(bundles, monkeypatch):
     # the embrace margin, every winding number and the zeta^{-1} recurrence
-    # read one batch of zeta's coefficients at the nodes
+    # read one set of zeta's coefficients, each node's formed once, in one
+    # node block or several
     import monalg.lambda_const
     import monalg.resolvent
 
-    calls = []
+    formed = []
     real = monalg.lambda_const._zeta_coeffs
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        formed.append(len(args[1]))  # the points handed over
         return real(*args, **kwargs)
 
     monkeypatch.setattr(monalg.lambda_const, "_zeta_coeffs", counting)
     monkeypatch.setattr(monalg.resolvent, "_zeta_coeffs", counting)
-    circle = circle_curve(radius=1.0, nodes=256)
-    for bundle in bundles.values():
-        calls.clear()
-        lambda_numeric(bundle.default_frame, circle)
-        assert len(calls) == 1, bundle.algebra.name
+    for nodes in (256, 16384):
+        circle = circle_curve(radius=1.0, nodes=nodes)
+        for bundle in bundles.values():
+            formed.clear()
+            lambda_numeric(bundle.default_frame, circle)
+            assert sum(formed) == len(circle.points), (bundle.algebra.name, nodes)
 
 
 def test_long_loops_are_expanded_in_blocks_bit_for_bit(bundles, monkeypatch):
-    # zeta and, past 4097 points, its inverse are filled block by block into
-    # one buffer each, a 1-node tail joined to the last block; the winding
-    # numbers, zeta^{-1}, its layout and lambda are a single pass's, byte for byte
+    # zeta and its inverse are filled block by block into one buffer each,
+    # count // block blocks with the remainder joined to the last; a 64-node
+    # circle in blocks of 1 and of 3 runs batches of one and odd tails.  The
+    # winding numbers, zeta^{-1}, its layout and lambda are a single pass's,
+    # byte for byte
     import monalg.lambda_const
 
-    sizes = {4096: [4096], 4097: [4097], 4098: [4096, 2], 8193: [4096, 4097],
-             12290: [4096, 4096, 4096, 2], 16385: [4096, 4096, 4096, 4097]}
-    for points, want in sizes.items():
-        assert [blk.stop - blk.start for blk in _loop_blocks(points)] == want
+    cases = [(4096, 4096, [4096]), (4097, 4096, [4097]), (4098, 4096, [4098]),
+             (8193, 4096, [4096, 4097]), (12290, 4096, [4096, 4096, 4098]),
+             (16385, 4096, [4096, 4096, 4096, 4097]), (65, 1, [1] * 65), (65, 3, [3] * 20 + [5])]
+    for points, block, want in cases:
         circle = circle_curve(center=(0.05, -0.04, 0.02), nodes=points - 1)
         for bundle in bundles.values():
             for frame in bundle.frames.values():
-                winding, inv = _loop_inverse(frame, circle.points, circle.coord_scale)
-                lam = lambda_numeric(frame, circle).lambda_.coeffs
+                with monkeypatch.context() as patch:
+                    patch.setattr(monalg.lambda_const, "_LOOP_BLOCK", block)
+                    assert [blk.stop - blk.start for blk in _loop_blocks(points)] == want
+                    winding, inv = _loop_inverse(frame, circle.points, circle.coord_scale)
+                    lam = lambda_numeric(frame, circle).lambda_.coeffs
                 with monkeypatch.context() as patch:
                     patch.setattr(monalg.lambda_const, "_LOOP_BLOCK", points)  # one block
                     one_winding, single = _loop_inverse(frame, circle.points, circle.coord_scale)
                     single_lam = lambda_numeric(frame, circle).lambda_.coeffs
                 assert one_winding == winding
                 assert inv.T.flags.c_contiguous and single.T.flags.c_contiguous
-                assert inv.tobytes() == single.tobytes(), (frame.spec.name, points)
+                assert inv.tobytes() == single.tobytes(), (frame.spec.name, points, block)
                 assert lam.tobytes() == single_lam.tobytes()
 
 
