@@ -91,7 +91,7 @@ quot = gateaux_derivative_fd(zeta_field(frame), frame, p, (0.3, -0.8, 0.5), eps=
 print("\n|difference quotient of zeta - h| =",
       norm_euclid(quot - make_zeta(frame, (0.3, -0.8, 0.5))))
 
-field = representation_field(exp_like, frame, nodes=256)
+field = representation_field(exp_like, frame)
 for h in (1e-3, 5e-4, 2.5e-4):
     r2, r3 = cauchy_riemann_residual(field, frame, p, h)
     print(f"CR residuals at h={h:.1e}: {r2:.3e}, {r3:.3e}")

@@ -125,22 +125,26 @@ def make_frame(spec: AlgebraSpec, a, b) -> E3Frame:
     return frame
 
 
-def _batch_view(rows: np.ndarray) -> np.ndarray:
-    """Rows (k, ...) as the batch-major (..., k) array they stand for, a view.
+def _one(p) -> np.ndarray:
+    """p as a batch of one: single-point calls then give their row of any batch."""
+    return np.asarray(p, dtype=float)[None]
 
-    The batch kernels hold a batch coefficient-major, one contiguous row per
-    coefficient, so that each arithmetic step runs over the points, not over
-    k <= n.  .T serves no batch axis or one (and costs next to nothing on
-    the single-point path); more batch axes move the row axis last.
-    """
-    return rows.T if rows.ndim <= 2 else np.moveaxis(rows, 0, -1)
+
+def _finite(pts) -> np.ndarray:
+    """pts (N, 3) as floats; a point with a non-finite coordinate raises
+    ValueError naming it and its batch index."""
+    pts = np.asarray(pts, dtype=float)
+    if not np.isfinite(pts).all():
+        i = int(np.argwhere(~np.isfinite(pts))[0, 0])
+        raise ValueError(f"point {tuple(pts[i].tolist())} is not finite (batch index {i})")
+    return pts
 
 
 def _zeta_rows(a: np.ndarray, b: np.ndarray, m: int, pts: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
-    """The only kernel from points to zeta: pts (..., 3) -> rows (k, ...),
-    one per entry of the coefficient vectors a and b of e2 and e3, the first
-    m of them idempotent, filled into out when given (rows of a larger
+    """The only kernel from points to zeta: pts (N, 3) -> rows (k, N), one
+    per entry of the coefficient vectors a and b of e2 and e3, the first m
+    of them idempotent, filled into out when given (columns of a larger
     buffer, say), else a fresh array.
 
     Row k is x + y a_k + z b_k on an idempotent row and y a_k + z b_k on the
@@ -148,35 +152,35 @@ def _zeta_rows(a: np.ndarray, b: np.ndarray, m: int, pts: np.ndarray,
     + z b_k.  Leading entries of a and b give the leading rows, bit for bit.
     """
     pts = np.asarray(pts, dtype=float)
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    col = (slice(None),) + (None,) * x.ndim  # coefficients as a column: one row each
-    rows = np.multiply(y, a[col], out=out)
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    rows = np.multiply(y, a[:, None], out=out)
     rows[:m] += x
-    rows += z * b[col]
+    rows += z * b[:, None]
     return rows
 
 
 def _zeta_coeffs(frame: E3Frame, pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Batch zeta: pts (..., 3) -> coefficient arrays (..., n), a view of rows
-    (out, (n, ...), when given).
+    """Batch zeta: pts (N, 3) -> coefficients (N, n), the .T view of its rows
+    (out, (n, N), when given).
 
     The first m rows are xi_u = x + y a_u + z b_u and the others
-    T_s = y a_s + z b_s, so xi = zc[..., :m] and T = zc[..., m:] are views
+    T_s = y a_s + z b_s, so xi = zc[:, :m] and T = zc[:, m:] are views
     whose columns are contiguous rows.
     """
-    return _batch_view(_zeta_rows(frame.a, frame.b, frame.spec.m, pts, out))
+    return _zeta_rows(frame.a, frame.b, frame.spec.m, pts, out).T
 
 
 def make_zeta(frame: E3Frame, p) -> AlgElement:
     """zeta = x e1 + y e2 + z e3 at a single point p = (x, y, z)."""
-    return AlgElement(frame.spec, _zeta_coeffs(frame, np.asarray(p, dtype=float)))
+    return AlgElement(frame.spec, _zeta_coeffs(frame, _one(p))[0])
 
 
 def xi_values(frame: E3Frame, p) -> np.ndarray:
-    """The m functional images xi_u at point p, or (..., m) at points (..., 3):
-    only the idempotent rows of zeta, bit for bit those of _zeta_coeffs."""
-    m = frame.spec.m
-    return _batch_view(_zeta_rows(frame.a[:m], frame.b[:m], m, p))
+    """The m functional images xi_u at one point p (3,), or (N, m) at points
+    (N, 3): only the idempotent rows of zeta, bit for bit those of _zeta_coeffs."""
+    pts, m = np.asarray(p, dtype=float), frame.spec.m
+    xi = _zeta_rows(frame.a[:m], frame.b[:m], m, _one(pts) if pts.ndim == 1 else pts).T
+    return xi[0] if pts.ndim == 1 else xi
 
 
 def check_surjectivity(frame: E3Frame) -> np.ndarray:

@@ -25,7 +25,7 @@ from .algebra import (
     multiply,
     norm_euclid,
 )
-from .geometry import E3Frame, _batch_view, _zeta_coeffs, xi_values
+from .geometry import E3Frame, _finite, _one, _zeta_coeffs, xi_values
 from .integration import (
     Curve3,
     _assemble,
@@ -33,8 +33,8 @@ from .integration import (
     _integrate_values,
     _node_steps,
 )
-from .monogenic import MonogenicSpec, _rep_values
-from .resolvent import _inverse, _invertible_zeta, _one, _recurrences, _zeta_inverse_batch
+from .monogenic import MonogenicSpec, _rep_recurrences, _rep_values
+from .resolvent import _inverse, _invertible_zeta, _zeta_inverse_batch
 
 __all__ = [
     "EmbraceError",
@@ -148,7 +148,7 @@ def _loop_inverse(frame: E3Frame, pts: np.ndarray,
 
     zeta and its inverse are filled block by block (_loop_blocks), each
     block written into its columns of one (n, N) buffer, so that the
-    expansion's temporaries stay cache-sized.  One (..., n) view of zeta's
+    expansion's temporaries stay cache-sized.  One (N, n) .T view of zeta's
     buffer serves the three checks; the inverse's .T view is returned, as
     _inverse returns its own.  The kernels take one arithmetic path for any
     batch, so the result is bit for bit a single pass's."""
@@ -157,7 +157,7 @@ def _loop_inverse(frame: E3Frame, pts: np.ndarray,
     rows = np.empty((spec.n, len(pts)), dtype=complex)
     for blk in blocks:
         _zeta_coeffs(frame, pts[blk], rows[:, blk])
-    zc = _batch_view(rows)
+    zc = rows.T
     xi = zc[:, :m]
     abs_xi = np.abs(xi)
     if np.min(abs_xi) < 1e-12 * scale:
@@ -172,7 +172,7 @@ def _loop_inverse(frame: E3Frame, pts: np.ndarray,
     inv = np.empty_like(rows)
     for blk in blocks:
         _inverse(spec, zc[blk], inv[:, blk])
-    return winding, _batch_view(inv)
+    return winding, inv.T
 
 
 def _loop_blocks(count: int) -> list[slice]:
@@ -333,7 +333,7 @@ def sigma_closed(frame: E3Frame, p, dp) -> SigmaForms:
     remainders.  p is checked as by resolvent._invertible_zeta."""
     spec = frame.spec
     n, m = spec.n, spec.m
-    zc, dzc = _invertible_zeta(frame, p), _zeta_coeffs(frame, np.asarray(dp, dtype=float))
+    zc, dzc = _invertible_zeta(frame, _one(p))[0], _zeta_coeffs(frame, _one(dp))[0]
     xi_all, T, dxi_all, dT = zc[:m], zc[m:], dzc[:m], dzc[m:]
     c = spec.plan.shorthands
     anti = _antiderivative_terms(c)
@@ -470,13 +470,13 @@ def exactness_conditions(frame: E3Frame) -> ExactnessReport:
 def _values(phis: dict, frame: E3Frame, pts: np.ndarray, where: str):
     """Yield (key, values at pts) for each function of phis, a field or a
     MonogenicSpec, one at a time, so that a caller is done with each batch
-    before the next is made.  The MonogenicSpecs share one _recurrences of the
-    points and use the representation's default contour rule; a failure
-    raises FieldEvaluationError naming `where`."""
+    before the next is made.  The MonogenicSpecs share one _rep_recurrences of
+    the points (its ValueError passes through) and use the representation's
+    default contour rule; a failure raises FieldEvaluationError naming `where`."""
     rec = None
     for key, phi in phis.items():
         if isinstance(phi, MonogenicSpec):
-            rec = rec or _recurrences(frame.spec, _zeta_coeffs(frame, pts))
+            rec = rec or _rep_recurrences(frame, pts)
             yield key, _eval_field(lambda _, ms=phi: _rep_values(ms, frame.spec, rec[0], rec[3]),
                                    pts, where)
         else:
@@ -486,7 +486,7 @@ def _values(phis: dict, frame: E3Frame, pts: np.ndarray, where: str):
 def cauchy_theorem_residuals(phis: dict, frame: E3Frame, curve: Curve3) -> dict:
     """The norm of each function's loop integral on one curve (zero for a
     monogenic one), keyed as phis.  They share the curve's steps, and the
-    MonogenicSpecs one _recurrences of its nodes and the representation's
+    MonogenicSpecs one _rep_recurrences of its nodes and the representation's
     default contour rule; for another, pass representation_field(phi, frame, nodes)."""
     steps = _node_steps(curve)
     return {key: norm_euclid(_integrate_values(frame, vals, steps))
@@ -498,16 +498,17 @@ def cauchy_formula_residuals(phis: dict, frame: E3Frame, p0, curve: Curve3) -> d
     for each function Phi of phis, keyed alike.  They share one lambda, the loop
     integral of (zeta - zeta_0)^{-1} on the curve's steps under lambda_numeric's
     checks, the node weights built from the same, and the MonogenicSpecs one
-    _recurrences of the nodes and one of p0, each as in cauchy_theorem_residuals."""
+    _rep_recurrences of the nodes and one of p0 (checked by geometry._finite
+    first), each as in cauchy_theorem_residuals."""
     if not curve.closed:
         raise EmbraceError("lambda requires a closed curve")
-    p0 = np.asarray(p0, dtype=float)
+    p0 = _finite(_one(p0))
     loop = curve.points - p0
     _, inv = _loop_inverse(frame, loop, float(1 + np.max(np.abs(loop))))
     steps = _node_steps(curve)
     lam = _integrate_values(frame, inv, steps)
     weights = _formula_weights(steps, inv)
-    phi0 = dict(_values(phis, frame, p0[None], "p0"))
+    phi0 = dict(_values(phis, frame, p0, "p0"))
     return {key: _formula_residual(frame, lam, phi0[key][0], vals, weights)
             for key, vals in _values(phis, frame, curve.points, "curve")}
 

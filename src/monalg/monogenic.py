@@ -14,15 +14,16 @@ only callable integrands run the periodic trapezoid rule on the contour.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import AlgebraError, AlgebraSpec, AlgElement, _mul_coeffs, basis_element
-from .geometry import E3Frame, _zeta_coeffs
+from .geometry import E3Frame, _finite, _one, _zeta_coeffs
 from .integration import _central_diff, _eval_field
-from .resolvent import SingularityError, _expand, _one, _recurrences
+from .resolvent import SingularityError, _expand, _recurrences
 
 __all__ = [
     "ContourError",
@@ -111,24 +112,23 @@ class MonogenicSpec:
 
 
 def _auto_contours(xi: np.ndarray, m: int, overrides: dict):
-    """Per-point circle (center, radius) for each u: centered at xi_u with radius
-    0.4 times the gap to the nearest other xi (1.0 when there is a single u).
+    """Per-point circle (center, radius) for each u, xi (N, m): centered at xi_u with
+    radius 0.4 times the gap to the nearest other xi (1.0 when there is a single u).
     A gap below 1e-10 (1 + max_u |xi_u|), each point's own xi, raises ContourError."""
-    centers = []
-    radii = []
-    min_gap = 1e-10 * (1 + np.abs(xi).max(axis=-1)) if m > 1 else None
+    centers, radii = [], []
+    min_gap = 1e-10 * (1 + np.abs(xi).max(axis=1)) if m > 1 else None
     for u in range(1, m + 1):
         if u in overrides:
             c, r = overrides[u]
-            centers.append(np.broadcast_to(complex(c), xi.shape[:-1]).copy())
-            radii.append(np.broadcast_to(float(r), xi.shape[:-1]).copy())
+            centers.append(np.full(len(xi), complex(c)))
+            radii.append(np.full(len(xi), float(r)))
             continue
-        c = xi[..., u - 1]
+        c = xi[:, u - 1]
         if m == 1:
             r = np.ones_like(c, dtype=float)
         else:
-            others = np.abs(np.delete(xi, u - 1, axis=-1) - c[..., None])
-            gap = np.min(others, axis=-1)
+            others = np.abs(np.delete(xi, u - 1, axis=1) - c[:, None])
+            gap = np.min(others, axis=1)
             if (gap < min_gap).any():
                 raise ContourError(
                     f"xi_{u} coincides with another functional value at some "
@@ -141,14 +141,13 @@ def _auto_contours(xi: np.ndarray, m: int, overrides: dict):
 
 
 def _check_enclosure(xi, u, center, radius):
-    m = xi.shape[-1]
-    inside = np.abs(xi[..., u - 1] - center) < radius
+    inside = np.abs(xi[:, u - 1] - center) < radius
     if not np.all(inside):
         raise ContourError(f"contour for u={u} fails to enclose xi_{u} at some point")
-    for ell in range(1, m + 1):
+    for ell in range(1, xi.shape[1] + 1):
         if ell == u:
             continue
-        stray = np.abs(xi[..., ell - 1] - center) <= radius
+        stray = np.abs(xi[:, ell - 1] - center) <= radius
         if np.any(stray):
             raise ContourError(f"contour for u={u} also encloses xi_{ell}")
 
@@ -185,13 +184,11 @@ def _trapezoid_moments(func, center, radius, xi_u, kmax: int, nodes: int):
     Points are processed in blocks of whole contours, each summed by one
     np.sum, so a point's moments do not depend on the batch it is in.
     """
-    shape = np.shape(center)
-    center, radius, xi_u = (np.reshape(a, -1) for a in (center, radius, xi_u))
     theta = 2 * np.pi * np.arange(nodes) / nodes
     rot = np.exp(1j * theta)
-    out = np.zeros((kmax, center.size), dtype=complex)
+    out = np.zeros((kmax, len(center)), dtype=complex)
     step = max(1, _BLOCK_ELEMENTS // nodes)
-    for i in range(0, center.size, step):
+    for i in range(0, len(center), step):
         blk = slice(i, i + step)
         t = center[blk, None] + radius[blk, None] * rot  # (points, nodes)
         d = t - xi_u[blk, None]
@@ -203,12 +200,12 @@ def _trapezoid_moments(func, center, radius, xi_u, kmax: int, nodes: int):
         for k in range(kmax):
             out[k, blk] = np.sum(base * cur, axis=-1)
             cur = cur * dinv
-    return list(out.reshape((kmax,) + shape))
+    return list(out)
 
 
 def _moments(func: HoloFunction, center, radius, xi_u, kmax: int, nodes: int) -> list:
     """W_k = (2 pi i)^{-1} contour-int func(t) (t - xi_u)^{-k} dt for k = 1..kmax
-    over the circle (center, radius), which encloses xi_u.
+    over the circle (center, radius), which encloses xi_u, each (N,).
 
     By Cauchy's integral formula W_k = func^{(k-1)}(xi_u) / (k-1)!, the Taylor
     jet at xi_u, which polynomial, series and rational data give exactly.  Only
@@ -230,36 +227,36 @@ def _moments(func: HoloFunction, center, radius, xi_u, kmax: int, nodes: int) ->
     return q
 
 
+def _rep_recurrences(frame: E3Frame, pts) -> tuple:
+    """xi, T, B, Q (resolvent._recurrences) of zeta at points (N, 3), the representation's
+    one entry: a non-finite point (geometry._finite) or one with a |coordinate| above
+    finfo.max / (3 max(1, max|a|, max|b|)) raises ValueError before zeta can overflow."""
+    pts = np.asarray(pts, dtype=float)
+    scale = max(1.0, *map(abs, frame.a.tolist()), *map(abs, frame.b.tolist()))
+    limit = sys.float_info.max / (3 * scale)
+    if not np.abs(pts).max(initial=0.0) <= limit:  # so does a NaN, which _finite names
+        i = int(np.argwhere(np.abs(_finite(pts)) > limit)[0, 0])
+        raise ValueError(f"point {tuple(pts[i].tolist())} is out of the representation's "
+                         f"range, |coordinate| <= {limit:.6g} (batch index {i})")
+    return _recurrences(frame.spec, _zeta_coeffs(frame, pts))
+
+
 def _rep_batch(mspec: MonogenicSpec, frame: E3Frame, pts: np.ndarray,
                nodes: int = 1024) -> np.ndarray:
-    """The representation at a batch of points (..., 3).  A point with a
-    non-finite coordinate raises ValueError naming its batch index, before
-    zeta is formed: an infinite y or z times a zero part of a or b is NaN."""
-    pts = np.asarray(pts, dtype=float)
-    if not np.isfinite(pts).all():
-        point = tuple(int(i) for i in np.argwhere(~np.isfinite(pts))[0][:-1])
-        x, y, z = pts[point].tolist()
-        raise ValueError(f"the representation needs a finite point: xi_1 = ({x}) + ({y}) a_1 "
-                         f"+ ({z}) b_1 at batch index {point}")
-    xi, _, _, Q = _recurrences(frame.spec, _zeta_coeffs(frame, pts))
+    """The representation (N, n) at points (N, 3), under _rep_recurrences' checks."""
+    xi, _, _, Q = _rep_recurrences(frame, pts)
     return _rep_values(mspec, frame.spec, xi, Q, nodes)
 
 
 def _rep_values(mspec: MonogenicSpec, spec: AlgebraSpec, xi: np.ndarray, Q,
                 nodes: int = 1024) -> np.ndarray:
-    """The representation at a batch of points given their xi and Q from
-    _recurrences, which functions evaluated at the same points can share.
-    A point with a non-finite xi_u (finite coordinates whose xi_u overflows)
-    raises ValueError.  Only given contours
-    are checked for enclosure: an automatic one, centred at xi_u with 0.4
-    times a gap _auto_contours keeps from 0, encloses xi_u alone."""
+    """The representation (N, n) at points given their xi (N, m) and Q from
+    _rep_recurrences, which functions evaluated at the same points can share.
+    Only given contours are checked for enclosure: an automatic one, centred at
+    xi_u with 0.4 times a gap _auto_contours keeps from 0, encloses xi_u alone."""
     m = spec.m
     if len(mspec.F) != m:
         raise ValueError(f"need one F_u per idempotent ({m}), got {len(mspec.F)}")
-    if not np.isfinite(xi).all():
-        *point, u = (int(i) for i in np.argwhere(~np.isfinite(xi))[0])
-        raise ValueError(f"the representation needs a finite point: xi_{u + 1} = "
-                         f"{complex(xi[(*point, u)])} at batch index {tuple(point)}")
     centers, radii = _auto_contours(xi, m, mspec.contours)
     for u in range(1, m + 1):
         if u in mspec.contours:
@@ -268,16 +265,16 @@ def _rep_values(mspec: MonogenicSpec, spec: AlgebraSpec, xi: np.ndarray, Q,
 
     # idempotent terms: F_u integrated over Gamma_u only touches I_u and its nilpotents
     out = _expand(spec, Q, [
-        _moments(mspec.F[u], centers[u], radii[u], xi[..., u], kmax[u], nodes) for u in range(m)
+        _moments(mspec.F[u], centers[u], radii[u], xi[:, u], kmax[u], nodes) for u in range(m)
     ])
 
     # nilpotent terms: full resolvent integral over Gamma_{u_s}, then times I_s;
     # every other xi_u lies outside Gamma_{u_s} (_check_enclosure), so its moments vanish
-    zero = np.zeros_like(xi[..., 0])
+    zero = np.zeros_like(xi[:, 0])
     for s, g in sorted(mspec.G.items()):
         us = spec.u_map[s] - 1
         vec = _expand(spec, Q, [
-            _moments(g, centers[us], radii[us], xi[..., us], kmax[us], nodes) if u == us
+            _moments(g, centers[us], radii[us], xi[:, us], kmax[us], nodes) if u == us
             else [zero] * kmax[u] for u in range(m)
         ])
         out += _mul_coeffs(spec, basis_element(spec, s).coeffs, vec)
@@ -309,9 +306,7 @@ def gateaux_derivative_fd(phi, frame: E3Frame, p, h_direction, eps: float) -> Al
 
 def cauchy_riemann_residual(phi, frame: E3Frame, p, h: float) -> tuple[float, float]:
     """Central-difference residuals of dPhi/dy = dPhi/dx e2 and dPhi/dz = dPhi/dx e3."""
-    spec = frame.spec
-    pts, step = np.asarray(p, dtype=float)[None], np.array([h], dtype=float)
-    dx, dy, dz = _central_diff(phi, pts, step)[:, 0]
-    r2 = np.linalg.norm(dy - _mul_coeffs(spec, dx, frame.a))
-    r3 = np.linalg.norm(dz - _mul_coeffs(spec, dx, frame.b))
+    dx, dy, dz = _central_diff(phi, _one(p), np.array([h], dtype=float))[:, 0]
+    r2 = np.linalg.norm(dy - _mul_coeffs(frame.spec, dx, frame.a))
+    r3 = np.linalg.norm(dz - _mul_coeffs(frame.spec, dx, frame.b))
     return float(r2), float(r3)

@@ -27,24 +27,25 @@ that is one T_k with gamma = 1 takes one pass.  The plan keeps the scan's
 order of operations, so results are bit for bit those of scanning every
 gamma(r, k, s).
 
-Inside the kernels a batch is coefficient-major: zeta's coefficients, every
-B and Q, every power factor and every row of the expansion is one contiguous
-array over the points.  Each arithmetic step then runs numpy's inner loop
-over the N points, not over k <= n as on node-major (N, k) arrays, whose
-columns are strided slices.  geometry._zeta_coeffs (the rows of
-geometry._zeta_rows, the only kernel from points to zeta) and _expand
-return (..., n) views of their (n, ...) rows (geometry._batch_view), so
-_recurrences reads xi = coeffs[..., :m] and T = coeffs[..., m:] with each
-column contiguous.  The layout changes no bit of any result.
+Every kernel takes one batch axis, points (N, 3) and coefficients (N, n),
+held coefficient-major inside: zeta's coefficients, every B and Q, every
+power factor and every row of the expansion is one contiguous array over
+the points.  Each arithmetic step then runs numpy's inner loop over the N
+points, not over k <= n as on node-major (N, k) arrays, whose columns are
+strided slices.  geometry._zeta_coeffs (the rows of geometry._zeta_rows,
+the only kernel from points to zeta) and _expand return the (N, n) .T
+views of their (n, N) rows, so _recurrences reads xi = coeffs[:, :m] and
+T = coeffs[:, m:] with each column contiguous.  The layout changes no bit
+of any result.
 
 One point and many take one arithmetic path: every sum of B, Q and the
 expansion is acc = 0.0, then acc = acc + term, and x^k is the fresh product
 xk * x.  So a point's bits do not depend on the size of its batch.  The 0.0
 seed turns a sum of negative zeros into +0.0 (without it, invert --fixture
-A5 --frame in_S reports a -0.0).  A bare (3,) point is computed on 0-d
-arrays; the public single-point functions pass a batch of one (_one), so
-they give their row of any batch.  Every guard decides per point, so a
-point's outcome does not depend on the batch it is in either.
+A5 --frame in_S reports a -0.0).  The public single-point functions pass a
+batch of one (geometry._one) and take its row 0, so they give their row of
+any batch.  Every guard decides per point, so a point's outcome does not
+depend on the batch it is in either.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import AlgebraSpec, AlgElement, NonInvertibleError
-from .geometry import E3Frame, _batch_view, _zeta_coeffs
+from .geometry import E3Frame, _finite, _one, _zeta_coeffs
 
 __all__ = [
     "SingularityError",
@@ -69,33 +70,33 @@ class SingularityError(NonInvertibleError):
 
 
 def _recurrences(spec: AlgebraSpec, coeffs: np.ndarray):
-    """xi, T, B, Q of the element with coefficients coeffs (..., n), from the
+    """xi, T, B, Q of the element with coefficients coeffs (N, n), from the
     spec's coupling plan.
 
-    xi = coeffs[..., :m] and T = coeffs[..., m:] are views; on the row-view
-    arrays of _zeta_coeffs each xi[..., u] and T[..., i] is contiguous.
-    B[(r, s)] and Q[(k, s)] hold contiguous arrays of the batch shape, with Q
-    defined for k in 2..s-m+1 only; entries that are identically zero share
-    one zero array.
+    xi = coeffs[:, :m] and T = coeffs[:, m:] are views; on the row-view
+    arrays of _zeta_coeffs each xi[:, u] and T[:, i] is contiguous.
+    B[(r, s)] and Q[(k, s)] hold contiguous arrays (N,), with Q defined for
+    k in 2..s-m+1 only; entries that are identically zero share one zero
+    array.
     """
     m = spec.m
-    xi, T = coeffs[..., :m], coeffs[..., m:]
-    zero = np.zeros_like(xi[..., 0])
+    xi, T = coeffs[:, :m], coeffs[:, m:]
+    zero = np.zeros_like(xi[:, 0])
 
     B: dict[tuple[int, int], np.ndarray] = {}
     for rs, terms in spec.plan.B:
         if len(terms) == 1 and terms[0][1] == 1:
             # one pass for 0.0 + T_k * 1, bit for bit, its zeros made +0.0 alike
-            B[rs] = T[..., terms[0][0] - m - 1] + 0.0
+            B[rs] = T[:, terms[0][0] - m - 1] + 0.0
             continue
         acc = 0.0
         for k, g in terms:
-            acc = acc + T[..., k - m - 1] * g
+            acc = acc + T[:, k - m - 1] * g
         B[rs] = acc if terms else zero
 
     Q: dict[tuple[int, int], np.ndarray] = {}
     for s, entries in spec.plan.Q:
-        Q[(2, s)] = T[..., s - m - 1]
+        Q[(2, s)] = T[:, s - m - 1]
         for ks, pairs in entries:
             acc = 0.0
             for q, b in pairs:
@@ -123,70 +124,53 @@ def _power_factors(x: np.ndarray, kmax: int) -> list[np.ndarray]:
 def _expand(spec: AlgebraSpec, Q, W, out: np.ndarray | None = None) -> np.ndarray:
     """Coefficients of sum_u W[u-1][0] I_u + sum_s sum_k Q_{k,s} W[u_s-1][k-1] I_s.
 
-    W[u-1] lists the scalar factors (batch arrays) paired with the u-th
+    W[u-1] lists the scalar factors (arrays (N,)) paired with the u-th
     idempotent coefficient x_u for k = 1..spec.plan.orders[u-1]:
     (-1)^{k+1} x_u^{-k} give the inverse (_inverse), contour moments give the
     monogenic representation.  Terms whose Q_{k,s} is identically zero are skipped.
-    The coefficients fill an (n, ...) buffer row by row; the result (..., n)
-    is its view (geometry._batch_view), not C-contiguous for a batch.  The
-    buffer is out when given (rows of a larger buffer, say), else a fresh one.
+    The coefficients fill an (n, N) buffer row by row; the result (N, n) is
+    its .T view, not C-contiguous for N > 1.  The buffer is out when given
+    (columns of a larger buffer, say), else a fresh one.
     """
     if out is None:
-        out = np.empty((spec.n,) + np.shape(W[0][0]), dtype=complex)
+        out = np.empty((spec.n, len(W[0][0])), dtype=complex)
     for u in range(spec.m):
-        out[u, ...] = W[u][0]
+        out[u] = W[u][0]
     for s, u, ks in spec.plan.expand:
         w = W[u - 1]
         acc = 0.0
         for k in ks:
             acc = acc + Q[(k, s)] * w[k - 1]
-        out[s - 1, ...] = acc
-    return _batch_view(out)
-
-
-def _one(p) -> np.ndarray:
-    """p as a batch of one: single-point calls then give their row of any batch."""
-    return np.asarray(p, dtype=float)[None]
+        out[s - 1] = acc
+    return out.T
 
 
 def _inverse(spec: AlgebraSpec, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The inverse of the element with coefficients coeffs (..., n), with no
-    check that its idempotent coefficients x_u are nonzero: the recurrence on
-    its own coefficients, expanded with the factors (-1)^{k+1} x_u^{-k}
-    (into the (n, ...) rows out, when given; see _expand)."""
+    """The inverse (N, n) of the elements with coefficients coeffs (N, n),
+    with no check that their idempotent coefficients x_u are nonzero: the
+    recurrence on their own coefficients, expanded with the factors
+    (-1)^{k+1} x_u^{-k} (into the (n, N) rows out, when given; see _expand)."""
     x, _, _, Q = _recurrences(spec, coeffs)
-    W = [_power_factors(x[..., u], kmax) for u, kmax in enumerate(spec.plan.orders)]
+    W = [_power_factors(x[:, u], kmax) for u, kmax in enumerate(spec.plan.orders)]
     return _expand(spec, Q, W, out)
 
 
-def _finite(pts) -> np.ndarray:
-    """pts (..., 3) as floats; a point with a non-finite coordinate raises
-    ValueError naming it."""
-    pts = np.asarray(pts, dtype=float)
-    if not np.isfinite(pts).all():
-        bad = np.argwhere(~np.isfinite(pts))[0][:-1]  # the index of its point
-        raise ValueError(f"point {tuple(pts[tuple(bad)].tolist())} is not finite")
-    return pts
-
-
 def _resolvent_batch(frame: E3Frame, pts: np.ndarray, t) -> np.ndarray:
-    """Resolvent at a batch of points; t is one complex or one per point (batch
-    shape): the inverse of t e1 - zeta, which is zeta at -p with t added to
+    """Resolvent (N, n) at points (N, 3); t is one complex or one per point
+    (N,): the inverse of t e1 - zeta, which is zeta at -p with t added to
     its idempotent coefficients.  A non-finite point or t raises ValueError."""
     spec = frame.spec
     shifted = _zeta_coeffs(frame, -_finite(pts))
-    t = np.asarray(t, dtype=complex)
+    t = np.asarray(t, dtype=complex).reshape(-1, 1)  # one row, or one per point
     if not np.isfinite(t).all():
         raise ValueError(f"t = {complex(t[~np.isfinite(t)][0])} is not finite")
-    t = t[..., None]
-    d = shifted[..., : spec.m]
+    d = shifted[:, : spec.m]
     d += t
     bad = np.abs(d) < _POLE_TOL * (1 + np.abs(t))
     if bad.any():
-        idx = tuple(np.argwhere(bad)[0])
-        u = int(idx[-1]) + 1
-        raise SingularityError(f"t = {complex(np.broadcast_to(t, d.shape)[idx])} hits "
-                               f"the pole xi_{u}", u=u)
+        i, u = np.argwhere(bad)[0]
+        raise SingularityError(f"t = {complex(np.broadcast_to(t, d.shape)[i, u])} hits "
+                               f"the pole xi_{u + 1}", u=int(u) + 1)
     return _inverse(spec, shifted)
 
 
@@ -196,25 +180,24 @@ def resolvent_at(t: complex, frame: E3Frame, p) -> AlgElement:
 
 
 def _invertible_zeta(frame: E3Frame, pts) -> np.ndarray:
-    """zeta's coefficients (..., n) at points (..., 3), under the one pole rule
+    """zeta's coefficients (N, n) at points (N, 3), under the one pole rule
     of the closed forms of zeta^{-1}: a point with a non-finite coordinate
-    raises ValueError, and one with some |xi_u| below 1e-13 (1 + its own |p|)
-    NonInvertibleError."""
+    raises ValueError (geometry._finite), and one with some |xi_u| below
+    1e-13 (1 + its own |p|) NonInvertibleError."""
     pts = _finite(pts)
     zc = _zeta_coeffs(frame, pts)
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     # |p| as np.linalg.norm(pts, axis=-1) sums it, bit for bit, without its copies
     bound = _POLE_TOL * (1 + np.sqrt(x * x + y * y + z * z))
-    bad = np.abs(zc[..., : frame.spec.m]) < bound[..., None]
+    bad = np.abs(zc[:, : frame.spec.m]) < bound[:, None]
     if bad.any():
-        u = int(np.argwhere(bad)[0][-1]) + 1
+        u = int(np.argwhere(bad)[0, 1]) + 1
         raise NonInvertibleError(f"point lies on line L_{u} (xi_{u} = 0)", u=u)
     return zc
 
 
 def _zeta_inverse_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
-    """zeta^{-1} at a batch of points (..., 3) -> (..., n), under
-    _invertible_zeta's checks."""
+    """zeta^{-1} (N, n) at points (N, 3), under _invertible_zeta's checks."""
     return _inverse(frame.spec, _invertible_zeta(frame, pts))
 
 

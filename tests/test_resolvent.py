@@ -10,6 +10,8 @@ from monalg import (
     NonInvertibleError,
     SingularityError,
     atilde_closed,
+    cauchy_formula_residuals,
+    circle_curve,
     eval_representation,
     invert_direct,
     make_zeta,
@@ -21,6 +23,7 @@ from monalg import (
     sigma_direct,
     unit_element,
     xi_values,
+    zeta_field,
     zeta_inverse_closed,
 )
 from monalg.geometry import _zeta_coeffs
@@ -172,18 +175,23 @@ def test_b_couplings_a5(bundles):
 
 def test_single_point_calls_return_their_batch_row(bundles):
     t = 3.1 + 0.8j
-    for name in ("A5", "J71", "A2_radical", "C2"):
-        frame = bundles[name].default_frame
-        pts = random_safe_points(frame, np.random.default_rng(11), 6)
-        inv = _zeta_inverse_batch(frame, pts)
-        res = _resolvent_batch(frame, pts, t)
-        xi, _, _, Q = _recurrences(frame.spec, _zeta_coeffs(frame, pts))
-        for i, p in enumerate(pts):
-            assert np.array_equal(zeta_inverse_closed(frame, p).coeffs, inv[i])
-            assert np.array_equal(resolvent_at(t, frame, p).coeffs, res[i])
-            xi1, _, _, Q1 = _recurrence_data(frame, p)
-            assert np.array_equal(xi1[0], xi[i])
-            assert all(Q1[k][0] == v[i] for k, v in Q.items())
+    for bundle in bundles.values():
+        for frame in bundle.frames.values():
+            pts = random_safe_points(frame, np.random.default_rng(11), 6)
+            inv = _zeta_inverse_batch(frame, pts)
+            res = _resolvent_batch(frame, pts, t)
+            zc = _zeta_coeffs(frame, pts)
+            xi, _, _, Q = _recurrences(frame.spec, zc)
+            xis = xi_values(frame, pts)
+            assert xis.shape == (len(pts), frame.spec.m)
+            for i, p in enumerate(pts):
+                assert np.array_equal(zeta_inverse_closed(frame, p).coeffs, inv[i])
+                assert np.array_equal(resolvent_at(t, frame, p).coeffs, res[i])
+                assert _same_bytes(make_zeta(frame, p).coeffs, zc[i])
+                assert _same_bytes(xi_values(frame, p), xis[i])
+                xi1, _, _, Q1 = _recurrence_data(frame, p)
+                assert np.array_equal(xi1[0], xi[i])
+                assert all(Q1[k][0] == v[i] for k, v in Q.items())
 
 
 def test_resolvent_batch_takes_one_t_per_point(bundles):
@@ -252,7 +260,7 @@ def test_plan_matches_the_gamma_scan(bundles):
     for bundle in bundles.values():
         for frame in bundle.frames.values():
             pts = random_safe_points(frame, rng, 32)
-            for batch in (pts, pts[:1], pts[5]):
+            for batch in (pts, pts[:1], pts[5:6]):
                 got = _recurrences(frame.spec, _zeta_coeffs(frame, batch))
                 want = _scan_recurrences(frame, batch)
                 assert _same_bytes(got[0], want[0]) and _same_bytes(got[1], want[1])
@@ -279,8 +287,8 @@ def test_orders_are_the_largest_power_the_expansion_reads(bundles):
 
 
 def test_every_batch_shape_keeps_its_layout(bundles):
-    # inside the kernels a batch is one row per coefficient; whatever the
-    # batch shape, each result is the flat batch's reshaped, bit for bit
+    # inside the kernels a batch is one row per coefficient; each point's
+    # results, as a batch of one, are its rows of the whole batch, bit for bit
     from monalg.monogenic import _rep_batch
 
     rng = np.random.default_rng(59)
@@ -300,29 +308,15 @@ def test_every_batch_shape_keeps_its_layout(bundles):
                 return _recurrences(frame.spec, _zeta_coeffs(frame, b))
 
             xi, T, B, Q = recurrences(pts)
-            for shape in ((4, 8), (32,), (1,)):
-                count = int(np.prod(shape))
-                batch = pts[:count].reshape(shape + (3,))
+            for i in range(len(pts)):
+                one = slice(i, i + 1)
                 for f, want in zip(kernels, flat):
-                    assert _same_bytes(f(batch), want[:count].reshape(shape + (n,))), shape
-                got = recurrences(batch)
-                assert _same_bytes(got[0], xi[:count].reshape(shape + (m,)))
-                assert _same_bytes(got[1], T[:count].reshape(shape + (n - m,)))
+                    assert _same_bytes(f(pts[one]), want[one]), i
+                got = recurrences(pts[one])
+                assert _same_bytes(got[0], xi[one]) and _same_bytes(got[1], T[one])
                 for g, w in zip(got[2:], (B, Q)):
                     assert list(g) == list(w)
-                    assert all(_same_bytes(g[key], w[key][:count].reshape(shape)) for key in w)
-            # a bare point keeps the shapes it had; its values are the row's
-            # up to rounding, since numpy computes 0-d arrays as scalars
-            for f, want in zip(kernels, flat):
-                got = f(pts[0])
-                assert got.shape == (n,)
-                assert np.allclose(got, want[0], rtol=1e-14, atol=0)
-            got = recurrences(pts[0])
-            assert got[0].shape == (m,) and got[1].shape == (n - m,)
-            for g, w in zip(got[2:], (B, Q)):
-                assert list(g) == list(w)
-                assert all(np.shape(g[key]) == () and np.isclose(g[key], w[key][0], rtol=1e-14, atol=0)
-                           for key in w)
+                    assert all(_same_bytes(g[key], w[key][one]) for key in w)
 
 
 def test_evaluation_never_scans_gamma(bundles, monkeypatch):
@@ -376,7 +370,7 @@ def test_pole_scale_is_the_norm_expression_bit_for_bit(bundles):
             xs = [np.nextafter(xs[0], -np.inf)] + xs + [np.nextafter(xs[-1], np.inf)]
         for x in xs:
             p = at(x)
-            for batch in (p, p[None], np.stack([p, far]), np.stack([far, p])):
+            for batch in (p[None], np.stack([p, far]), np.stack([far, p])):
                 if below(p):
                     with pytest.raises(NonInvertibleError):
                         _zeta_inverse_batch(frame, batch)
@@ -405,15 +399,19 @@ def test_closed_forms_of_the_inverse_share_one_pole_rule(bundles):
 def test_closed_forms_name_non_finite_points(bundles):
     frame = bundles["A5"].default_frame
     good = (0.3, 0.4, 0.5)
+    circle = circle_curve(radius=1.0, nodes=64)
     forms = _INVERSE_FORMS + (
         lambda frame, p: resolvent_at(3.1 + 0.8j, frame, p),
+        lambda frame, p: cauchy_formula_residuals({"zeta": zeta_field(frame)}, frame, p, circle),
         # in a batch, the first non-finite point is named
         lambda frame, p: _zeta_inverse_batch(frame, np.array([good, p, (np.nan,) * 3])),
-        lambda frame, p: _resolvent_batch(frame, np.array([[good, p]]), 3.1 + 0.8j),
+        lambda frame, p: _resolvent_batch(frame, np.array([good, p]), 3.1 + 0.8j),
     )
-    for bad, f in itertools.product(((np.nan, 0.1, 0.2), (np.inf, 0.1, 0.2), (0.3, -np.inf, 0.2)),
-                                    forms):
-        with pytest.raises(ValueError, match=re.escape(f"point {bad} is not finite")):
+    for bad, (i, f) in itertools.product(
+            ((np.nan, 0.1, 0.2), (np.inf, 0.1, 0.2), (0.3, -np.inf, 0.2)), enumerate(forms)):
+        index = 1 if i >= len(forms) - 2 else 0
+        with pytest.raises(ValueError, match=re.escape(f"point {bad} is not finite "
+                                                       f"(batch index {index})")):
             f(frame, bad)
 
 
