@@ -7,6 +7,7 @@ to be invertible exactly on the straight lines L_u where xi_u = 0.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -43,6 +44,8 @@ class E3Frame:
     sums_map is that map (_sums_map), built once per frame as the algebra's
     plan is built once per spec; its product with the node sums of
     zeta^{-1} d zeta is lambda, coefficient k the sigma form sigma_k summed.
+    rep_limits is the monogenic representation's range (_rep_limits), the
+    largest |x|, |y| and |z| it accepts, also built once per frame.
     Frames compare by value: equal specs, a and b.
     """
 
@@ -50,6 +53,7 @@ class E3Frame:
     a: np.ndarray
     b: np.ndarray
     sums_map: np.ndarray = field(init=False, repr=False, compare=False)
+    rep_limits: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("a", "b"):
@@ -61,9 +65,10 @@ class E3Frame:
                 raise ValueError(f"frame vector {name} is not finite at index {bad[0]}")
             vec.flags.writeable = False
             object.__setattr__(self, name, vec)
-        sums_map = _sums_map(self.spec, self.a, self.b)
-        sums_map.flags.writeable = False
-        object.__setattr__(self, "sums_map", sums_map)
+        for name, build in (("sums_map", _sums_map), ("rep_limits", _rep_limits)):
+            arr = build(self.spec, self.a, self.b)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __eq__(self, other):
         if not isinstance(other, E3Frame):
@@ -92,6 +97,30 @@ def _sums_map(spec: AlgebraSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the nodes: sigma_k is coefficient k of zeta^{-1} d zeta.
     """
     return np.concatenate([np.eye(spec.n), _mult_rows(spec, a), _mult_rows(spec, b)])
+
+
+def _rep_limits(spec: AlgebraSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The largest |x|, |y|, |z| (3,) at which the representation's
+    recurrences stay finite, with S = max(1, max|a|, max|b|):
+
+    - every coordinate up to finfo.max / (3 S), so no xi_u or T_s overflows;
+    - y and z also up to finfo.max^(1/P) / (4 S beta), P the largest power
+      of T in a Q_{k,s} (k - 1 for the plan's largest order k) and beta the
+      largest sum of |gamma| over the couplings B_{r,s} of one s (1 at
+      least).  Then |T_s| <= 2 S max(|y|, |z|), and |B_{r,s}| <= beta max|T|
+      and |Q_{k,s}| <= beta^(k-2) max|T|^(k-1) stay below finfo.max / 2, and
+      each gap |xi_u - xi_l| <= 4 S max(|y|, |z|) of the contours below
+      finfo.max.
+    """
+    scale = max(1.0, *map(abs, a.tolist()), *map(abs, b.tolist()))
+    limit = sys.float_info.max / (3 * scale)
+    coupling = {}
+    for (_, s), terms in spec.plan.B:
+        coupling[s] = coupling.get(s, 0.0) + sum(abs(g) for _, g in terms)
+    beta = max([1.0, *coupling.values()])
+    power = max(1, max(spec.plan.orders) - 1)
+    yz = sys.float_info.max ** (1 / power) / (4 * scale * beta)
+    return np.array([limit, min(limit, yz), min(limit, yz)])
 
 
 def _real_frame_matrix(frame: E3Frame) -> np.ndarray:

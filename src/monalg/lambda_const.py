@@ -13,6 +13,7 @@ theorem/formula residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -327,6 +328,18 @@ def _remainder_terms(c) -> dict[int, list]:
     }
 
 
+@lru_cache(maxsize=32)
+def _sigma_terms(shorthands: bytes) -> tuple[dict, dict]:
+    """_antiderivative_terms and _remainder_terms of the shorthand values
+    whose bytes (as complex128, in _SHORTHAND_OFFSETS order) are given: built
+    once per algebra and shared, so never mutated.  Keyed by value, with
+    signed zeros apart.  A shorthand past n, 0.0 in the plan, comes back as
+    0j; only the terms of offsets past n - m, which sigma_closed does not
+    read, contain one."""
+    c = dict(zip(_SHORTHAND_OFFSETS, np.frombuffer(shorthands, dtype=complex).tolist()))
+    return _antiderivative_terms(c), _remainder_terms(c)
+
+
 def sigma_closed(frame: E3Frame, p, dp) -> SigmaForms:
     """sigma_{m+1}..sigma_{m+4} on the tangent dp, via the split differential
     representation: d(antiderivative) plus structure-constant-weighted
@@ -336,8 +349,7 @@ def sigma_closed(frame: E3Frame, p, dp) -> SigmaForms:
     zc, dzc = _invertible_zeta(frame, _one(p))[0], _zeta_coeffs(frame, _one(dp))[0]
     xi_all, T, dxi_all, dT = zc[:m], zc[m:], dzc[:m], dzc[m:]
     c = spec.plan.shorthands
-    anti = _antiderivative_terms(c)
-    rem = _remainder_terms(c)
+    anti, rem = _sigma_terms(np.fromiter(c.values(), dtype=complex, count=len(c)).tobytes())
 
     total: dict[int, complex] = {}
     exact: dict[int, complex] = {}

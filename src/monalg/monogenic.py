@@ -14,9 +14,9 @@ only callable integrands run the periodic trapezoid rule on the contour.
 
 from __future__ import annotations
 
-import sys
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,8 +114,15 @@ class MonogenicSpec:
 def _auto_contours(xi: np.ndarray, m: int, overrides: dict):
     """Per-point circle (center, radius) for each u, xi (N, m): centered at xi_u with
     radius 0.4 times the gap to the nearest other xi (1.0 when there is a single u).
-    A gap below 1e-10 (1 + max_u |xi_u|), each point's own xi, raises ContourError."""
+    A gap below 1e-10 (1 + max_u |xi_u|), each point's own xi, raises ContourError.
+    Each pair's |xi_u - xi_l| is formed once and kept in both running minima."""
     centers, radii = [], []
+    gaps = [None] * m
+    for u in range(m):
+        for ell in range(u + 1, m):
+            d = np.abs(xi[:, ell] - xi[:, u])
+            for i in (u, ell):
+                gaps[i] = d if gaps[i] is None else np.minimum(gaps[i], d)
     min_gap = 1e-10 * (1 + np.abs(xi).max(axis=1)) if m > 1 else None
     for u in range(1, m + 1):
         if u in overrides:
@@ -127,8 +134,7 @@ def _auto_contours(xi: np.ndarray, m: int, overrides: dict):
         if m == 1:
             r = np.ones_like(c, dtype=float)
         else:
-            others = np.abs(np.delete(xi, u - 1, axis=1) - c[:, None])
-            gap = np.min(others, axis=1)
+            gap = gaps[u - 1]
             if (gap < min_gap).any():
                 raise ContourError(
                     f"xi_{u} coincides with another functional value at some "
@@ -153,11 +159,22 @@ def _check_enclosure(xi, u, center, radius):
 
 
 def _jet(coeffs, w, kmax: int) -> list:
-    """Taylor jet [P^{(k)}(w) / k! for k < kmax] of P(w) = sum_j coeffs[j] w^j:
-    one Horner pass with kmax accumulators, one array each."""
-    jet = [0.0] * kmax
-    for c in reversed(coeffs or (0.0,)):
-        for k in range(kmax - 1, 0, -1):
+    """Taylor jet [P^{(k)}(w) / k! for k < min(kmax, len(coeffs))] of
+    P(w) = sum_j coeffs[j] w^j: one Horner pass carrying one array per
+    accumulator.
+
+    The jet stops at the degree d, past which P^{(k)} / k! is identically
+    zero, and accumulator k joins the pass at coefficient d - k.  Before
+    that, a pass over all kmax accumulators only makes them +0 arrays
+    (0.0 * w + 0.0 for finite w), whose product with w is that of the 0.0
+    they start from.  So the entries returned are that pass's bit for bit,
+    and the ones left out are its +0 arrays, which _expand reads as zero.
+    """
+    coeffs = coeffs or (0.0,)
+    jet = [0.0] * min(kmax, len(coeffs))
+    top = len(jet) - 1
+    for i, c in enumerate(reversed(coeffs)):
+        for k in range(min(i, top), 0, -1):
             jet[k] = jet[k] * w + jet[k - 1]
         jet[0] = jet[0] * w + c
     return jet
@@ -178,14 +195,23 @@ def _check_poles(func: HoloFunction, center, radius) -> None:
 _BLOCK_ELEMENTS = 1 << 18
 
 
+@lru_cache(maxsize=8)
+def _contour_roots(nodes: int) -> np.ndarray:
+    """The trapezoid nodes on the unit circle, exp(2 pi i j / nodes) for
+    j < nodes: built once per node count, read-only."""
+    theta = 2 * np.pi * np.arange(nodes) / nodes
+    rot = np.exp(1j * theta)
+    rot.flags.writeable = False
+    return rot
+
+
 def _trapezoid_moments(func, center, radius, xi_u, kmax: int, nodes: int):
     """The moments of _moments by the periodic trapezoid rule with `nodes` nodes.
 
     Points are processed in blocks of whole contours, each summed by one
     np.sum, so a point's moments do not depend on the batch it is in.
     """
-    theta = 2 * np.pi * np.arange(nodes) / nodes
-    rot = np.exp(1j * theta)
+    rot = _contour_roots(nodes)
     out = np.zeros((kmax, len(center)), dtype=complex)
     step = max(1, _BLOCK_ELEMENTS // nodes)
     for i in range(0, len(center), step):
@@ -209,7 +235,8 @@ def _moments(func: HoloFunction, center, radius, xi_u, kmax: int, nodes: int) ->
 
     By Cauchy's integral formula W_k = func^{(k-1)}(xi_u) / (k-1)!, the Taylor
     jet at xi_u, which polynomial, series and rational data give exactly.  Only
-    callables are quadratured (and read `nodes`).
+    callables are quadratured (and read `nodes`).  Polynomial and series data
+    return no more than len(coeffs) moments (_jet): the rest are zero.
     """
     if func.kind == "callable":
         return _trapezoid_moments(func, center, radius, xi_u, kmax, nodes)
@@ -218,6 +245,8 @@ def _moments(func: HoloFunction, center, radius, xi_u, kmax: int, nodes: int) ->
         return _jet(func.coeffs, w, kmax)
     _check_poles(func, center, radius)
     a, b = _jet(func.num, w, kmax), _jet(func.den, w, kmax)
+    a += [0.0] * (kmax - len(a))  # a full jet's +0 entries; 0.0 gives the same bits
+    b += [0.0] * (kmax - len(b))
     q = []  # power-series quotient a / b
     for k in range(kmax):
         acc = a[k]
@@ -229,15 +258,16 @@ def _moments(func: HoloFunction, center, radius, xi_u, kmax: int, nodes: int) ->
 
 def _rep_recurrences(frame: E3Frame, pts) -> tuple:
     """xi, T, B, Q (resolvent._recurrences) of zeta at points (N, 3), the representation's
-    one entry: a non-finite point (geometry._finite) or one with a |coordinate| above
-    finfo.max / (3 max(1, max|a|, max|b|)) raises ValueError before zeta can overflow."""
+    one entry: a non-finite point (geometry._finite) or one outside the frame's
+    rep_limits (geometry._rep_limits) raises ValueError before zeta or the
+    recurrences can overflow."""
     pts = np.asarray(pts, dtype=float)
-    scale = max(1.0, *map(abs, frame.a.tolist()), *map(abs, frame.b.tolist()))
-    limit = sys.float_info.max / (3 * scale)
-    if not np.abs(pts).max(initial=0.0) <= limit:  # so does a NaN, which _finite names
-        i = int(np.argwhere(np.abs(_finite(pts)) > limit)[0, 0])
+    limits = frame.rep_limits
+    if not (np.abs(pts) <= limits).all():  # so does a NaN, which _finite names
+        i = int(np.argwhere(~(np.abs(_finite(pts)) <= limits))[0, 0])
         raise ValueError(f"point {tuple(pts[i].tolist())} is out of the representation's "
-                         f"range, |coordinate| <= {limit:.6g} (batch index {i})")
+                         f"range, |x| <= {limits[0]:.6g} and |y|, |z| <= {limits[1]:.6g} "
+                         f"(batch index {i})")
     return _recurrences(frame.spec, _zeta_coeffs(frame, pts))
 
 
@@ -269,13 +299,14 @@ def _rep_values(mspec: MonogenicSpec, spec: AlgebraSpec, xi: np.ndarray, Q,
     ])
 
     # nilpotent terms: full resolvent integral over Gamma_{u_s}, then times I_s;
-    # every other xi_u lies outside Gamma_{u_s} (_check_enclosure), so its moments vanish
-    zero = np.zeros_like(xi[:, 0])
+    # every other xi_u lies outside Gamma_{u_s} (_check_enclosure), so its moments
+    # vanish: [zero], whose higher moments _expand reads as zero
+    zero = np.zeros_like(xi[:, 0]) if mspec.G else None
     for s, g in sorted(mspec.G.items()):
         us = spec.u_map[s] - 1
         vec = _expand(spec, Q, [
             _moments(g, centers[us], radii[us], xi[:, us], kmax[us], nodes) if u == us
-            else [zero] * kmax[u] for u in range(m)
+            else [zero] for u in range(m)
         ])
         out += _mul_coeffs(spec, basis_element(spec, s).coeffs, vec)
     return out

@@ -81,7 +81,7 @@ def _recurrences(spec: AlgebraSpec, coeffs: np.ndarray):
     """
     m = spec.m
     xi, T = coeffs[:, :m], coeffs[:, m:]
-    zero = np.zeros_like(xi[:, 0])
+    zero = None  # made when a first entry is identically zero
 
     B: dict[tuple[int, int], np.ndarray] = {}
     for rs, terms in spec.plan.B:
@@ -89,19 +89,25 @@ def _recurrences(spec: AlgebraSpec, coeffs: np.ndarray):
             # one pass for 0.0 + T_k * 1, bit for bit, its zeros made +0.0 alike
             B[rs] = T[:, terms[0][0] - m - 1] + 0.0
             continue
+        if not terms:
+            B[rs] = zero = np.zeros_like(xi[:, 0]) if zero is None else zero
+            continue
         acc = 0.0
         for k, g in terms:
             acc = acc + T[:, k - m - 1] * g
-        B[rs] = acc if terms else zero
+        B[rs] = acc
 
     Q: dict[tuple[int, int], np.ndarray] = {}
     for s, entries in spec.plan.Q:
         Q[(2, s)] = T[:, s - m - 1]
         for ks, pairs in entries:
+            if not pairs:
+                Q[ks] = zero = np.zeros_like(xi[:, 0]) if zero is None else zero
+                continue
             acc = 0.0
             for q, b in pairs:
                 acc = acc + Q[q] * B[b]
-            Q[ks] = acc if pairs else zero
+            Q[ks] = acc
     return xi, T, B, Q
 
 
@@ -127,7 +133,10 @@ def _expand(spec: AlgebraSpec, Q, W, out: np.ndarray | None = None) -> np.ndarra
     W[u-1] lists the scalar factors (arrays (N,)) paired with the u-th
     idempotent coefficient x_u for k = 1..spec.plan.orders[u-1]:
     (-1)^{k+1} x_u^{-k} give the inverse (_inverse), contour moments give the
-    monogenic representation.  Terms whose Q_{k,s} is identically zero are skipped.
+    monogenic representation.  W[u-1] may stop short of orders[u-1] (the
+    moments of a polynomial stop at its degree): the factors past its end are
+    zero.  Terms whose Q_{k,s} or whose factor is identically zero are skipped;
+    adding those +-0 products to a sum seeded with 0.0 would change no bit.
     The coefficients fill an (n, N) buffer row by row; the result (N, n) is
     its .T view, not C-contiguous for N > 1.  The buffer is out when given
     (columns of a larger buffer, say), else a fresh one.
@@ -139,7 +148,9 @@ def _expand(spec: AlgebraSpec, Q, W, out: np.ndarray | None = None) -> np.ndarra
     for s, u, ks in spec.plan.expand:
         w = W[u - 1]
         acc = 0.0
-        for k in ks:
+        for k in ks:  # ascending
+            if k > len(w):
+                break
             acc = acc + Q[(k, s)] * w[k - 1]
         out[s - 1] = acc
     return out.T

@@ -82,7 +82,7 @@ def test_frame_owns_read_only_vectors_and_map(bundles):
     a[1] = b[2] = 7.0  # the caller's arrays are not the frame's
     assert frame.a[1] == 0.3 and frame.b[2] == -0.1
     assert np.array_equal(frame.sums_map, before)
-    for arr in (frame.a, frame.b, frame.sums_map):
+    for arr in (frame.a, frame.b, frame.sums_map, frame.rep_limits):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0

@@ -1,4 +1,6 @@
+import itertools
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -284,15 +286,23 @@ def test_callable_integrand_flagged_but_works(bundles):
 
 
 def test_eval_representation_returns_its_batch_row(bundles):
-    for name in ("A5", "C2"):
-        frame = bundles[name].default_frame
-        spec = frame.spec
-        ms = MonogenicSpec(F=tuple(HoloFunction.exp_series(8) for _ in range(spec.m)),
-                           G={spec.n: HoloFunction("polynomial", (0.5, 1.0))} if spec.n > spec.m else {})
-        pts = eval_points(frame, np.random.default_rng(12), 5)
-        batch = representation_field(ms, frame, nodes=256)(pts)
-        for i, p in enumerate(pts):
-            assert np.array_equal(eval_representation(ms, frame, p, nodes=256).coeffs, batch[i])
+    # byte for byte, for every kind of data on every frame
+    rng = np.random.default_rng(12)
+    call = _as_callable(HoloFunction.exp_series(6, 0.4))
+    for bundle in bundles.values():
+        for frame in bundle.frames.values():
+            spec = frame.spec
+            pts = eval_points(frame, rng, 3)
+            kinds = _each_kind(spec, float(np.abs(xi_values(frame, pts)).max()) + 3.0)
+            kinds["callable"] = MonogenicSpec(F=(call,) * spec.m)
+            kinds["series, G_n"] = MonogenicSpec(
+                F=(HoloFunction.exp_series(8),) * spec.m,
+                G={spec.n: HoloFunction("polynomial", (0.5, 1.0))} if spec.n > spec.m else {})
+            for kind, ms in kinds.items():
+                batch = representation_field(ms, frame, nodes=256)(pts)
+                for i, p in enumerate(pts):
+                    one = eval_representation(ms, frame, p, nodes=256).coeffs
+                    assert _same_bytes(one, np.ascontiguousarray(batch[i])), (spec.name, kind)
 
 
 def _as_callable(h):
@@ -460,12 +470,16 @@ def test_non_finite_points_are_named(bundles):
             Curve3(pts, closed=True)
     # an infinite y or z is refused before zeta is formed, where it would meet
     # the zero parts of a and b; so is a point whose xi_u or T_s would
-    # overflow, with a coordinate above finfo.max / (3 max(1, |a|, |b|))
+    # overflow, with a coordinate above finfo.max / (3 max(1, |a|, |b|)), and
+    # one whose powers of T_s in the recurrences would, with |y| or |z| above
+    # the frame's limit for them (A5: 9.6e75, from T^4)
     frame = bundles["A5"].default_frame
     ms = poly_mspec(frame.spec, (0.5, 1.0))
     for p, says in (((0.3, -np.inf, 0.2), "is not finite"), ((0.3, 0.1, np.inf), "is not finite"),
                     ((1e308, 1e308, 0.2), "is out of the representation's range"),
-                    ((0.3, 1e308, 1e308), "is out of the representation's range")):
+                    ((0.3, 1e308, 1e308), "is out of the representation's range"),
+                    ((0.3, 1e155, 0.2), "is out of the representation's range"),
+                    ((0.3, 1e80, 0.2), "is out of the representation's range")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(f"point {p} {says}")
@@ -502,3 +516,130 @@ def test_gateaux_derivative_reports_a_failing_field(bundles):
     one_row = lambda pts: np.ones((1, frame.spec.n), dtype=complex)  # noqa: E731
     with pytest.raises(FieldEvaluationError, match="shape"):
         gateaux_derivative_fd(one_row, frame, (0.2, 0.4, 0.1), (1, 0, 0), eps=1e-4)
+
+
+def test_large_x_keeps_its_value(bundles):
+    # x enters no power of T: F(t) = 0.5 + t gives 0.5 + zeta far past T's limit
+    frame = bundles["A5"].default_frame
+    p = (1e80, 0.1, 0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eval_representation(poly_mspec(frame.spec, (0.5, 1.0)), frame, p)
+    want = make_zeta(frame, p) + 0.5 * unit_element(frame.spec)
+    np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=1e-15, atol=1e-15)
+
+
+def test_no_warning_at_the_range_limits(bundles):
+    # every sign at |x|, |y|, |z| on the frame's limits runs clean; one step
+    # past any of them is refused
+    for bundle in bundles.values():
+        for label, frame in bundle.frames.items():
+            ms = poly_mspec(frame.spec, (0.5, 1.0))
+            lim = frame.rep_limits
+            for signs in itertools.product((1.0, -1.0), repeat=3):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    vals = eval_representation(ms, frame, np.multiply(signs, lim)).coeffs
+                assert np.isfinite(vals).all(), (bundle.algebra.name, label, signs)
+            for i in range(3):
+                p = lim.copy()
+                p[i] = np.nextafter(p[i], np.inf)
+                with pytest.raises(ValueError, match="out of the representation's range"):
+                    eval_representation(ms, frame, p)
+
+
+def test_range_limit_of_x_is_the_old_per_call_expression(bundles):
+    for bundle in bundles.values():
+        for frame in bundle.frames.values():
+            scale = max(1.0, *map(abs, frame.a.tolist()), *map(abs, frame.b.tolist()))
+            assert frame.rep_limits[0] == sys.float_info.max / (3 * scale)
+            assert frame.rep_limits[1] == frame.rep_limits[2] <= frame.rep_limits[0]
+
+
+def _full_jet(coeffs, w, kmax: int) -> list:
+    """The Taylor jet by one Horner pass over all kmax accumulators, as _jet
+    was before it stopped at the degree: the reference for its bits."""
+    jet = [0.0] * kmax
+    for c in reversed(coeffs or (0.0,)):
+        for k in range(kmax - 1, 0, -1):
+            jet[k] = jet[k] * w + jet[k - 1]
+        jet[0] = jet[0] * w + c
+    return jet
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_jet_stops_at_the_degree_bit_for_bit():
+    from monalg.monogenic import _jet
+
+    rng = np.random.default_rng(67)
+    w = rng.normal(size=24) + 1j * rng.normal(size=24)
+    w[:4] = [0.0, -0.0, complex(-0.0, -0.0), complex(-1.5, -0.0)]  # signed zeros
+    for degree in range(15):
+        coeffs = tuple(complex(*rng.normal(size=2)) for _ in range(degree + 1))
+        if degree:
+            coeffs = coeffs[:1] + (complex(-0.0, 0.0),) + coeffs[2:]
+        for kmax in range(1, 6):
+            for batch in (w, w[3:4]):
+                got, want = _jet(coeffs, batch, kmax), _full_jet(coeffs, batch, kmax)
+                assert len(got) == min(kmax, degree + 1)
+                assert all(_same_bytes(g, v) for g, v in zip(got, want)), (degree, kmax)
+                for v in want[len(got):]:  # the entries dropped are exact +0
+                    assert _same_bytes(v, np.zeros_like(batch)), (degree, kmax)
+    assert len(_jet((), w, 3)) == 1
+
+
+def test_representation_is_that_of_full_jets(bundles, monkeypatch):
+    # with full-length jets _expand reads every factor and the rational
+    # quotient pads nothing, as before the jets stopped at the degree
+    import monalg.monogenic
+
+    rng = np.random.default_rng(71)
+    for bundle in bundles.values():
+        for frame in bundle.frames.values():
+            pts = eval_points(frame, rng, 4)
+            pole_radius = float(np.abs(xi_values(frame, pts)).max()) + 3.0
+            kinds = _each_kind(frame.spec, pole_radius)
+            kinds["low degree"] = MonogenicSpec(
+                F=(HoloFunction("polynomial", (0.5, -1.0j)),) * frame.spec.m,
+                G={s: HoloFunction("polynomial", (0.25 - 1j,))
+                   for s in range(frame.spec.m + 1, frame.spec.n + 1)})
+            for kind, ms in kinds.items():
+                got = representation_field(ms, frame)(pts)
+                with monkeypatch.context() as mp:
+                    mp.setattr(monalg.monogenic, "_jet", _full_jet)
+                    want = representation_field(ms, frame)(pts)
+                assert _same_bytes(got, want), (bundle.algebra.name, kind)
+
+
+def test_auto_contour_gaps_are_the_delete_form_bit_for_bit():
+    from monalg.monogenic import _auto_contours
+
+    rng = np.random.default_rng(79)
+    for m in range(1, 5):
+        xi = rng.normal(size=(50, m)) + 1j * rng.normal(size=(50, m))
+        centers, radii = _auto_contours(xi, m, {2: (0.5j, 0.1)} if m == 3 else {})
+        for u in range(1, m + 1):
+            if m == 3 and u == 2:
+                assert np.all(radii[1] == 0.1) and np.all(centers[1] == 0.5j)
+                continue
+            c = xi[:, u - 1]
+            gap = (np.min(np.abs(np.delete(xi, u - 1, axis=1) - c[:, None]), axis=1)
+                   if m > 1 else 2.5)
+            assert _same_bytes(centers[u - 1], c)
+            assert _same_bytes(radii[u - 1], 0.4 * gap * np.ones(50))
+
+
+def test_contour_roots_are_built_once_read_only():
+    from monalg.monogenic import _contour_roots
+
+    for nodes in (1, 7, 64, 1024):
+        rot = _contour_roots(nodes)
+        assert _contour_roots(nodes) is rot
+        assert not rot.flags.writeable
+        assert _same_bytes(rot, np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes)))
+        with pytest.raises(ValueError, match="read-only"):
+            rot[0] = 0.0
