@@ -6,7 +6,8 @@ produced by the generators additionally carry exact tangents, in which case
 the integral uses the parameter trapezoid rule (spectrally accurate for
 smooth closed loops).  Plain polylines fall back to the per-segment
 trapezoid (polygon) rule.  _node_steps writes both as one per-node rule that
-every loop integral, here and in lambda_const, shares.
+every loop integral, here and in lambda_const, shares.  One contraction,
+_weighted_sums, takes every integral here from node values to sums.
 """
 
 from __future__ import annotations
@@ -224,25 +225,16 @@ def _node_steps(curve: Curve3) -> np.ndarray:
 def _weighted_sums(weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """weights.T @ vals for real weights (N,) or (N, k) and complex vals (N, n).
 
-    Values that are the .T view of C-contiguous coefficient rows (n, N), as
-    the batch kernels return them, are contracted where they lie when there
-    are k >= 2 weight columns: the rows viewed as (n, N, 2) floats, one real
-    (k, N) @ (N, 2) GEMM per coefficient, with no copy of the values.  Other
-    values are made C-contiguous (no copy if they are) and viewed as
-    (N, 2n) floats for one real GEMM with k output rows.  One weight column
-    always takes that form: it is a vector-matrix product, and OpenBLAS's
-    kernel for it sums 2 columns differently from 2n, so the row form would
-    move the last bits of surface and Stokes integrals.  OpenBLAS keeps all
-    of these shapes on one thread.
+    The values are contracted as C-contiguous coefficient rows (n, N): the
+    .T view the batch kernels return is such rows already, and other values
+    are copied into them once.  The rows, viewed as (n, N, 2) floats, take
+    one batched real GEMM, (k, N) @ (N, 2) per coefficient, for any number
+    of weight columns.  OpenBLAS keeps these shapes on one thread.
     """
-    rows = vals.T
-    if (weights.ndim == 2 and weights.shape[1] > 1 and vals.dtype == complex
-            and rows.flags.c_contiguous and not vals.flags.c_contiguous):
-        n, N = rows.shape
-        sums = np.matmul(weights.T, rows.view(float).reshape(n, N, 2))  # (n, k, 2)
-        return sums.transpose(1, 0, 2).copy().view(complex)[..., 0]
-    vals = np.ascontiguousarray(vals, dtype=complex)
-    return (weights.T @ vals.view(float)).view(complex)
+    rows = np.ascontiguousarray(vals.T, dtype=complex)
+    n, N = rows.shape
+    sums = np.matmul(weights.T, rows.view(float).reshape(n, N, 2))  # (n, k, 2) or (n, 2)
+    return sums.swapaxes(0, -2).copy().view(complex)[..., 0]
 
 
 def _integrate_values(frame: E3Frame, vals: np.ndarray, steps: np.ndarray) -> AlgElement:

@@ -34,7 +34,7 @@ from .integration import (
     _integrate_values,
     _node_steps,
 )
-from .monogenic import MonogenicSpec, _rep_recurrences, _rep_values
+from .monogenic import MonogenicSpec, _rep_values
 from .resolvent import _inverse, _invertible_zeta, _zeta_inverse_batch
 
 __all__ = [
@@ -482,24 +482,22 @@ def exactness_conditions(frame: E3Frame) -> ExactnessReport:
 def _values(phis: dict, frame: E3Frame, pts: np.ndarray, where: str):
     """Yield (key, values at pts) for each function of phis, a field or a
     MonogenicSpec, one at a time, so that a caller is done with each batch
-    before the next is made.  The MonogenicSpecs share one _rep_recurrences of
-    the points (its ValueError passes through) and use the representation's
-    default contour rule; a failure raises FieldEvaluationError naming `where`."""
-    rec = None
+    before the next is made.  The MonogenicSpecs share one _rep_values of the
+    points, with the representation's default contour rule; the ValueError of
+    its range check passes through, and any function's failure raises
+    FieldEvaluationError naming `where`."""
+    specs = [phi for phi in phis.values() if isinstance(phi, MonogenicSpec)]
+    reps = _rep_values(specs, frame, pts) if specs else None
     for key, phi in phis.items():
-        if isinstance(phi, MonogenicSpec):
-            rec = rec or _rep_recurrences(frame, pts)
-            yield key, _eval_field(lambda _, ms=phi: _rep_values(ms, frame.spec, rec[0], rec[3]),
-                                   pts, where)
-        else:
-            yield key, _eval_field(phi, pts, where)
+        field = (lambda _: next(reps)) if isinstance(phi, MonogenicSpec) else phi
+        yield key, _eval_field(field, pts, where)
 
 
 def cauchy_theorem_residuals(phis: dict, frame: E3Frame, curve: Curve3) -> dict:
     """The norm of each function's loop integral on one curve (zero for a
     monogenic one), keyed as phis.  They share the curve's steps, and the
-    MonogenicSpecs one _rep_recurrences of its nodes and the representation's
-    default contour rule; for another, pass representation_field(phi, frame, nodes)."""
+    MonogenicSpecs one _rep_values of its nodes (see _values); for another
+    node count, pass the field representation_field(phi, frame, nodes)."""
     steps = _node_steps(curve)
     return {key: norm_euclid(_integrate_values(frame, vals, steps))
             for key, vals in _values(phis, frame, curve.points, "curve")}
@@ -510,7 +508,7 @@ def cauchy_formula_residuals(phis: dict, frame: E3Frame, p0, curve: Curve3) -> d
     for each function Phi of phis, keyed alike.  They share one lambda, the loop
     integral of (zeta - zeta_0)^{-1} on the curve's steps under lambda_numeric's
     checks, the node weights built from the same, and the MonogenicSpecs one
-    _rep_recurrences of the nodes and one of p0 (checked by geometry._finite
+    _rep_values of the nodes and one of p0 (checked by geometry._finite
     first), each as in cauchy_theorem_residuals."""
     if not curve.closed:
         raise EmbraceError("lambda requires a closed curve")

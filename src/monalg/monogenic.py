@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgebraError, AlgebraSpec, AlgElement, _mul_coeffs, basis_element
+from .algebra import AlgebraError, AlgElement, _mul_coeffs, basis_element
 from .geometry import E3Frame, _finite, _one, _zeta_coeffs
 from .integration import _central_diff, _eval_field
 from .resolvent import SingularityError, _expand, _recurrences
@@ -256,11 +256,20 @@ def _moments(func: HoloFunction, center, radius, xi_u, kmax: int, nodes: int) ->
     return q
 
 
-def _rep_recurrences(frame: E3Frame, pts) -> tuple:
-    """xi, T, B, Q (resolvent._recurrences) of zeta at points (N, 3), the representation's
-    one entry: a non-finite point (geometry._finite) or one outside the frame's
+def _rep_values(mspecs, frame: E3Frame, pts, nodes: int = 1024):
+    """The representations (N, n) of the MonogenicSpecs mspecs at points (N, 3),
+    made one at a time as they are drawn: the representation's one entry.
+
+    The points are checked, and zeta's recurrences formed, once, by the call
+    itself: a non-finite point (geometry._finite) or one outside the frame's
     rep_limits (geometry._rep_limits) raises ValueError before zeta or the
-    recurrences can overflow."""
+    recurrences can overflow.  Only given contours are checked for enclosure:
+    an automatic one, centred at xi_u with 0.4 times a gap _auto_contours
+    keeps from 0, encloses xi_u alone.  Data whose moments overflow at a point
+    in range (a high degree at a large |xi_u|) raise ValueError naming it, with
+    no RuntimeWarning; the Cauchy checks, as any integral of a field, report
+    that as FieldEvaluationError naming the curve or p0.
+    """
     pts = np.asarray(pts, dtype=float)
     limits = frame.rep_limits
     if not (np.abs(pts) <= limits).all():  # so does a NaN, which _finite names
@@ -268,59 +277,52 @@ def _rep_recurrences(frame: E3Frame, pts) -> tuple:
         raise ValueError(f"point {tuple(pts[i].tolist())} is out of the representation's "
                          f"range, |x| <= {limits[0]:.6g} and |y|, |z| <= {limits[1]:.6g} "
                          f"(batch index {i})")
-    return _recurrences(frame.spec, _zeta_coeffs(frame, pts))
+    spec = frame.spec
+    m, kmax = spec.m, spec.plan.orders
+    xi, _, _, Q = _recurrences(spec, _zeta_coeffs(frame, pts))
 
-
-def _rep_batch(mspec: MonogenicSpec, frame: E3Frame, pts: np.ndarray,
-               nodes: int = 1024) -> np.ndarray:
-    """The representation (N, n) at points (N, 3), under _rep_recurrences' checks."""
-    xi, _, _, Q = _rep_recurrences(frame, pts)
-    return _rep_values(mspec, frame.spec, xi, Q, nodes)
-
-
-def _rep_values(mspec: MonogenicSpec, spec: AlgebraSpec, xi: np.ndarray, Q,
-                nodes: int = 1024) -> np.ndarray:
-    """The representation (N, n) at points given their xi (N, m) and Q from
-    _rep_recurrences, which functions evaluated at the same points can share.
-    Only given contours are checked for enclosure: an automatic one, centred at
-    xi_u with 0.4 times a gap _auto_contours keeps from 0, encloses xi_u alone."""
-    m = spec.m
-    if len(mspec.F) != m:
-        raise ValueError(f"need one F_u per idempotent ({m}), got {len(mspec.F)}")
-    centers, radii = _auto_contours(xi, m, mspec.contours)
-    for u in range(1, m + 1):
-        if u in mspec.contours:
-            _check_enclosure(xi, u, centers[u - 1], radii[u - 1])
-    kmax = spec.plan.orders
-
-    # idempotent terms: F_u integrated over Gamma_u only touches I_u and its nilpotents
-    out = _expand(spec, Q, [
-        _moments(mspec.F[u], centers[u], radii[u], xi[:, u], kmax[u], nodes) for u in range(m)
-    ])
-
-    # nilpotent terms: full resolvent integral over Gamma_{u_s}, then times I_s;
-    # every other xi_u lies outside Gamma_{u_s} (_check_enclosure), so its moments
-    # vanish: [zero], whose higher moments _expand reads as zero
-    zero = np.zeros_like(xi[:, 0]) if mspec.G else None
-    for s, g in sorted(mspec.G.items()):
-        us = spec.u_map[s] - 1
-        vec = _expand(spec, Q, [
-            _moments(g, centers[us], radii[us], xi[:, us], kmax[us], nodes) if u == us
-            else [zero] for u in range(m)
-        ])
-        out += _mul_coeffs(spec, basis_element(spec, s).coeffs, vec)
-    return out
+    def values():
+        for mspec in mspecs:
+            if len(mspec.F) != m:
+                raise ValueError(f"need one F_u per idempotent ({m}), got {len(mspec.F)}")
+            centers, radii = _auto_contours(xi, m, mspec.contours)
+            for u in range(1, m + 1):
+                if u in mspec.contours:
+                    _check_enclosure(xi, u, centers[u - 1], radii[u - 1])
+            with np.errstate(over="ignore", invalid="ignore"):
+                # idempotent terms: F_u integrated over Gamma_u only touches I_u
+                # and its nilpotents
+                out = _expand(spec, Q, [_moments(mspec.F[u], centers[u], radii[u], xi[:, u],
+                                                 kmax[u], nodes) for u in range(m)])
+                # nilpotent terms: full resolvent integral over Gamma_{u_s}, then
+                # times I_s; every other xi_u lies outside Gamma_{u_s}
+                # (_check_enclosure), so its moments vanish: [zero], whose higher
+                # moments _expand reads as zero
+                zero = np.zeros_like(xi[:, 0]) if mspec.G else None
+                for s, g in sorted(mspec.G.items()):
+                    us = spec.u_map[s] - 1
+                    vec = _expand(spec, Q, [
+                        _moments(g, centers[us], radii[us], xi[:, us], kmax[us], nodes)
+                        if u == us else [zero] for u in range(m)
+                    ])
+                    out += _mul_coeffs(spec, basis_element(spec, s).coeffs, vec)
+            if not np.isfinite(out).all():
+                i = int(np.argwhere(~np.isfinite(out))[0, 0])
+                raise ValueError(f"point {tuple(pts[i].tolist())} overflows the representation "
+                                 f"of its data (batch index {i})")
+            yield out
+    return values()
 
 
 def eval_representation(mspec: MonogenicSpec, frame: E3Frame, p,
                         nodes: int = 1024) -> AlgElement:
     """Evaluate the represented monogenic function at one point."""
-    return AlgElement(frame.spec, _rep_batch(mspec, frame, _one(p), nodes)[0])
+    return AlgElement(frame.spec, next(_rep_values((mspec,), frame, _one(p), nodes))[0])
 
 
 def representation_field(mspec: MonogenicSpec, frame: E3Frame, nodes: int = 1024):
     """Field callable (pts (N,3) -> (N,n)) for use with the integration module."""
-    return lambda pts: _rep_batch(mspec, frame, pts, nodes)
+    return lambda pts: next(_rep_values((mspec,), frame, pts, nodes))
 
 
 def gateaux_derivative_fd(phi, frame: E3Frame, p, h_direction, eps: float) -> AlgElement:

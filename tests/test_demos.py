@@ -17,6 +17,8 @@ def test_demos_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script, tmp_path):
-    res = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                         cwd=tmp_path, env=package_env())
+    # a child process does not read pyproject's filterwarnings: the demos meet
+    # the suite's rule that no numpy RuntimeWarning is raised
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
+                         capture_output=True, text=True, cwd=tmp_path, env=package_env())
     assert res.returncode == 0, res.stderr

@@ -475,19 +475,20 @@ def test_long_loop_matches_node_by_node_sum(bundles):
 
 
 @pytest.mark.parametrize("N", [1, 2, 513, 4097, 16385])
-@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("k", [None, 1, 3])
 def test_weighted_sums_contract_coefficient_rows_in_place(N, k):
     # the batch kernels return (N, n) values as the .T view of C-contiguous
-    # (n, N) rows; with several weight columns the contraction reads those
-    # rows where they lie, and must agree with the contiguous layout's GEMM
+    # (n, N) rows; the contraction reads those rows where they lie, for one
+    # weight vector (None) or k columns, and C-contiguous values are copied
+    # into the same rows, so both layouts give the same bytes
     import tracemalloc
 
     from monalg.integration import _weighted_sums
 
     n = 5
-    rng = np.random.default_rng(1310 + N + k)
+    rng = np.random.default_rng(1310 + N + (k or 0))
     rows = rng.standard_normal((n, N)) + 1j * rng.standard_normal((n, N))
-    weights = rng.standard_normal((N, k))
+    weights = rng.standard_normal((N,) if k is None else (N, k))
     vals = rows.T
     want = _weighted_sums(weights, np.ascontiguousarray(vals))
     tracemalloc.start()
@@ -496,7 +497,46 @@ def test_weighted_sums_contract_coefficient_rows_in_place(N, k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got.shape == want.shape == (k, n)
-    np.testing.assert_allclose(got, want, rtol=1e-15)
-    if k > 1 and N >= 513:  # the row path makes no (N, n) copy of the values
+    assert got.shape == want.shape == ((n,) if k is None else (k, n))
+    assert got.tobytes() == want.tobytes()
+    if N >= 513:  # no (N, n) copy of the values
         assert peak < vals.nbytes // 2, peak
+
+
+def _two_path_weighted_sums(weights, vals):
+    """The contraction as it was with two paths, chosen by the layout of the
+    values: the rows in place for .T views with k >= 2 weight columns, else a
+    C-contiguous (N, 2n) float view and one GEMM.  The reference for the bits
+    of the loop integrals."""
+    rows = vals.T
+    if (weights.ndim == 2 and weights.shape[1] > 1 and vals.dtype == complex
+            and rows.flags.c_contiguous and not vals.flags.c_contiguous):
+        n, N = rows.shape
+        sums = np.matmul(weights.T, rows.view(float).reshape(n, N, 2))  # (n, k, 2)
+        return sums.transpose(1, 0, 2).copy().view(complex)[..., 0]
+    vals = np.ascontiguousarray(vals, dtype=complex)
+    return (weights.T @ vals.view(float)).view(complex)
+
+
+@pytest.mark.parametrize("N", [1, 2, 513, 4097, 16385])
+def test_weighted_sums_is_the_two_path_form(N):
+    # .T views with 2 or 3 weight columns (every loop integral of a batch
+    # kernel) keep the two-path form's bytes; C-contiguous values and single
+    # columns, which it summed as (N, 2n) floats, agree within rounding: 1e-15
+    # of the sum of the absolute node contributions
+    from monalg.integration import _weighted_sums
+
+    rng = np.random.default_rng(1390 + N)
+    for n in (2, 5, 12):
+        rows = rng.standard_normal((n, N)) + 1j * rng.standard_normal((n, N))
+        for k in (2, 3):
+            weights = rng.standard_normal((N, k))
+            got = _weighted_sums(weights, rows.T)
+            assert got.tobytes() == _two_path_weighted_sums(weights, rows.T).tobytes(), (n, k)
+        for shape in ((N,), (N, 1), (N, 3)):
+            weights = rng.standard_normal(shape)
+            for vals in (rows.T, np.ascontiguousarray(rows.T)):
+                got, want = _weighted_sums(weights, vals), _two_path_weighted_sums(weights, vals)
+                scale = np.abs(weights.T) @ np.abs(vals)
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 1e-15 * scale), (n, shape)

@@ -643,3 +643,76 @@ def test_contour_roots_are_built_once_read_only():
         assert _same_bytes(rot, np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes)))
         with pytest.raises(ValueError, match="read-only"):
             rot[0] = 0.0
+
+
+def test_one_entry_evaluates_several_functions_at_one_point_set(bundles, monkeypatch):
+    # the three standard functions of the CLI and one G_s function, evaluated
+    # together: each gives its own representation's bytes, from one recurrence
+    import monalg.monogenic
+    from monalg import FieldEvaluationError, cauchy_theorem_residuals, circle_curve
+    from monalg.cli import _standard_mspecs
+    from monalg.monogenic import _rep_values
+
+    calls = []
+    real = monalg.monogenic._recurrences
+    monkeypatch.setattr(monalg.monogenic, "_recurrences",
+                        lambda *args: calls.append(args) or real(*args))
+    rng = np.random.default_rng(73)
+    for bundle in bundles.values():
+        for label, frame in bundle.frames.items():
+            spec = frame.spec
+            mspecs = dict(_standard_mspecs(spec))
+            if spec.n > spec.m:
+                mspecs["G_s"] = MonogenicSpec(F=(HoloFunction.exp_series(6),) * spec.m,
+                                              G={spec.n: HoloFunction("polynomial", (0.5, -1j))})
+            pts = eval_points(frame, rng, 3)
+            calls.clear()
+            batches = list(_rep_values(list(mspecs.values()), frame, pts))
+            assert len(calls) == 1, (spec.name, label)
+            for ms, batch in zip(mspecs.values(), batches):
+                for i, p in enumerate(pts):
+                    one = eval_representation(ms, frame, p).coeffs
+                    assert _same_bytes(one, np.ascontiguousarray(batch[i])), (spec.name, label)
+
+    # the range check runs before any function, and its ValueError is not wrapped
+    frame = bundles["A5"].default_frame
+    mspecs = _standard_mspecs(frame.spec)
+    far = circle_curve(center=(0.3, 1e80, 0.2), radius=1.0, nodes=16)
+    with pytest.raises(ValueError, match="out of the representation's range") as err:
+        cauchy_theorem_residuals(mspecs, frame, far)
+    assert not isinstance(err.value, FieldEvaluationError)
+    # a ContourError of one function is reported as the curve's
+    lost = MonogenicSpec(F=mspecs["square"].F, contours={1: (5.0, 0.1)})
+    with pytest.raises(FieldEvaluationError, match="failed on curve: contour for u=1"):
+        cauchy_theorem_residuals({**mspecs, "lost": lost}, frame,
+                                 circle_curve(center=(0.3, 0.1, 0.2), nodes=16))
+
+
+def test_overflowing_data_name_the_point(bundles):
+    # the range rule bounds zeta and the recurrences, not the jets of the
+    # data: a degree-14 series passes finfo.max at x = 1e25 and is refused
+    # there, with no RuntimeWarning, while x = 1e20 keeps its value
+    from monalg import FieldEvaluationError, cauchy_theorem_residuals, circle_curve
+
+    frame = bundles["A5"].default_frame
+    exp = MonogenicSpec(F=(HoloFunction.exp_series(14),))
+    good = (0.5, 0.3, -0.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in ((1e25, 0.1, 0.2), (1e70, 0.1, 0.2)):
+            says = re.escape(f"point {p} overflows the representation of its data")
+            with pytest.raises(ValueError, match=says + re.escape(" (batch index 0)")):
+                eval_representation(exp, frame, p)
+            with pytest.raises(ValueError, match=says + re.escape(" (batch index 1)")):
+                representation_field(exp, frame)(np.array([good, p]))
+        with pytest.raises(FieldEvaluationError, match="failed on curve: point .* overflows"):
+            cauchy_theorem_residuals({"exp": exp}, frame,
+                                     circle_curve(center=(1e25, 0.1, 0.2), nodes=16))
+        p = (1e20, 0.1, 0.2)
+        got = eval_representation(exp, frame, p)
+    z = make_zeta(frame, p)
+    term, want = unit_element(frame.spec), unit_element(frame.spec)
+    for k in range(1, 15):
+        term = multiply(term, z) * (1.0 / k)
+        want = want + term
+    np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=1e-12)

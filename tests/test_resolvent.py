@@ -289,7 +289,7 @@ def test_orders_are_the_largest_power_the_expansion_reads(bundles):
 def test_every_batch_shape_keeps_its_layout(bundles):
     # inside the kernels a batch is one row per coefficient; each point's
     # results, as a batch of one, are its rows of the whole batch, bit for bit
-    from monalg.monogenic import _rep_batch
+    from monalg.monogenic import _rep_values
 
     rng = np.random.default_rng(59)
     poly = HoloFunction("polynomial", (0.5, 1.0, -0.3j))
@@ -301,7 +301,7 @@ def test_every_batch_shape_keeps_its_layout(bundles):
             mspec = MonogenicSpec(F=(poly,) * m, G={n: poly} if n > m else {})
             kernels = [lambda b: _zeta_inverse_batch(frame, b),
                        lambda b: _resolvent_batch(frame, b, 3.1 + 0.8j),
-                       lambda b: _rep_batch(mspec, frame, b, 64)]
+                       lambda b: next(_rep_values((mspec,), frame, b, 64))]
             flat = [f(pts) for f in kernels]
 
             def recurrences(b):
