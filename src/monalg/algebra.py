@@ -67,8 +67,12 @@ class CouplingPlan:
 
     AlgebraSpec builds it once from its table, so no evaluation scans the
     gamma(r, s, k) triples.  Indices are 1-based, gamma values are complex,
-    and B lists only the nonzero structure constants.
+    solve and B list only the nonzero ones.  The inverse reads solve, the
+    representation the rest.
 
+    solve: (s, u_s, ((r, k, gamma(r, k, s)), ...)) per nilpotent s, ascending,
+        r then k ascending in m+1..s-1: the products gamma T_k y_r of forward
+        substitution for coefficient s of an inverse y (resolvent._inverse).
     B: ((r, s), ((k, gamma(r, k, s)), ...)) for s in m+2..n, r in m+1..s-1,
         the terms of the coupling B_{r,s} = sum_k T_k gamma(r, k, s).
     Q: per s in m+1..n, (s, (((k, s), pairs), ...)) for k in 3..s-m+1, where
@@ -77,7 +81,7 @@ class CouplingPlan:
     expand: (s, u_s, ks) per nilpotent s, ks the k whose Q_{k,s} is not
         identically zero (Q_{2,s} = T_s always counts).
     orders: per u, the largest k that expand reads for u, else 1: the number
-        of factors x_u^{-k}, or contour moments, the expansion takes at x_u.
+        of contour moments the expansion takes at x_u.
     shorthands: the ten constants A, B2, C, D, E, F, G, H, J, K of the
         closed forms at indices m+1..m+4 (_SHORTHAND_OFFSETS; 0.0 where the
         index exceeds n).
@@ -85,6 +89,7 @@ class CouplingPlan:
     zeta^{-1} d zeta, which the frame's sums map gives from the table.
     """
 
+    solve: tuple
     B: tuple
     Q: tuple
     expand: tuple
@@ -157,6 +162,9 @@ class AlgebraSpec:
         def g(r, s, k):
             return complex(self._table[r - 1, s - 1, k - 1])
 
+        solve = tuple((s, self.u_map[s], tuple((r, k, g(r, k, s)) for r in range(m + 1, s)
+                                               for k in range(m + 1, s) if g(r, k, s) != 0))
+                      for s in range(m + 1, n + 1))
         B = tuple(((r, s), tuple((k, g(r, k, s)) for k in range(m + 1, s) if g(r, k, s) != 0))
                   for s in range(m + 2, n + 1) for r in range(m + 1, s))
         coupled = {rs for rs, terms in B if terms}
@@ -178,7 +186,7 @@ class AlgebraSpec:
             orders[u - 1] = max(orders[u - 1], *ks)
         shorthands = {name: g(m + i, m + j, m + k) if m + k <= n else 0.0
                       for name, (i, j, k) in _SHORTHAND_OFFSETS.items()}
-        return CouplingPlan(B, tuple(Q), expand, tuple(orders), shorthands)
+        return CouplingPlan(solve, B, tuple(Q), expand, tuple(orders), shorthands)
 
     @property
     def plan(self) -> CouplingPlan:

@@ -188,7 +188,9 @@ def _cmd_invert(cfg: RunConfig):
     z = make_zeta(frame, cfg.point)
     direct = invert_direct(z)
     closed = zeta_inverse_closed(frame, cfg.point)
-    mismatch = norm_euclid(closed - direct) / norm_euclid(direct)
+    # both norms of 2^-e times the vectors, e the solve's largest exponent: exact, no underflow
+    s = 2.0 ** -int(np.frexp(np.max(np.abs(direct.coeffs)))[1])
+    mismatch = norm_euclid((closed - direct) * s) / norm_euclid(direct * s)
     prod_res = norm_euclid(multiply(z, closed) - unit_element(spec))
     ok = (mismatch <= tol
           and prod_res <= CHECKS["product_residual"].bound * (1 + norm_euclid(direct)))

@@ -61,9 +61,9 @@ class EmbraceError(AlgebraError):
 # lambda_numeric's is_2pi_i holds when |lambda - 2 pi i| <= this times 1 + |lambda|
 _IS_2PI_I_TOL = 1e-6
 
-# Points per block of a loop's zeta and zeta^{-1} (_loop_inverse): the n = 5
-# expansion keeps about 30 complex temporaries of a block's length, which at
-# 4096 nodes is about 2 MiB, a core's L2 cache on the benchmark host.
+# Points per block of a loop's zeta and zeta^{-1} (_loop_inverse): sized for an
+# earlier n = 5 inverse's ~30 temporaries, 2 MiB at 4096 nodes, a core's L2
+# cache on the benchmark host; not re-measured for the forward substitution.
 _LOOP_BLOCK = 4096
 
 
@@ -145,11 +145,11 @@ def _loop_inverse(frame: E3Frame, pts: np.ndarray,
     (EmbraceError).  So a node with 1e-12 scale <= |xi_u| < 1e-10 raises
     EmbraceError.  The margin implies _zeta_inverse_batch's pole test,
     1e-13 (1 + |p|) <= 1e-13 (1 + sqrt(3) (scale - 1)) < 1e-12 scale, so
-    the inverse is expanded unchecked.
+    the inverse is solved unchecked.
 
     zeta and its inverse are filled block by block (_loop_blocks), each
     block written into its columns of one (n, N) buffer, so that the
-    expansion's temporaries stay cache-sized.  One (N, n) .T view of zeta's
+    inverse's temporaries stay cache-sized.  One (N, n) .T view of zeta's
     buffer serves the three checks; the inverse's .T view is returned, as
     _inverse returns its own.  The kernels take one arithmetic path for any
     batch, so the result is bit for bit a single pass's."""
@@ -194,8 +194,8 @@ def _atilde_batch(spec: AlgebraSpec, zc: np.ndarray) -> np.ndarray:
 
     zeta's coefficients zc (N, n) (geometry._zeta_coeffs) -> (N, min(4, n - m)),
     column i holding index m+1+i.
-    Implemented independently of the Q recurrence as a cross-check of the inverse it gives.
-    The final T-degree-4 term of the m+4 coefficient follows the recurrence
+    Implemented independently of _inverse's forward substitution as a cross-check.
+    The final T-degree-4 term of the m+4 coefficient follows the Q recurrence
     (the printed sources carry a degree typo there).
 
     Coefficient m+j is -T_{m+j} / x^2 plus the displayed numerators over
@@ -234,7 +234,7 @@ def _atilde_batch(spec: AlgebraSpec, zc: np.ndarray) -> np.ndarray:
         nums[:, 3, 1] = t1 * M + t2 * P + t3 * L
         nums[:, 3, 2] = -(a1 * P + L * n3)
         nums[:, 3, 3] = L * n4
-    # x^2 .. x^(cols+1) by repeated multiplication, like the recurrence's factors
+    # x^2 .. x^(cols+1) by repeated multiplication
     xp = np.empty_like(nums)
     xp[..., 0] = x * x
     for d in range(1, cols):
@@ -380,7 +380,7 @@ def sigma_closed(frame: E3Frame, p, dp) -> SigmaForms:
 def sigma_direct(frame: E3Frame, p, dp) -> dict[int, complex]:
     """sigma_k on the tangent dp at p for every k: the coefficients of
     zeta^{-1} d zeta there, _assemble of outer(dp, zeta^{-1}(p)), the
-    inverse by the recurrence."""
+    inverse by forward substitution."""
     atil = _zeta_inverse_batch(frame, _one(p))[0]
     vals = _assemble(frame, np.outer(np.asarray(dp, dtype=float), atil)).coeffs
     return {k: complex(v) for k, v in enumerate(vals, start=1)}

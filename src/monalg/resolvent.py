@@ -1,51 +1,42 @@
-"""Closed-form inversion on E3: one expansion inverts zeta and t e1 - zeta.
+"""Closed-form inversion on E3: one triangular solve inverts zeta and t e1 - zeta.
 
-An element c with idempotent coefficients x_u and nilpotent ones T_s is
-inverted from scalar data alone: the couplings B_{r,s} = sum_k T_k * (coeff
-of I_s in I_r I_k) and one recurrence Q give
-    c^{-1} = sum_u x_u^{-1} I_u
-           + sum_s sum_k Q_{k,s} (-1)^{k+1} x_{u_s}^{-k} I_s.
-_inverse does this for zeta, whose coefficients are xi_u = x + y a_u + z b_u
-and T_s = y a_s + z b_s, and for t e1 - zeta, whose coefficients are
-t - xi_u and -T_s: its Q_{k,s} is (-1)^{k+1} times zeta's, so the resolvent
-    (t e1 - zeta)^{-1} = sum_u (t - xi_u)^{-1} I_u
-                       + sum_s sum_k Q_{k,s} (t - xi_{u_s})^{-k} I_s
-comes out term for term, bit for bit.  _power_factors forms each factor
-(-1)^{k+1} / x^k with x^k accumulated by repeated multiplication: one
-complex multiply and one divide per order.  The monogenic representation
-reuses the expansion with contour moments as factors (see _expand).  All of
-this is cross-checked against the dense linear-solve oracle in the tests.
+An element c with idempotent coefficients x_u and nilpotent ones T_s has
+(c y)_s = x_{u_s} y_s + T_s y_{u_s} + sum gamma(r, k, s) T_k y_r over
+r, k < s, so c y = 1 is unit lower triangular, solved by forward
+substitution (Higham, Accuracy and Stability of Numerical Algorithms, ch. 8):
+    y_u = 1 / x_u,  y_s = 0.0 - y_{u_s} (T_s y_{u_s} + sum gamma T_k y_r)
+in ascending s.  _inverse does this for zeta, with xi_u = x + y a_u + z b_u
+and T_s = y a_s + z b_s, and for t e1 - zeta, with t - xi_u and -T_s.  It
+forms no power of 1/x_u, so nothing overflows before the result does.  The
+0.0 - makes every zero +0.0 (without it, invert --fixture A5 --frame in_S
+reports a -0.0).  The tests check every inverse against the dense solve.
 
-The sums over the structure constants are fixed per algebra, so they are
-not rediscovered per call: AlgebraSpec builds a CouplingPlan once, listing
-the nonzero terms of each B_{r,s}, the products of the Q recurrence that are
-not identically zero, and per idempotent the largest power k the expansion
-reads, so that no factor x_u^{-k} and no moment is formed that no nonzero
-Q_{k,s} multiplies.  _recurrences and _expand walk that plan and do only
-array arithmetic; all-zero couplings share one zero array, and a coupling
-that is one T_k with gamma = 1 takes one pass.  The plan keeps the scan's
-order of operations, so results are bit for bit those of scanning every
-gamma(r, k, s).
+The monogenic representation expands instead: the couplings
+B_{r,s} = sum_k T_k gamma(r, k, s) and the recurrence
+Q_{k,s} = sum_r Q_{k-1,r} B_{r,s}, Q_{2,s} = T_s, give
+    Phi(zeta) = sum_u W_u[1] I_u + sum_s sum_k Q_{k,s} W_{u_s}[k] I_s
+with contour moments W (_recurrences, _expand).
+
+AlgebraSpec builds a CouplingPlan once, so no call scans the structure
+constants: the solve's nonzero products, the nonzero terms of each B_{r,s},
+the Q products that are not identically zero, and per idempotent the
+largest power k the expansion reads, so no moment is formed that no nonzero
+Q_{k,s} multiplies.  All-zero couplings share one zero array, and a
+coupling that is one T_k with gamma = 1 takes one pass.  The plan keeps the
+scan's order of operations, so results are bit for bit the scan's.
 
 Every kernel takes one batch axis, points (N, 3) and coefficients (N, n),
-held coefficient-major inside: zeta's coefficients, every B and Q, every
-power factor and every row of the expansion is one contiguous array over
-the points.  Each arithmetic step then runs numpy's inner loop over the N
-points, not over k <= n as on node-major (N, k) arrays, whose columns are
-strided slices.  geometry._zeta_coeffs (the rows of geometry._zeta_rows,
-the only kernel from points to zeta) and _expand return the (N, n) .T
-views of their (n, N) rows, so _recurrences reads xi = coeffs[:, :m] and
-T = coeffs[:, m:] with each column contiguous.  The layout changes no bit
-of any result.
+held coefficient-major inside: each row of zeta, of B and Q and of an
+inverse or expansion is one contiguous array over the points, so numpy's
+inner loops run over the N points, not over k <= n.  geometry._zeta_coeffs
+(the only kernel from points to zeta), _inverse and _expand return the
+(N, n) .T views of their (n, N) rows.  The layout changes no bit.
 
-One point and many take one arithmetic path: every sum of B, Q and the
-expansion is acc = 0.0, then acc = acc + term, and x^k is the fresh product
-xk * x.  So a point's bits do not depend on the size of its batch.  The 0.0
-seed turns a sum of negative zeros into +0.0 (without it, invert --fixture
-A5 --frame in_S reports a -0.0).  The public single-point functions pass a
-batch of one (geometry._one) and take its row 0, so they give their row of
-any batch.  Every guard decides per point, so a point's outcome does not
-depend on the batch it is in either.
+One point and many take one arithmetic path: every product is a fresh
+array, and a sum run in place rounds alike on any batch.  So a point's bits
+do not depend on its batch: the public single-point functions pass a batch
+of one (geometry._one) and give their row of any batch.  Every guard
+decides per point, so neither does a point's outcome.
 """
 
 from __future__ import annotations
@@ -111,38 +102,19 @@ def _recurrences(spec: AlgebraSpec, coeffs: np.ndarray):
     return xi, T, B, Q
 
 
-def _power_factors(x: np.ndarray, kmax: int) -> list[np.ndarray]:
-    """[(-1)^{k+1} / x^k for k = 1..kmax], the inverse's factors.
-
-    x^k is accumulated by repeated multiplication and divided into +-1 once.
-    A complex x ** -k costs several times that multiply and divide, and is
-    less accurate for k >= 2; (1/x)^k compounds the rounding of 1/x and is
-    less accurate still.
-    """
-    out = [1.0 / x]
-    xk = x
-    for k in range(2, kmax + 1):
-        xk = xk * x
-        out.append(-1.0 / xk if k % 2 == 0 else 1.0 / xk)
-    return out
-
-
-def _expand(spec: AlgebraSpec, Q, W, out: np.ndarray | None = None) -> np.ndarray:
+def _expand(spec: AlgebraSpec, Q, W) -> np.ndarray:
     """Coefficients of sum_u W[u-1][0] I_u + sum_s sum_k Q_{k,s} W[u_s-1][k-1] I_s.
 
     W[u-1] lists the scalar factors (arrays (N,)) paired with the u-th
-    idempotent coefficient x_u for k = 1..spec.plan.orders[u-1]:
-    (-1)^{k+1} x_u^{-k} give the inverse (_inverse), contour moments give the
-    monogenic representation.  W[u-1] may stop short of orders[u-1] (the
-    moments of a polynomial stop at its degree): the factors past its end are
-    zero.  Terms whose Q_{k,s} or whose factor is identically zero are skipped;
+    idempotent coefficient x_u for k = 1..spec.plan.orders[u-1], the
+    representation's contour moments.  W[u-1] may stop short of orders[u-1]
+    (the moments of a polynomial stop at its degree): the factors past its
+    end are zero.  Terms whose Q_{k,s} or whose factor is identically zero are skipped;
     adding those +-0 products to a sum seeded with 0.0 would change no bit.
     The coefficients fill an (n, N) buffer row by row; the result (N, n) is
-    its .T view, not C-contiguous for N > 1.  The buffer is out when given
-    (columns of a larger buffer, say), else a fresh one.
+    its .T view, not C-contiguous for N > 1.
     """
-    if out is None:
-        out = np.empty((spec.n, len(W[0][0])), dtype=complex)
+    out = np.empty((spec.n, len(W[0][0])), dtype=complex)
     for u in range(spec.m):
         out[u] = W[u][0]
     for s, u, ks in spec.plan.expand:
@@ -158,12 +130,24 @@ def _expand(spec: AlgebraSpec, Q, W, out: np.ndarray | None = None) -> np.ndarra
 
 def _inverse(spec: AlgebraSpec, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The inverse (N, n) of the elements with coefficients coeffs (N, n),
-    with no check that their idempotent coefficients x_u are nonzero: the
-    recurrence on their own coefficients, expanded with the factors
-    (-1)^{k+1} x_u^{-k} (into the (n, N) rows out, when given; see _expand)."""
-    x, _, _, Q = _recurrences(spec, coeffs)
-    W = [_power_factors(x[:, u], kmax) for u, kmax in enumerate(spec.plan.orders)]
-    return _expand(spec, Q, W, out)
+    with no check that their idempotent coefficients x_u are nonzero, by
+    forward substitution: y_u = 1 / x_u, then in ascending s
+    y_s = 0.0 - y_{u_s} (T_s y_{u_s} + sum gamma(r, k, s) T_k y_r) over the
+    plan's solve terms, a gamma of 1 not multiplied.  The rows fill an (n, N)
+    buffer, out when given (columns of a larger buffer, say); the result is
+    its .T view."""
+    if out is None:
+        out = np.empty((spec.n, len(coeffs)), dtype=complex)
+    for u in range(spec.m):
+        out[u] = 1.0 / coeffs[:, u]
+    for s, u, terms in spec.plan.solve:
+        y = out[u - 1]
+        acc = coeffs[:, s - 1] * y
+        for r, k, g in terms:
+            term = coeffs[:, k - 1] * out[r - 1]
+            acc += term if g == 1 else term * g
+        np.subtract(0.0, y * acc, out=out[s - 1])
+    return out.T
 
 
 def _resolvent_batch(frame: E3Frame, pts: np.ndarray, t) -> np.ndarray:
@@ -186,7 +170,7 @@ def _resolvent_batch(frame: E3Frame, pts: np.ndarray, t) -> np.ndarray:
 
 
 def resolvent_at(t: complex, frame: E3Frame, p) -> AlgElement:
-    """(t e1 - zeta)^{-1} via the expansion in powers of (t - xi_{u_s})."""
+    """(t e1 - zeta)^{-1} by forward substitution (see _inverse)."""
     return AlgElement(frame.spec, _resolvent_batch(frame, _one(p), complex(t))[0])
 
 
@@ -194,13 +178,17 @@ def _invertible_zeta(frame: E3Frame, pts) -> np.ndarray:
     """zeta's coefficients (N, n) at points (N, 3), under the one pole rule
     of the closed forms of zeta^{-1}: a point with a non-finite coordinate
     raises ValueError (geometry._finite), and one with some |xi_u| below
-    1e-13 (1 + its own |p|) NonInvertibleError."""
+    1e-13 (1 + its own |p|) NonInvertibleError, at any finite magnitude."""
     pts = _finite(pts)
     zc = _zeta_coeffs(frame, pts)
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    # the test scaled by s = 2^-e <= 1, e the exponent of p's largest |coordinate|:
+    # |xi_u| s < 1e-13 (s + |s p|) is exact, so it decides as the unscaled test
+    # wherever that one's |p| is finite, and |s p| < 2 does not overflow
+    s = np.ldexp(1.0, -np.maximum(np.frexp(np.max(np.abs(pts), axis=1))[1], 0))[:, None]
+    x, y, z = (pts * s).T
     # |p| as np.linalg.norm(pts, axis=-1) sums it, bit for bit, without its copies
-    bound = _POLE_TOL * (1 + np.sqrt(x * x + y * y + z * z))
-    bad = np.abs(zc[:, : frame.spec.m]) < bound[:, None]
+    bound = _POLE_TOL * (s + np.sqrt(x * x + y * y + z * z)[:, None])
+    bad = np.abs(zc[:, : frame.spec.m]) * s < bound
     if bad.any():
         u = int(np.argwhere(bad)[0, 1]) + 1
         raise NonInvertibleError(f"point lies on line L_{u} (xi_{u} = 0)", u=u)
@@ -213,5 +201,5 @@ def _zeta_inverse_batch(frame: E3Frame, pts: np.ndarray) -> np.ndarray:
 
 
 def zeta_inverse_closed(frame: E3Frame, p) -> AlgElement:
-    """zeta^{-1} from the resolvent expansion (the production inverse on E3)."""
+    """zeta^{-1} by forward substitution (the production inverse on E3)."""
     return AlgElement(frame.spec, _zeta_inverse_batch(frame, _one(p))[0])

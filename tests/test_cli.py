@@ -240,8 +240,9 @@ def test_verify_all_shares_work_on_each_curve(monkeypatch):
 
     cfg = cli.RunConfig("verify-all", nodes=256)
     curves = cli._Curves.build(cfg)
-    recurrences, inverses, constants = [], [], []
+    recurrences, inversions, inverses, constants = [], [], [], []
     _spy(monkeypatch, resolvent, "_recurrences", lambda args, _: recurrences.append(args[1]))
+    _spy(monkeypatch, resolvent, "_inverse", lambda args, _: inversions.append(args[1]))
     _spy(monkeypatch, lambda_const, "_loop_inverse", lambda args, _: inverses.append(args[1]))
     _spy(monkeypatch, integration, "certified_lemma_constant",
          lambda args, _: constants.append(args))
@@ -256,13 +257,15 @@ def test_verify_all_shares_work_on_each_curve(monkeypatch):
         def recurrences_at(pts):  # _recurrences reads zeta's coefficients at pts
             return runs_on(recurrences, _zeta_coeffs(frame, pts))
 
-        for seen in (recurrences, inverses, constants):
+        for seen in (recurrences, inversions, inverses, constants):
             seen.clear()
         assert cli._verify_one_fixture(fixture, cfg, curves)["ok"]
         assert recurrences_at(curves.theorem.points) == 1, fixture
         assert recurrences_at(curves.formula.points) == 1, fixture
         assert recurrences_at(np.array([cli._FORMULA_P0])) == 1, fixture
-        assert recurrences_at(formula_loop) == 1, fixture
+        # the formula loop is inverted exactly once, its zeta's coefficients
+        # passed to _inverse as one block
+        assert runs_on(inversions, _zeta_coeffs(frame, formula_loop)) == 1, fixture
         assert runs_on(inverses, formula_loop) == 1, fixture
         assert len(constants) == 1, fixture
 

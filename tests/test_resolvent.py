@@ -27,7 +27,8 @@ from monalg import (
     zeta_inverse_closed,
 )
 from monalg.geometry import _zeta_coeffs
-from monalg.resolvent import _one, _recurrences, _resolvent_batch, _zeta_inverse_batch
+from monalg.resolvent import (_inverse, _one, _recurrences, _resolvent_batch,
+                              _zeta_inverse_batch)
 
 from conftest import random_safe_points
 
@@ -346,36 +347,54 @@ def test_evaluation_never_scans_gamma(bundles, monkeypatch):
 def test_pole_scale_is_the_norm_expression_bit_for_bit(bundles):
     # _zeta_inverse_batch raises for a point exactly when some |xi_u| is below
     # 1e-13 (1 + |p|), |p| the point's own np.linalg.norm, alone or beside a
-    # far point: probed at the last floats on either side of that bound
+    # far point: probed at the last floats on either side of that bound, near
+    # every line L_u, at magnitudes up to 1e150, where that bound is finite
+    far = np.full(3, 1e3)
+    for name in ("A5", "C2", "A2_radical"):
+        frame = bundles[name].default_frame
+        for line in noninvertibility_lines(frame):
+
+            def below(p):
+                return np.any(np.abs(xi_values(frame, p)) < 1e-13 * (1 + np.linalg.norm(p)))
+
+            for scale in (1e-3, 0.7, 1e3, 1e6, 1e20, 1e75, 1e150):
+                base = scale * line.direction
+                i = int(np.argmax(np.abs(line.direction)))  # the coordinate to move
+
+                def at(x):
+                    p = base.copy()
+                    p[i] = x
+                    return p
+
+                step = 1e-12 * (1 + scale)  # moves |xi_u| from below the bound to above it
+                lo, hi = base[i], base[i] + step
+                assert below(at(lo)) and not below(at(hi)), (name, line.u, scale)
+                while np.nextafter(lo, hi) != hi:
+                    mid = lo + (hi - lo) / 2
+                    lo, hi = (mid, hi) if below(at(mid)) else (lo, mid)
+                xs = [lo, hi]
+                for _ in range(2):
+                    xs = [np.nextafter(xs[0], -np.inf)] + xs + [np.nextafter(xs[-1], np.inf)]
+                for x in xs:
+                    p = at(x)
+                    for batch in (p[None], np.stack([p, far]), np.stack([far, p])):
+                        if below(p):
+                            with pytest.raises(NonInvertibleError):
+                                _zeta_inverse_batch(frame, batch)
+                        else:
+                            _zeta_inverse_batch(frame, batch)
+
+
+def test_pole_test_holds_beyond_the_range_of_squares(bundles):
+    # above 1.3e154 the squares of |p| overflow: the test still tells a point
+    # on L_1 from one off it, and from (x, .1, .2)
     frame = bundles["A5"].default_frame
     line = noninvertibility_lines(frame)[0].direction
-    far = np.full(3, 1e3)
-
-    def below(p):
-        return abs(xi_values(frame, p)[0]) < 1e-13 * (1 + np.linalg.norm(p, axis=-1))
-
-    for scale in (1e-3, 0.7, 1e3, 1e6):
-        base = scale * line
-
-        def at(x):
-            return np.array([x, base[1], base[2]])
-
-        lo, hi = base[0], base[0] + 1e-12 * (1 + scale)  # |xi_1| below and above the bound
-        assert below(at(lo)) and not below(at(hi))
-        while np.nextafter(lo, hi) != hi:
-            mid = lo + (hi - lo) / 2
-            lo, hi = (mid, hi) if below(at(mid)) else (lo, mid)
-        xs = [lo, hi]
-        for _ in range(2):
-            xs = [np.nextafter(xs[0], -np.inf)] + xs + [np.nextafter(xs[-1], np.inf)]
-        for x in xs:
-            p = at(x)
-            for batch in (p[None], np.stack([p, far]), np.stack([far, p])):
-                if below(p):
-                    with pytest.raises(NonInvertibleError):
-                        _zeta_inverse_batch(frame, batch)
-                else:
-                    _zeta_inverse_batch(frame, batch)
+    for scale in (1e155, 1e200, 1e300):
+        with pytest.raises(NonInvertibleError, match="line L_1"):
+            _zeta_inverse_batch(frame, (scale * line)[None])
+        off = scale * line + scale * 1e-10 * np.array([1.0, -0.5, 0.25])
+        assert np.isfinite(_zeta_inverse_batch(frame, np.stack([off, (scale, 0.1, 0.2)]))).all()
 
 
 _DP = (0.3, -0.2, 0.5)
@@ -415,63 +434,37 @@ def test_closed_forms_name_non_finite_points(bundles):
             f(frame, bad)
 
 
-def test_power_factors_are_no_less_accurate_than_pow():
-    # the expansion's factors (-1)^{k+1} / x^k, x^k by repeated multiplication,
-    # against an extended-precision reference; x ** -k is what they replace
-    from monalg.resolvent import _power_factors
-
-    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
-        pytest.skip("np.longdouble is no wider than float here")
-    rng = np.random.default_rng(53)
-    x = 10 ** rng.uniform(-3, 3, 20000) * np.exp(2j * np.pi * rng.random(20000))
-    factors = _power_factors(x, 6)
-    xk = np.ones(len(x), dtype=np.clongdouble)
-    for k in range(1, 7):
-        sign = (-1.0) ** (k + 1)
-        xk = xk * x.astype(np.clongdouble)
-        ref = sign / xk
-
-        def err(vals):
-            return float(np.max(np.abs((vals - ref) / ref)))
-
-        if k == 1:  # 1/x, the factor the expansion has always used
-            assert np.array_equal(factors[0], 1.0 / x)
-        else:
-            assert err(factors[k - 1]) <= err(sign * x ** -k), k
-        assert err(factors[k - 1]) < 1e-15, k
-
-
 def _transcribed_inverses(frame, pts, t):
     """(t e1 - zeta)^{-1} and zeta^{-1} at pts (N, 3), transcribed from the
-    expansion: xi, T and Q from _scan_recurrences, the factors (t - xi_u)^{-k}
-    and (-1)^{k+1} xi_u^{-k} with x^k by repeated multiplication, and each
-    coefficient summed from a 0.0 seed in k order."""
+    forward substitution: xi and T from _scan_recurrences (at -pts, t added
+    to xi, for t e1 - zeta), y_u = 1 / x_u, and in ascending s
+    y_s = 0.0 - y_{u_s} (T_s y_{u_s} + sum gamma(r, k, s) T_k y_r), the sum
+    over r, then k, in m+1..s-1 with gamma_coeff(r, k, s) != 0, a gamma of 1
+    not multiplied."""
     spec = frame.spec
     n, m = spec.n, spec.m
-    xi, _, _, Q = _scan_recurrences(frame, pts)
-    d = np.asarray(t, dtype=complex)[..., None] - xi
     out = []
-    for base, alternate in ((d, False), (xi, True)):
-        factors = {}
+    for base, shift in ((-pts, t), (pts, None)):
+        xi, T, _, _ = _scan_recurrences(frame, base)
+        x = xi if shift is None else xi + np.asarray(shift, dtype=complex)[..., None]
+        y = np.zeros((len(pts), n), dtype=complex)
         for u in range(m):
-            xk = base[:, u]
-            for k in range(1, n - m + 2):
-                xk = xk if k == 1 else xk * base[:, u]
-                factors[(u, k)] = (-1.0 if alternate and k % 2 == 0 else 1.0) / xk
-        coeffs = np.zeros((len(pts), n), dtype=complex)
-        for u in range(m):
-            coeffs[:, u] = 0.0 + factors[(u, 1)]
+            y[:, u] = 1.0 / x[:, u]
         for s in range(m + 1, n + 1):
-            u = spec.u_map[s] - 1
-            acc = 0.0
-            for k in range(2, s - m + 2):
-                acc = acc + Q[(k, s)] * factors[(u, k)]
-            coeffs[:, s - 1] = acc
-        out.append(coeffs)
+            yu = y[:, spec.u_map[s] - 1].copy()
+            acc = T[:, s - m - 1] * yu
+            for r in range(m + 1, s):
+                for k in range(m + 1, s):
+                    g = spec.gamma_coeff(r, k, s)
+                    if g != 0:
+                        term = T[:, k - m - 1] * y[:, r - 1]
+                        acc = acc + (term if g == 1 else term * g)
+            y[:, s - 1] = 0.0 - yu * acc
+        out.append(y)
     return out
 
 
-def test_inverses_are_the_transcribed_expansion_bit_for_bit(bundles):
+def test_inverses_are_the_transcribed_substitution_bit_for_bit(bundles):
     rng = np.random.default_rng(61)
     for bundle in bundles.values():
         for frame in bundle.frames.values():
@@ -484,3 +477,59 @@ def test_inverses_are_the_transcribed_expansion_bit_for_bit(bundles):
             for i, p in enumerate(pts):
                 assert _same_bytes(resolvent_at(ts[i], frame, p).coeffs, res[i])
                 assert _same_bytes(zeta_inverse_closed(frame, p).coeffs, inv[i])
+
+
+def test_inverse_is_accurate_to_a_few_ulps(bundles):
+    # against the same forward substitution in extended precision, over the
+    # whole multiplication table, from the same float coefficients of zeta
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("np.longdouble is no wider than float here")
+    rng = np.random.default_rng(67)
+    for bundle in bundles.values():
+        spec = bundle.algebra
+        n, m = spec.n, spec.m
+        table = spec.table.astype(np.clongdouble)
+        for frame in bundle.frames.values():
+            zc = _zeta_coeffs(frame, random_safe_points(frame, rng, 4000))
+            c = zc.astype(np.clongdouble)
+            y = np.zeros(c.shape, dtype=np.clongdouble)
+            y[:, :m] = 1 / c[:, :m]
+            for s in range(m, n):
+                u = spec.u_map[s + 1] - 1
+                acc = c[:, s] * y[:, u]
+                for r in range(m, s):
+                    for k in range(m, s):
+                        acc = acc + table[r, k, s] * c[:, k] * y[:, r]
+                y[:, s] = -y[:, u] * acc
+            got = _inverse(spec, zc)
+            err = np.linalg.norm(got - y, axis=1) / np.linalg.norm(y, axis=1)
+            assert np.max(err) <= 2e-15, (spec.name, float(np.max(err)))
+
+
+def test_inverses_hold_over_the_whole_float_range(bundles):
+    # zeta is linear in p, so zeta(p)^{-1} = 2^-k zeta(2^-k p)^{-1} and the
+    # resolvent (t - zeta(p))^{-1} = 2^-k (2^-k t - zeta(2^-k p))^{-1} exactly:
+    # the dense solve at the scaled point, rescaled, is the reference
+    from monalg.algebra import _invert_direct_batch
+    from monalg.cli import CHECKS
+
+    tol = CHECKS["oracle.zeta_inverse_max_rel"].bound
+    pts = np.array([(1e64, .1, .2), (1e100, .1, .2), (1e155, .1, .2), (1e200, .1, .2),
+                    (3e300, -1e299, 5e298)])
+    t = 3.1 + 0.8j
+    for bundle in bundles.values():
+        for frame in bundle.frames.values():
+            spec = frame.spec
+            for i, p in enumerate(pts):
+                s = 2.0 ** -int(np.frexp(np.max(np.abs(p)))[1])
+                zc = _zeta_coeffs(frame, s * p[None])
+                shifted = s * t * spec.unit_coeffs - zc
+                for got, scaled in (
+                        (_zeta_inverse_batch(frame, pts)[i], zc),
+                        (zeta_inverse_closed(frame, p).coeffs, zc),
+                        (_resolvent_batch(frame, pts, t)[i], shifted),
+                        (resolvent_at(t, frame, p).coeffs, shifted)):
+                    want = _invert_direct_batch(spec, scaled)[0] * s
+                    assert np.isfinite(got).all(), (spec.name, p)
+                    err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                    assert err <= tol, (spec.name, p, err)
