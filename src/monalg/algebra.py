@@ -10,6 +10,7 @@ coefficient at slot k-1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -63,37 +64,29 @@ _SHORTHAND_OFFSETS = {
 
 @dataclass(frozen=True)
 class CouplingPlan:
-    """The fixed sums over the structure constants that the closed forms read.
-
-    AlgebraSpec builds it once from its table, so no evaluation scans the
-    gamma(r, s, k) triples.  Indices are 1-based, gamma values are complex,
-    solve and B list only the nonzero ones.  The inverse reads solve, the
-    representation the rest.
+    """The fixed sums over the structure constants that the closed forms read,
+    built once by AlgebraSpec from its table, so no evaluation scans the
+    gamma(r, s, k) triples.  Indices are 1-based, gamma values complex.
 
     solve: (s, u_s, ((r, k, gamma(r, k, s)), ...)) per nilpotent s, ascending,
-        r then k ascending in m+1..s-1: the products gamma T_k y_r of forward
-        substitution for coefficient s of an inverse y (resolvent._inverse).
-    B: ((r, s), ((k, gamma(r, k, s)), ...)) for s in m+2..n, r in m+1..s-1,
-        the terms of the coupling B_{r,s} = sum_k T_k gamma(r, k, s).
-    Q: per s in m+1..n, (s, (((k, s), pairs), ...)) for k in 3..s-m+1, where
-        pairs lists ((k-1, r), (r, s)) for Q_{k,s} = sum_r Q_{k-1,r} B_{r,s}
-        and leaves out every product with an identically zero factor.
-    expand: (s, u_s, ks) per nilpotent s, ks the k whose Q_{k,s} is not
-        identically zero (Q_{2,s} = T_s always counts).
-    orders: per u, the largest k that expand reads for u, else 1: the number
-        of contour moments the expansion takes at x_u.
+        r then k ascending in m+1..s-1, the nonzero gamma only: row s of N v
+        is T_s v_{u_s} + sum gamma T_k v_r, N the nilpotent part of an
+        element (resolvent._nilpotent_row).
+    orders: per u, the largest k with N^(k-1) I_u not identically zero (1 if
+        none), the moments the representation takes at x_u: the largest
+        depth(s) = max(2, 1 + depth(r)) over the r of its terms, u_s = u.
+    heights: per nilpotent s, the largest j with I_s N^j not identically
+        zero, max(0, 1 + height(t)) over the t whose terms read row s: a
+        Horner step followed by more steps than that need not form row s.
     shorthands: the ten constants A, B2, C, D, E, F, G, H, J, K of the
-        closed forms at indices m+1..m+4 (_SHORTHAND_OFFSETS; 0.0 where the
-        index exceeds n).
+        closed forms at indices m+1..m+4 (_SHORTHAND_OFFSETS; 0.0 past n).
     The sigma forms take no entry: sigma_k is coefficient k of
     zeta^{-1} d zeta, which the frame's sums map gives from the table.
     """
 
     solve: tuple
-    B: tuple
-    Q: tuple
-    expand: tuple
     orders: tuple
+    heights: tuple
     shorthands: Mapping[str, complex]
 
 
@@ -165,28 +158,17 @@ class AlgebraSpec:
         solve = tuple((s, self.u_map[s], tuple((r, k, g(r, k, s)) for r in range(m + 1, s)
                                                for k in range(m + 1, s) if g(r, k, s) != 0))
                       for s in range(m + 1, n + 1))
-        B = tuple(((r, s), tuple((k, g(r, k, s)) for k in range(m + 1, s) if g(r, k, s) != 0))
-                  for s in range(m + 2, n + 1) for r in range(m + 1, s))
-        coupled = {rs for rs, terms in B if terms}
-        live = {(2, s) for s in range(m + 1, n + 1)}  # Q entries not identically zero
-        Q = []
-        for s in range(m + 1, n + 1):
-            entries = []
-            for k in range(3, s - m + 2):
-                pairs = tuple(((k - 1, r), (r, s)) for r in range(k + m - 2, s)
-                              if (k - 1, r) in live and (r, s) in coupled)
-                if pairs:
-                    live.add((k, s))
-                entries.append(((k, s), pairs))
-            Q.append((s, tuple(entries)))
-        expand = tuple((s, self.u_map[s], tuple(k for k in range(2, s - m + 2) if (k, s) in live))
-                       for s in range(m + 1, n + 1))
-        orders = [1] * m
-        for _, u, ks in expand:
-            orders[u - 1] = max(orders[u - 1], *ks)
+        depth, orders = {}, [1] * m
+        for s, u, terms in solve:
+            depth[s] = max([2, *(1 + depth[r] for r, _, _ in terms)])
+            orders[u - 1] = max(orders[u - 1], depth[s])
+        height = dict.fromkeys(range(m + 1, n + 1), 0)
+        for s, _, terms in reversed(solve):
+            for r, _, _ in terms:
+                height[r] = max(height[r], 1 + height[s])
         shorthands = {name: g(m + i, m + j, m + k) if m + k <= n else 0.0
                       for name, (i, j, k) in _SHORTHAND_OFFSETS.items()}
-        return CouplingPlan(solve, B, tuple(Q), expand, tuple(orders), shorthands)
+        return CouplingPlan(solve, tuple(orders), tuple(height.values()), shorthands)
 
     @property
     def plan(self) -> CouplingPlan:
@@ -283,8 +265,12 @@ def functional_f(u: int, a: AlgElement) -> complex:
 
 
 def norm_euclid(a: AlgElement) -> float:
-    """Euclidean norm over the 2n real coordinates (Re and Im of each coefficient)."""
-    return float(np.linalg.norm(a.coeffs))
+    """Euclidean norm over the 2n real coordinates (Re and Im of each
+    coefficient): 2^e np.linalg.norm(2^-e coordinates), e the exponent of the
+    largest, an exact scaling, so no square underflows or overflows."""
+    parts = np.ascontiguousarray(a.coeffs).view(float)
+    e = math.frexp(float(np.abs(parts).max()))[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(parts, -e).view(complex))), e)
 
 
 def _mult_rows(spec: AlgebraSpec, coeffs: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -100,24 +102,22 @@ def _sums_map(spec: AlgebraSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _rep_limits(spec: AlgebraSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The largest |x|, |y|, |z| (3,) at which the representation's
-    recurrences stay finite, with S = max(1, max|a|, max|b|):
+    """The largest |x|, |y|, |z| (3,) at which the representation's powers
+    of zeta's nilpotent part N stay finite, with S = max(1, max|a|, max|b|):
 
     - every coordinate up to finfo.max / (3 S), so no xi_u or T_s overflows;
     - y and z also up to finfo.max^(1/P) / (4 S beta), P the largest power
-      of T in a Q_{k,s} (k - 1 for the plan's largest order k) and beta the
-      largest sum of |gamma| over the couplings B_{r,s} of one s (1 at
-      least).  Then |T_s| <= 2 S max(|y|, |z|), and |B_{r,s}| <= beta max|T|
-      and |Q_{k,s}| <= beta^(k-2) max|T|^(k-1) stay below finfo.max / 2, and
-      each gap |xi_u - xi_l| <= 4 S max(|y|, |z|) of the contours below
-      finfo.max.
+      of N that the Horner pass applies (the plan's largest order less 1)
+      and beta the largest sum of |gamma| over the solve terms of one s (1
+      at least).  Then |T_s| <= 2 S max(|y|, |z|), each row of N^j, j <= P,
+      at most beta^(j-1) max|T|^j, stays below finfo.max / 2, and each gap
+      |xi_u - xi_l| <= 4 S max(|y|, |z|) of the contours below finfo.max.
     """
     scale = max(1.0, *map(abs, a.tolist()), *map(abs, b.tolist()))
     limit = sys.float_info.max / (3 * scale)
-    coupling = {}
-    for (_, s), terms in spec.plan.B:
-        coupling[s] = coupling.get(s, 0.0) + sum(abs(g) for _, g in terms)
-    beta = max([1.0, *coupling.values()])
+    beta = max([1.0, *(sum((sum(abs(g) for _, _, g in by_r)
+                             for _, by_r in groupby(terms, key=itemgetter(0))), 0.0)
+                        for _, _, terms in spec.plan.solve)])
     power = max(1, max(spec.plan.orders) - 1)
     yz = sys.float_info.max ** (1 / power) / (4 * scale * beta)
     return np.array([limit, min(limit, yz), min(limit, yz)])

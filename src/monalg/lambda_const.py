@@ -12,6 +12,7 @@ theorem/formula residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -35,7 +36,7 @@ from .integration import (
     _node_steps,
 )
 from .monogenic import MonogenicSpec, _rep_values
-from .resolvent import _inverse, _invertible_zeta, _zeta_inverse_batch
+from .resolvent import _exponents, _inverse, _invertible_zeta, _zeta_inverse_batch
 
 __all__ = [
     "EmbraceError",
@@ -61,9 +62,10 @@ class EmbraceError(AlgebraError):
 # lambda_numeric's is_2pi_i holds when |lambda - 2 pi i| <= this times 1 + |lambda|
 _IS_2PI_I_TOL = 1e-6
 
-# Points per block of a loop's zeta and zeta^{-1} (_loop_inverse): sized for an
-# earlier n = 5 inverse's ~30 temporaries, 2 MiB at 4096 nodes, a core's L2
-# cache on the benchmark host; not re-measured for the forward substitution.
+# Points per block of a loop's zeta and zeta^{-1} (_loop_inverse).  Measured
+# for the forward substitution (lambda_numeric, min of 5 x 20 calls, one
+# OpenBLAS thread, 2-vCPU x86-64): one block in place of blocks of 4096 read
+# A5 0.82 -> 0.96 ms at 8192 nodes and 1.57 -> 1.76 ms at 16384, C2 flat.
 _LOOP_BLOCK = 4096
 
 
@@ -195,8 +197,9 @@ def _atilde_batch(spec: AlgebraSpec, zc: np.ndarray) -> np.ndarray:
     zeta's coefficients zc (N, n) (geometry._zeta_coeffs) -> (N, min(4, n - m)),
     column i holding index m+1+i.
     Implemented independently of _inverse's forward substitution as a cross-check.
-    The final T-degree-4 term of the m+4 coefficient follows the Q recurrence
-    (the printed sources carry a degree typo there).
+    The final T-degree-4 term of the m+4 coefficient follows the paper's
+    expansion in powers of the nilpotent part (the printed sources carry a
+    degree typo there).
 
     Coefficient m+j is -T_{m+j} / x^2 plus the displayed numerators over
     x^3 .. x^(j+1), with x = xi_{u_{m+j}} and T_i = T_{m+i}.  Each numerator
@@ -242,11 +245,27 @@ def _atilde_batch(spec: AlgebraSpec, zc: np.ndarray) -> np.ndarray:
     return (nums / xp).sum(axis=-1)
 
 
+def _scaled_zeta(frame: E3Frame, *points) -> tuple[np.ndarray, list]:
+    """zeta's coefficients (N, n) at 2^-e p for each point p, and the e (_exponents)."""
+    pts = np.array(points, dtype=float)
+    e = _exponents(pts)
+    return _zeta_coeffs(frame, np.ldexp(pts, -e[:, None])), e.tolist()
+
+
+def _scaled(v, e: int) -> complex:
+    """2^e v for a complex v, exactly and with the signs of its zeros."""
+    return complex(math.ldexp(v.real, e), math.ldexp(v.imag, e))
+
+
 def atilde_closed(frame: E3Frame, p) -> dict[int, complex]:
     """_atilde_batch at one point, keyed by the 1-based index of each
-    coefficient, under resolvent._invertible_zeta's checks."""
-    row = _atilde_batch(frame.spec, _invertible_zeta(frame, _one(p)))[0]
-    return {frame.spec.m + 1 + i: complex(v) for i, v in enumerate(row)}
+    coefficient, under resolvent._invertible_zeta's checks.  Of degree -1
+    in p, it is 2^-e times its value at 2^-e p (_scaled_zeta), so it holds
+    over the whole float range."""
+    _invertible_zeta(frame, _one(p))
+    zc, (e,) = _scaled_zeta(frame, p)
+    row = _atilde_batch(frame.spec, zc)[0]
+    return {frame.spec.m + 1 + i: _scaled(v, -e) for i, v in enumerate(row)}
 
 
 @dataclass(frozen=True)
@@ -343,10 +362,13 @@ def _sigma_terms(shorthands: bytes) -> tuple[dict, dict]:
 def sigma_closed(frame: E3Frame, p, dp) -> SigmaForms:
     """sigma_{m+1}..sigma_{m+4} on the tangent dp, via the split differential
     representation: d(antiderivative) plus structure-constant-weighted
-    remainders.  p is checked as by resolvent._invertible_zeta."""
+    remainders.  p is checked as by resolvent._invertible_zeta.  Linear in dp
+    and of degree -1 in p, sigma is 2^(e_dp - e_p) times its value at
+    (2^-e_p p, 2^-e_dp dp) (_scaled_zeta): it holds over the whole float range."""
     spec = frame.spec
     n, m = spec.n, spec.m
-    zc, dzc = _invertible_zeta(frame, _one(p))[0], _zeta_coeffs(frame, _one(dp))[0]
+    _invertible_zeta(frame, _one(p))
+    (zc, dzc), (e_p, e_dp) = _scaled_zeta(frame, p, dp)
     xi_all, T, dxi_all, dT = zc[:m], zc[m:], dzc[:m], dzc[m:]
     c = spec.plan.shorthands
     anti, rem = _sigma_terms(np.fromiter(c.values(), dtype=complex, count=len(c)).tobytes())
@@ -371,9 +393,9 @@ def sigma_closed(frame: E3Frame, p, dp) -> SigmaForms:
                 mono = mono * T[i - 1] ** e
             g = dT[gidx - 1] - T[gidx - 1] * dxi / xi
             rm = rm + mono / xi ** xi_pow * g
-        exact[k] = complex(ex)
-        remainder[k] = complex(rm)
-        total[k] = complex(ex + rm)
+        exact[k] = _scaled(complex(ex), e_dp - e_p)
+        remainder[k] = _scaled(complex(rm), e_dp - e_p)
+        total[k] = _scaled(complex(ex + rm), e_dp - e_p)
     return SigmaForms(total=total, exact=exact, remainder=remainder)
 
 

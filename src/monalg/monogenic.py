@@ -20,10 +20,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgebraError, AlgElement, _mul_coeffs, basis_element
+from .algebra import AlgebraError, AlgElement, _mul_coeffs
 from .geometry import E3Frame, _finite, _one, _zeta_coeffs
 from .integration import _central_diff, _eval_field
-from .resolvent import SingularityError, _expand, _recurrences
+from .resolvent import SingularityError, _horner
 
 __all__ = [
     "ContourError",
@@ -168,7 +168,7 @@ def _jet(coeffs, w, kmax: int) -> list:
     that, a pass over all kmax accumulators only makes them +0 arrays
     (0.0 * w + 0.0 for finite w), whose product with w is that of the 0.0
     they start from.  So the entries returned are that pass's bit for bit,
-    and the ones left out are its +0 arrays, which _expand reads as zero.
+    and the ones left out are its +0 arrays, which _horner reads as zero.
     """
     coeffs = coeffs or (0.0,)
     jet = [0.0] * min(kmax, len(coeffs))
@@ -260,15 +260,15 @@ def _rep_values(mspecs, frame: E3Frame, pts, nodes: int = 1024):
     """The representations (N, n) of the MonogenicSpecs mspecs at points (N, 3),
     made one at a time as they are drawn: the representation's one entry.
 
-    The points are checked, and zeta's recurrences formed, once, by the call
+    The points are checked, and zeta's coefficients formed, once, by the call
     itself: a non-finite point (geometry._finite) or one outside the frame's
     rep_limits (geometry._rep_limits) raises ValueError before zeta or the
-    recurrences can overflow.  Only given contours are checked for enclosure:
-    an automatic one, centred at xi_u with 0.4 times a gap _auto_contours
-    keeps from 0, encloses xi_u alone.  Data whose moments overflow at a point
-    in range (a high degree at a large |xi_u|) raise ValueError naming it, with
-    no RuntimeWarning; the Cauchy checks, as any integral of a field, report
-    that as FieldEvaluationError naming the curve or p0.
+    powers of its nilpotent part can overflow.  Each function is then one
+    Horner pass (resolvent._horner) over its moments.  Only given contours
+    are checked for enclosure: an automatic one encloses xi_u alone.  Data
+    whose moments overflow at a point in range raise ValueError naming it,
+    with no RuntimeWarning; the Cauchy checks, as any integral of a field,
+    report that as FieldEvaluationError naming the curve or p0.
     """
     pts = np.asarray(pts, dtype=float)
     limits = frame.rep_limits
@@ -279,7 +279,8 @@ def _rep_values(mspecs, frame: E3Frame, pts, nodes: int = 1024):
                          f"(batch index {i})")
     spec = frame.spec
     m, kmax = spec.m, spec.plan.orders
-    xi, _, _, Q = _recurrences(spec, _zeta_coeffs(frame, pts))
+    zc = _zeta_coeffs(frame, pts)
+    xi = zc[:, :m]
 
     def values():
         for mspec in mspecs:
@@ -290,22 +291,15 @@ def _rep_values(mspecs, frame: E3Frame, pts, nodes: int = 1024):
                 if u in mspec.contours:
                     _check_enclosure(xi, u, centers[u - 1], radii[u - 1])
             with np.errstate(over="ignore", invalid="ignore"):
-                # idempotent terms: F_u integrated over Gamma_u only touches I_u
-                # and its nilpotents
-                out = _expand(spec, Q, [_moments(mspec.F[u], centers[u], radii[u], xi[:, u],
-                                                 kmax[u], nodes) for u in range(m)])
-                # nilpotent terms: full resolvent integral over Gamma_{u_s}, then
-                # times I_s; every other xi_u lies outside Gamma_{u_s}
-                # (_check_enclosure), so its moments vanish: [zero], whose higher
-                # moments _expand reads as zero
-                zero = np.zeros_like(xi[:, 0]) if mspec.G else None
-                for s, g in sorted(mspec.G.items()):
+                # F_u over Gamma_u gives the moments of I_u; G_s over Gamma_{u_s}
+                # those of I_s, since I_s I_{u_s} = I_s and every other xi_u lies
+                # outside Gamma_{u_s} (_check_enclosure), so its moments vanish
+                w = [_moments(mspec.F[u], centers[u], radii[u], xi[:, u], kmax[u], nodes)
+                     for u in range(m)] + [[] for _ in range(m, spec.n)]
+                for s, g in mspec.G.items():
                     us = spec.u_map[s] - 1
-                    vec = _expand(spec, Q, [
-                        _moments(g, centers[us], radii[us], xi[:, us], kmax[us], nodes)
-                        if u == us else [zero] for u in range(m)
-                    ])
-                    out += _mul_coeffs(spec, basis_element(spec, s).coeffs, vec)
+                    w[s - 1] = _moments(g, centers[us], radii[us], xi[:, us], kmax[us], nodes)
+                out = _horner(spec, zc, w)
             if not np.isfinite(out).all():
                 i = int(np.argwhere(~np.isfinite(out))[0, 0])
                 raise ValueError(f"point {tuple(pts[i].tolist())} overflows the representation "

@@ -162,6 +162,27 @@ def test_norm_basics(bundles):
         assert np.max(np.abs(a.coeffs)) <= norm_euclid(a) + 1e-15
 
 
+def test_norm_holds_over_the_whole_float_range(bundles):
+    # the coordinates are scaled by an exact power of two before they are
+    # squared: np.linalg.norm's bits wherever its squares stay normal, and the
+    # true norm, with no RuntimeWarning, where they would not
+    import warnings
+
+    spec = bundles["A5"].algebra
+    rng = np.random.default_rng(7)
+    for scale in (1e-100, 1e-3, 1.0, 1e20, 1e100):
+        for _ in range(200):
+            c = (rng.normal(size=5) + 1j * rng.normal(size=5)) * scale
+            assert norm_euclid(AlgElement(spec, c)) == np.linalg.norm(c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-160, 1e-200, 1e200):
+            got = norm_euclid(AlgElement(spec, np.full(5, scale + 0j)))
+            assert got == pytest.approx(np.sqrt(5) * scale, rel=1e-15), scale
+        assert norm_euclid(AlgElement(spec, np.full(5, 1e300 - 1e300j))) == pytest.approx(
+            np.sqrt(10) * 1e300, rel=1e-15)
+
+
 def test_invert_unit(bundles):
     for bundle in bundles.values():
         one = unit_element(bundle.algebra)

@@ -235,13 +235,16 @@ def test_verify_all_builds_each_curve_once(monkeypatch):
 
 
 def test_verify_all_shares_work_on_each_curve(monkeypatch):
-    from monalg import integration, lambda_const, load_fixture, resolvent
+    from monalg import integration, lambda_const, load_fixture, monogenic, resolvent
     from monalg.geometry import _zeta_coeffs
 
     cfg = cli.RunConfig("verify-all", nodes=256)
     curves = cli._Curves.build(cfg)
-    recurrences, inversions, inverses, constants = [], [], [], []
-    _spy(monkeypatch, resolvent, "_recurrences", lambda args, _: recurrences.append(args[1]))
+    zetas, inversions, inverses, constants = [], [], [], []
+    # _rep_values is the only caller of monogenic's _zeta_coeffs
+    real = monogenic._zeta_coeffs
+    monkeypatch.setattr(monogenic, "_zeta_coeffs",
+                        lambda frame, pts: zetas.append(pts) or real(frame, pts))
     _spy(monkeypatch, resolvent, "_inverse", lambda args, _: inversions.append(args[1]))
     _spy(monkeypatch, lambda_const, "_loop_inverse", lambda args, _: inverses.append(args[1]))
     _spy(monkeypatch, integration, "certified_lemma_constant",
@@ -253,16 +256,13 @@ def test_verify_all_shares_work_on_each_curve(monkeypatch):
 
     for fixture in ("A5", "J71", "C2"):
         frame = load_fixture(fixture).default_frame
-
-        def recurrences_at(pts):  # _recurrences reads zeta's coefficients at pts
-            return runs_on(recurrences, _zeta_coeffs(frame, pts))
-
-        for seen in (recurrences, inversions, inverses, constants):
+        for seen in (zetas, inversions, inverses, constants):
             seen.clear()
         assert cli._verify_one_fixture(fixture, cfg, curves)["ok"]
-        assert recurrences_at(curves.theorem.points) == 1, fixture
-        assert recurrences_at(curves.formula.points) == 1, fixture
-        assert recurrences_at(np.array([cli._FORMULA_P0])) == 1, fixture
+        # each point set's representations start from one zeta
+        assert runs_on(zetas, curves.theorem.points) == 1, fixture
+        assert runs_on(zetas, curves.formula.points) == 1, fixture
+        assert runs_on(zetas, np.array([cli._FORMULA_P0])) == 1, fixture
         # the formula loop is inverted exactly once, its zeta's coefficients
         # passed to _inverse as one block
         assert runs_on(inversions, _zeta_coeffs(frame, formula_loop)) == 1, fixture

@@ -1,3 +1,4 @@
+import itertools
 from functools import cached_property
 
 import numpy as np
@@ -451,6 +452,61 @@ def test_sigma_split_matches_direct_assembly(bundles):
             direct = _assemble(frame, np.outer(dp, atil)).coeffs
             for k, v in split.total.items():
                 assert abs(v - direct[k - 1]) <= 1e-10 * (1 + abs(direct[k - 1])), (spec.name, k)
+
+
+def test_closed_sigma_forms_hold_over_the_whole_float_range(bundles):
+    # atilde has degree -1 in p and sigma is linear in dp besides: each is
+    # 2^-e times the dense solve at the scaled point 2^-e p, and finite
+    import warnings
+
+    from monalg.algebra import _invert_direct_batch
+    from monalg.cli import CHECKS
+    from monalg.geometry import _zeta_coeffs
+
+    tol = CHECKS["oracle.atilde_max_rel"].bound
+    dp = np.array([0.3, -0.2, 0.5])
+    for bundle in bundles.values():
+        for frame in bundle.frames.values():
+            spec = frame.spec
+            m, cols = spec.m, min(4, spec.n - spec.m)
+            for p in ((1e64, .1, .2), (1e100, .1, .2), (1e200, .1, .2), (3e300, -1e299, 5e298)):
+                s = 2.0 ** -int(np.frexp(np.max(np.abs(p)))[1])
+                inv = _invert_direct_batch(spec, _zeta_coeffs(frame, s * np.array([p])))[0]
+                sigma = _mul_coeffs(spec, inv, _zeta_coeffs(frame, dp[None])[0])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    at = atilde_closed(frame, p)
+                    forms = sigma_closed(frame, p, dp)
+                for got, want in ((at, inv), (forms.total, sigma)):
+                    got = np.array(list(got.values()), dtype=complex)
+                    want = want[m: m + cols] * s
+                    assert len(got) == cols and np.isfinite(got).all(), (spec.name, p)
+                    err = np.max(np.abs(got - want), initial=0)
+                    assert err <= tol * np.max(np.abs(want), initial=0), (spec.name, p)
+
+
+def test_closed_sigma_forms_keep_their_unscaled_bytes(bundles, monkeypatch):
+    # scaling p and dp by exact powers of two changes no bit while nothing
+    # leaves the normal range: with the exponents forced to 0 the forms run
+    # unscaled, at magnitudes of p and of dp from 1e-3 to 1e20
+    import monalg.lambda_const
+
+    def forms(frame, p, dp):
+        split = sigma_closed(frame, p, dp)
+        vals = [atilde_closed(frame, p), split.total, split.exact, split.remainder]
+        return np.array([v for d in vals for v in d.values()], dtype=complex).tobytes()
+
+    rng = np.random.default_rng(89)
+    for bundle in bundles.values():
+        for frame in bundle.frames.values():
+            for scale, dscale in itertools.product((1e-3, 0.7, 3.0, 1e6, 1e20), (1e-3, 1.0, 1e20)):
+                p = scale * random_safe_points(frame, rng, 1)[0]
+                dp = dscale * rng.normal(size=3)
+                got = forms(frame, p, dp)
+                with monkeypatch.context() as patch:
+                    patch.setattr(monalg.lambda_const, "_exponents",
+                                  lambda pts: np.zeros(len(pts), dtype=int))
+                    assert got == forms(frame, p, dp), (frame.spec.name, scale, dscale)
 
 
 def _per_node_sigma(frame, xi, d, atil):

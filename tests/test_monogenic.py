@@ -471,7 +471,7 @@ def test_non_finite_points_are_named(bundles):
     # an infinite y or z is refused before zeta is formed, where it would meet
     # the zero parts of a and b; so is a point whose xi_u or T_s would
     # overflow, with a coordinate above finfo.max / (3 max(1, |a|, |b|)), and
-    # one whose powers of T_s in the recurrences would, with |y| or |z| above
+    # one whose powers of zeta's nilpotent part would, with |y| or |z| above
     # the frame's limit for them (A5: 9.6e75, from T^4)
     frame = bundles["A5"].default_frame
     ms = poly_mspec(frame.spec, (0.5, 1.0))
@@ -593,8 +593,8 @@ def test_jet_stops_at_the_degree_bit_for_bit():
 
 
 def test_representation_is_that_of_full_jets(bundles, monkeypatch):
-    # with full-length jets _expand reads every factor and the rational
-    # quotient pads nothing, as before the jets stopped at the degree
+    # with full-length jets the Horner pass runs from the top order and the
+    # rational quotient pads nothing, as before the jets stopped at the degree
     import monalg.monogenic
 
     rng = np.random.default_rng(71)
@@ -645,17 +645,41 @@ def test_contour_roots_are_built_once_read_only():
             rot[0] = 0.0
 
 
+def test_long_batches_are_their_blocks_bit_for_bit(bundles):
+    # rows of 16385 points pass 256 KiB, above which numpy computes a product
+    # whose right operand is a temporary in place, as temporary *= left, and
+    # its complex multiply is not bitwise commutative: the whole batch must
+    # still be its 4096-point blocks and its single points, byte for byte
+    from monalg.monogenic import _rep_values
+
+    rng = np.random.default_rng(83)
+    poly = HoloFunction("polynomial", (0.5, 1.0, -0.3j))
+    for name in ("A5", "J71", "A2_radical"):
+        frame = bundles[name].default_frame
+        n, m = frame.spec.n, frame.spec.m
+        mspecs = [MonogenicSpec(F=(poly,) * m), MonogenicSpec(F=(HoloFunction.exp_series(14),) * m),
+                  MonogenicSpec(F=(HoloFunction.exp_series(6),) * m, G={n: poly})]
+        pts = eval_points(frame, rng, 16385)
+        for mspec, whole in zip(mspecs, _rep_values(mspecs, frame, pts)):
+            blocks = [next(_rep_values((mspec,), frame, pts[i:i + 4096]))
+                      for i in range(0, len(pts), 4096)]
+            assert _same_bytes(np.ascontiguousarray(whole), np.concatenate(blocks)), name
+            for i in (0, 4097, 16384):
+                one = eval_representation(mspec, frame, pts[i]).coeffs
+                assert _same_bytes(one, np.ascontiguousarray(whole[i])), (name, i)
+
+
 def test_one_entry_evaluates_several_functions_at_one_point_set(bundles, monkeypatch):
     # the three standard functions of the CLI and one G_s function, evaluated
-    # together: each gives its own representation's bytes, from one recurrence
+    # together: each gives its own representation's bytes, from one zeta
     import monalg.monogenic
     from monalg import FieldEvaluationError, cauchy_theorem_residuals, circle_curve
     from monalg.cli import _standard_mspecs
     from monalg.monogenic import _rep_values
 
     calls = []
-    real = monalg.monogenic._recurrences
-    monkeypatch.setattr(monalg.monogenic, "_recurrences",
+    real = monalg.monogenic._zeta_coeffs  # only _rep_values calls it there
+    monkeypatch.setattr(monalg.monogenic, "_zeta_coeffs",
                         lambda *args: calls.append(args) or real(*args))
     rng = np.random.default_rng(73)
     for bundle in bundles.values():
@@ -689,9 +713,10 @@ def test_one_entry_evaluates_several_functions_at_one_point_set(bundles, monkeyp
 
 
 def test_overflowing_data_name_the_point(bundles):
-    # the range rule bounds zeta and the recurrences, not the jets of the
-    # data: a degree-14 series passes finfo.max at x = 1e25 and is refused
-    # there, with no RuntimeWarning, while x = 1e20 keeps its value
+    # the range rule bounds zeta and the powers of its nilpotent part, not
+    # the jets of the data: a degree-14 series passes finfo.max at x = 1e25
+    # and is refused there, with no RuntimeWarning, while x = 1e20 keeps its
+    # value
     from monalg import FieldEvaluationError, cauchy_theorem_residuals, circle_curve
 
     frame = bundles["A5"].default_frame

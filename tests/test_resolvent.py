@@ -27,43 +27,18 @@ from monalg import (
     zeta_inverse_closed,
 )
 from monalg.geometry import _zeta_coeffs
-from monalg.resolvent import (_inverse, _one, _recurrences, _resolvent_batch,
-                              _zeta_inverse_batch)
+from monalg.monogenic import _auto_contours, _moments, _rep_values
+from monalg.resolvent import _inverse, _one, _resolvent_batch, _zeta_inverse_batch
 
 from conftest import random_safe_points
-
-
-def _recurrence_data(frame, p):
-    """xi, T, B and Q of zeta at the single point p, each a batch of one;
-    T[0, s - m - 1] is T_s."""
-    return _recurrences(frame.spec, _zeta_coeffs(frame, _one(p)))
 
 
 def test_t_values_harmonic_frame(bundles):
     frame = bundles["A5"].frames["harmonic"]
     y, z = -0.7, 1.3
-    xi, T, _, _ = _recurrence_data(frame, (0.4, y, z))
-    np.testing.assert_allclose(T[0], [z * (1 - 1j), y, z * (1 - 3j) / 4, y])
-    np.testing.assert_allclose(xi[0], [0.4 + 1j * y])
-
-
-def test_semisimple_has_no_nilpotent_data(bundles):
-    xi, T, B, Q = _recurrence_data(bundles["C2"].default_frame, (0.3, 0.4, 0.5))
-    assert T.shape == (1, 0) and B == {} and Q == {}
-    np.testing.assert_allclose(xi[0], [0.3 + 0.4j + 0.5, 0.3 + 0.4j - 0.5])
-
-
-def test_recurrence_base_cases(bundles):
-    rng = np.random.default_rng(2)
-    for bundle in bundles.values():
-        spec = bundle.algebra
-        frame = bundle.default_frame
-        for _ in range(10):
-            _, T, _, Q = _recurrence_data(frame, rng.uniform(-2, 2, size=3))
-            for s in range(spec.m + 1, spec.n + 1):
-                assert Q[(2, s)][0] == T[0, s - spec.m - 1]
-                for k in Q:
-                    assert 2 <= k[0] <= k[1] - spec.m + 1
+    zc = _zeta_coeffs(frame, _one((0.4, y, z)))
+    np.testing.assert_allclose(zc[0, 1:], [z * (1 - 1j), y, z * (1 - 3j) / 4, y])
+    np.testing.assert_allclose(zc[0, :1], [0.4 + 1j * y])
 
 
 def test_resolvent_semisimple_form(bundles):
@@ -166,14 +141,6 @@ def test_zeta_inverse_on_line_raises(bundles):
     assert err.value.u == 1
 
 
-def test_b_couplings_a5(bundles):
-    # rho-power table collapses B_{r,s} to T_{s-r+1}
-    frame = bundles["A5"].frames["harmonic"]
-    _, T, B, _ = _recurrence_data(frame, (0.4, -0.7, 1.3))
-    for (r, s), v in B.items():
-        assert v[0] == pytest.approx(T[0, s - r - frame.spec.m])
-
-
 def test_single_point_calls_return_their_batch_row(bundles):
     t = 3.1 + 0.8j
     for bundle in bundles.values():
@@ -182,7 +149,6 @@ def test_single_point_calls_return_their_batch_row(bundles):
             inv = _zeta_inverse_batch(frame, pts)
             res = _resolvent_batch(frame, pts, t)
             zc = _zeta_coeffs(frame, pts)
-            xi, _, _, Q = _recurrences(frame.spec, zc)
             xis = xi_values(frame, pts)
             assert xis.shape == (len(pts), frame.spec.m)
             for i, p in enumerate(pts):
@@ -190,9 +156,6 @@ def test_single_point_calls_return_their_batch_row(bundles):
                 assert np.array_equal(resolvent_at(t, frame, p).coeffs, res[i])
                 assert _same_bytes(make_zeta(frame, p).coeffs, zc[i])
                 assert _same_bytes(xi_values(frame, p), xis[i])
-                xi1, _, _, Q1 = _recurrence_data(frame, p)
-                assert np.array_equal(xi1[0], xi[i])
-                assert all(Q1[k][0] == v[i] for k, v in Q.items())
 
 
 def test_resolvent_batch_takes_one_t_per_point(bundles):
@@ -214,9 +177,10 @@ def test_resolvent_batch_takes_one_t_per_point(bundles):
 
 
 def _scan_recurrences(frame, pts):
-    """xi_u = x + y a_u + z b_u, T_s = y a_s + z b_s and the triple scan over
-    gamma_coeff that the coupling plan replaced, transcribed literally as the
-    plan's reference."""
+    """xi_u = x + y a_u + z b_u, T_s = y a_s + z b_s, and the couplings
+    B_{r,s} and powers Q_{k,s} of the paper's expansion by a triple scan over
+    gamma_coeff, transcribed literally: the reference of the inverses, of the
+    representation and of the plan's orders."""
     spec = frame.spec
     n, m = spec.n, spec.m
     pts = np.asarray(pts, dtype=float)
@@ -253,25 +217,61 @@ def _same_bytes(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_plan_matches_the_gamma_scan(bundles):
-    from monalg.geometry import _zeta_coeffs
-    from monalg.resolvent import _recurrences
+def _transcribed_representation(frame, mspec, pts, nodes):
+    """Phi at pts (N, 3) by the paper's expansion, from _scan_recurrences:
+    coefficient u is W_u[1] and coefficient s is sum_k Q_{k,s} W_{u_s}[k],
+    the moments W of F_u taken to k = n - m + 1, and each G_s term is I_s
+    times the expansion of G_s's moments at u_s alone, by the table."""
+    spec = frame.spec
+    n, m = spec.n, spec.m
+    xi, _, _, Q = _scan_recurrences(frame, pts)
+    centers, radii = _auto_contours(xi, m, mspec.contours)
 
+    def moments(func, u):
+        return _moments(func, centers[u], radii[u], xi[:, u], n - m + 1, nodes)
+
+    def expand(W):  # W[u] stops short where the moments are zero
+        out = np.zeros((len(pts), n), dtype=complex)
+        for u in range(m):
+            out[:, u] = W[u][0] if W[u] else 0.0
+        for s in range(m + 1, n + 1):
+            w = W[spec.u_map[s] - 1]
+            for k in range(2, min(s - m + 1, len(w)) + 1):
+                out[:, s - 1] += Q[(k, s)] * w[k - 1]
+        return out
+
+    out = expand([moments(f, u) for u, f in enumerate(mspec.F)])
+    for s, g in mspec.G.items():
+        us = spec.u_map[s] - 1
+        out += expand([moments(g, us) if u == us else [] for u in range(m)]) @ spec.table[s - 1]
+    return out
+
+
+def test_representation_is_the_transcribed_expansion(bundles):
+    # Horner on zeta's nilpotent part against the paper's sum of Q_{k,s}
+    # times the moments, on every frame, for every kind of data and G_s terms
     rng = np.random.default_rng(41)
+    poly = HoloFunction("polynomial", (0.5, 1.0, -0.3j, 0.2))
+    rat = HoloFunction("rational", num=(1.0, 0.5j), den=(4.0, -0.3, 0.1j))
+    with pytest.warns(UserWarning, match="unverified"):
+        call = HoloFunction("callable", fn=lambda t: np.exp(0.4 * t))
     for bundle in bundles.values():
         for frame in bundle.frames.values():
+            n, m = frame.spec.n, frame.spec.m
             pts = random_safe_points(frame, rng, 32)
-            for batch in (pts, pts[:1], pts[5:6]):
-                got = _recurrences(frame.spec, _zeta_coeffs(frame, batch))
-                want = _scan_recurrences(frame, batch)
-                assert _same_bytes(got[0], want[0]) and _same_bytes(got[1], want[1])
-                for g, w in zip(got[2:], want[2:]):  # B, then Q
-                    assert list(g) == list(w)
-                    assert all(_same_bytes(g[key], w[key]) for key in w)
+            pts[:, 2] = np.sign(pts[:, 2]) * np.maximum(np.abs(pts[:, 2]), 0.4)  # m > 1 contours
+            G = {s: HoloFunction("polynomial", (0.5, -1j, 0.1 * s)) for s in range(m + 1, n + 1)}
+            mspecs = [MonogenicSpec(F=(f,) * m)
+                      for f in (poly, HoloFunction.exp_series(14), rat, call)]
+            mspecs.append(MonogenicSpec(F=(HoloFunction.exp_series(6),) * m, G=G))
+            for mspec, got in zip(mspecs, _rep_values(mspecs, frame, pts, 64)):
+                want = _transcribed_representation(frame, mspec, pts, 64)
+                err = np.abs(got - want) / (1 + np.abs(want))
+                assert np.max(err) <= 1e-14, (frame.spec.name, float(np.max(err)))
 
 
 def test_orders_are_the_largest_power_the_expansion_reads(bundles):
-    # the expansion reads factor k of x_u only where some Q_{k,s} with u_s = u
+    # the expansion reads moment k at x_u only where some Q_{k,s} with u_s = u
     # is not identically zero: read off the gamma scan at random points
     rng = np.random.default_rng(43)
     want = {"C2": (1, 1), "A2_radical": (1, 2), "A3": (3,), "A5": (5,), "J69": (3,),
@@ -287,11 +287,36 @@ def test_orders_are_the_largest_power_the_expansion_reads(bundles):
         assert spec.plan.orders == tuple(read) == want[name]
 
 
+def test_heights_are_the_last_power_of_n_that_keeps_each_row(bundles):
+    # _horner skips row s at a step with more than heights[s] steps after it,
+    # so I_s N^j must be identically zero for every larger j: read off the
+    # table's products at random points, N zeta's nilpotent part
+    from monalg.algebra import _mul_coeffs
+
+    rng = np.random.default_rng(47)
+    want = {"C2": (), "A2_radical": (0,), "A3": (1, 0), "A5": (3, 2, 1, 0),
+            "J69": (1, 0, 1, 0), "A12_plus_A01sq": (1, 0, 0, 0), "A12_plus_A12": (1, 0, 1, 0),
+            "J71": (2, 1, 0, 0)}
+    for name, bundle in bundles.items():
+        spec = bundle.algebra
+        n, m = spec.n, spec.m
+        last = [0] * (n - m)
+        for frame in bundle.frames.values():
+            nil = _zeta_coeffs(frame, random_safe_points(frame, rng, 8)).copy()
+            nil[:, :m] = 0
+            for s in range(m + 1, n + 1):
+                v = np.zeros_like(nil)
+                v[:, s - 1] = 1
+                for j in range(1, n - m + 1):
+                    v = _mul_coeffs(spec, v, nil)
+                    if np.any(v != 0):
+                        last[s - m - 1] = max(last[s - m - 1], j)
+        assert spec.plan.heights == tuple(last) == want[name]
+
+
 def test_every_batch_shape_keeps_its_layout(bundles):
     # inside the kernels a batch is one row per coefficient; each point's
     # results, as a batch of one, are its rows of the whole batch, bit for bit
-    from monalg.monogenic import _rep_values
-
     rng = np.random.default_rng(59)
     poly = HoloFunction("polynomial", (0.5, 1.0, -0.3j))
     for bundle in bundles.values():
@@ -304,20 +329,10 @@ def test_every_batch_shape_keeps_its_layout(bundles):
                        lambda b: _resolvent_batch(frame, b, 3.1 + 0.8j),
                        lambda b: next(_rep_values((mspec,), frame, b, 64))]
             flat = [f(pts) for f in kernels]
-
-            def recurrences(b):
-                return _recurrences(frame.spec, _zeta_coeffs(frame, b))
-
-            xi, T, B, Q = recurrences(pts)
             for i in range(len(pts)):
                 one = slice(i, i + 1)
                 for f, want in zip(kernels, flat):
                     assert _same_bytes(f(pts[one]), want[one]), i
-                got = recurrences(pts[one])
-                assert _same_bytes(got[0], xi[one]) and _same_bytes(got[1], T[one])
-                for g, w in zip(got[2:], (B, Q)):
-                    assert list(g) == list(w)
-                    assert all(_same_bytes(g[key], w[key][one]) for key in w)
 
 
 def test_evaluation_never_scans_gamma(bundles, monkeypatch):
